@@ -31,7 +31,7 @@ __all__ = [
     "concat",
     "grad_enabled",
     "leaky_relu",
-    "lstm_cell",
+    "lstm_sequence",
     "matmul",
     "no_grad",
     "take_rows",
@@ -196,9 +196,13 @@ def _make(data: np.ndarray, op: str, parents: tuple, backward_fn) -> Tensor:
     return _raw(data, parents, backward_fn)
 
 
-def _coerce(x) -> Tensor:
+def _coerce(x, like=None) -> Tensor:
     if isinstance(x, Tensor):
         return x
+    if isinstance(like, Tensor) and isinstance(x, (int, float)):
+        # a Python number takes the other operand's dtype, as numpy's weak
+        # scalars do, so ``1.0 - y`` keeps a float32 ``y`` in float32
+        return Tensor(np.asarray(x, dtype=like.dtype))
     return Tensor(x)
 
 
@@ -209,10 +213,7 @@ def _tracked(t: Tensor) -> bool:
 def _track_any(*ts: Tensor) -> bool:
     if not _grad_enabled:
         return False
-    for t in ts:
-        if t.requires_grad or t._backward is not None:
-            return True
-    return False
+    return any(_tracked(t) for t in ts)
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -272,84 +273,44 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- elementwise binary ops --------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+def _binary(op: str, fn, a, b, grad_a, grad_b) -> Tensor:
+    """``fn(a, b)`` with numpy broadcasting; ``grad_a(g, a, b, out)`` and
+    ``grad_b`` give each operand's gradient before unbroadcasting."""
+    a, b = _coerce(a, like=b), _coerce(b, like=a)
     try:
-        data = a.data + b.data
+        data = fn(a.data, b.data)
     except ValueError:
-        raise ShapeMismatch(f"add: cannot broadcast {a.shape} with {b.shape}") from None
-    if not _grad_enabled or not (
-        a.requires_grad or a._backward is not None or b.requires_grad or b._backward is not None
-    ):
-        return _make(data, "add", (), None)
+        raise ShapeMismatch(f"{op}: cannot broadcast {a.shape} with {b.shape}") from None
+    if not _track_any(a, b):
+        return _make(data, op, (), None)
 
     def backward_fn(g):
-        if a.requires_grad or a._backward is not None:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad or b._backward is not None:
-            _accum(b, _unbroadcast(g, b.data.shape))
+        if _tracked(a):
+            _accum(a, _unbroadcast(grad_a(g, a.data, b.data, data), a.data.shape))
+        if _tracked(b):
+            _accum(b, _unbroadcast(grad_b(g, a.data, b.data, data), b.data.shape))
 
-    return _make(data, "add", (a, b), backward_fn)
+    return _make(data, op, (a, b), backward_fn)
+
+
+def add(a, b) -> Tensor:
+    return _binary("add", np.add, a, b, lambda g, x, y, out: g, lambda g, x, y, out: g)
 
 
 def sub(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeMismatch(f"sub: cannot broadcast {a.shape} with {b.shape}") from None
-    if not _grad_enabled or not (
-        a.requires_grad or a._backward is not None or b.requires_grad or b._backward is not None
-    ):
-        return _make(data, "sub", (), None)
-
-    def backward_fn(g):
-        if a.requires_grad or a._backward is not None:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad or b._backward is not None:
-            _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(data, "sub", (a, b), backward_fn)
+    return _binary("sub", np.subtract, a, b, lambda g, x, y, out: g, lambda g, x, y, out: -g)
 
 
 def mul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeMismatch(f"mul: cannot broadcast {a.shape} with {b.shape}") from None
-    if not _grad_enabled or not (
-        a.requires_grad or a._backward is not None or b.requires_grad or b._backward is not None
-    ):
-        return _make(data, "mul", (), None)
-
-    def backward_fn(g):
-        if a.requires_grad or a._backward is not None:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad or b._backward is not None:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(data, "mul", (a, b), backward_fn)
+    return _binary(
+        "mul", np.multiply, a, b, lambda g, x, y, out: g * y, lambda g, x, y, out: g * x
+    )
 
 
 def div(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    try:
-        data = a.data / b.data
-    except ValueError:
-        raise ShapeMismatch(f"div: cannot broadcast {a.shape} with {b.shape}") from None
-    if not _grad_enabled or not (
-        a.requires_grad or a._backward is not None or b.requires_grad or b._backward is not None
-    ):
-        return _make(data, "div", (), None)
-
-    def backward_fn(g):
-        if a.requires_grad or a._backward is not None:
-            _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad or b._backward is not None:
-            _accum(b, _unbroadcast(-g * data / b.data, b.data.shape))
-
-    return _make(data, "div", (a, b), backward_fn)
+    return _binary(
+        "div", np.divide, a, b, lambda g, x, y, out: g / y, lambda g, x, y, out: -g * out / y
+    )
 
 
 # -- matmul -------------------------------------------------------------
@@ -363,14 +324,12 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[0]:
         raise ShapeMismatch(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
     data = a.data @ b.data
-    if not _grad_enabled or not (
-        a.requires_grad or a._backward is not None or b.requires_grad or b._backward is not None
-    ):
+    if not _track_any(a, b):
         return _make(data, "matmul", (), None)
 
     def backward_fn(g):
-        track_a = a.requires_grad or a._backward is not None
-        track_b = b.requires_grad or b._backward is not None
+        track_a = _tracked(a)
+        track_b = _tracked(b)
         if a.ndim == 2 and b.ndim == 2:
             if track_a:
                 _accum(a, g @ b.data.T)
@@ -401,7 +360,7 @@ def matmul(a, b) -> Tensor:
 
 def tanh(x: Tensor) -> Tensor:
     data = np.tanh(x.data)
-    if not _grad_enabled or not (x.requires_grad or x._backward is not None):
+    if not _track_any(x):
         return _raw(data, (), None)
 
     def backward_fn(g):
@@ -420,7 +379,7 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: Tensor) -> Tensor:
     data = _stable_sigmoid(x.data)
-    if not _grad_enabled or not (x.requires_grad or x._backward is not None):
+    if not _track_any(x):
         return _raw(data, (), None)
 
     def backward_fn(g):
@@ -431,7 +390,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     data = np.where(x.data > 0, x.data, slope * x.data)
-    if not _grad_enabled or not (x.requires_grad or x._backward is not None):
+    if not _track_any(x):
         return _raw(data, (), None)
 
     def backward_fn(g):
@@ -443,7 +402,7 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
 def log(x: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         data = np.log(x.data)
-    if not _grad_enabled or not (x.requires_grad or x._backward is not None):
+    if not _track_any(x):
         return _make(data, "log", (), None)
 
     def backward_fn(g):
@@ -455,7 +414,7 @@ def log(x: Tensor) -> Tensor:
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes only inside the range."""
     data = np.clip(x.data, lo, hi)
-    if not _grad_enabled or not (x.requires_grad or x._backward is not None):
+    if not _track_any(x):
         return _raw(data, (), None)
 
     def backward_fn(g):
@@ -465,54 +424,75 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     return _raw(data, (x,), backward_fn)
 
 
-# -- fused LSTM cell ------------------------------------------------------
+# -- LSTM sequence --------------------------------------------------------
 
 
-def lstm_cell(gates: Tensor, c_prev: Tensor) -> Tensor:
-    """One LSTM step from pre-activation gates, returning concat([h, c]).
+def lstm_sequence(xproj: Tensor, w_h: Tensor) -> Tensor:
+    """An LSTM run over a whole sequence from a zero state; returns the
+    (T, H) hidden states.
 
-    ``gates`` is (4H,), packed [input, forget, candidate, output]; the
-    candidate uses tanh, the rest sigmoid. A single fused node replaces
-    the ten-odd elementwise ops of the textbook expression (a hot path:
-    it runs once per frame per direction per layer); the backward is the
-    standard cell derivative and is pinned to the unfused expression by
-    tests. All outputs are bounded combinations of the inputs, so no
-    finite check is needed.
+    ``xproj`` is (T, 4H), each frame's input projection plus bias, packed
+    [input, forget, candidate, output]; ``w_h`` is (H, 4H). The candidate
+    uses tanh, the other gates sigmoid. One node covers the whole time
+    loop: the forward keeps the gate activations and cell states only
+    when a graph is being built, and the backward is a single BPTT loop
+    whose recurrent-weight gradient is one GEMM after it. A backward
+    direction is ``lstm_sequence(x[::-1], w_h)[::-1]``. All outputs are
+    bounded, so no finite check is needed.
     """
-    h_dim = c_prev.data.shape[0]
-    if gates.data.shape != (4 * h_dim,):
-        raise ShapeMismatch(f"lstm_cell: gates {gates.shape} do not match state ({h_dim},)")
-    z = gates.data
-    i = _stable_sigmoid(z[0:h_dim])
-    f = _stable_sigmoid(z[h_dim : 2 * h_dim])
-    g_cand = np.tanh(z[2 * h_dim : 3 * h_dim])
-    o = _stable_sigmoid(z[3 * h_dim :])
-    c = f * c_prev.data + i * g_cand
-    tc = np.tanh(c)
-    h = o * tc
-    data = np.concatenate([h, c])
-    if not _grad_enabled or not (
-        gates.requires_grad
-        or gates._backward is not None
-        or c_prev.requires_grad
-        or c_prev._backward is not None
-    ):
-        return _raw(data, (), None)
+    h_dim = w_h.shape[0]
+    if xproj.ndim != 2 or w_h.shape != (h_dim, 4 * h_dim) or xproj.shape[1] != 4 * h_dim:
+        raise ShapeMismatch(f"lstm_sequence: xproj {xproj.shape} does not fit w_h {w_h.shape}")
+    t_len = xproj.shape[0]
+    w = w_h.data
+    dtype = np.result_type(xproj.data, w)
+    keep = _track_any(xproj, w_h)
+    hs = np.empty((t_len, h_dim), dtype)
+    if keep:
+        acts = np.empty((t_len, 4 * h_dim), dtype)  # the gates after their activations
+        cs = np.zeros((t_len + 1, h_dim), dtype)  # cs[t] is the cell state before frame t
+        tcs = np.empty((t_len, h_dim), dtype)
+    h = np.zeros(h_dim, dtype)
+    c = np.zeros(h_dim, dtype)
+    for t in range(t_len):
+        z = xproj.data[t] + h @ w
+        a = _stable_sigmoid(z)
+        a[2 * h_dim : 3 * h_dim] = np.tanh(z[2 * h_dim : 3 * h_dim])
+        c = a[h_dim : 2 * h_dim] * c + a[0:h_dim] * a[2 * h_dim : 3 * h_dim]
+        tc = np.tanh(c)
+        h = a[3 * h_dim :] * tc
+        hs[t] = h
+        if keep:
+            acts[t] = a
+            cs[t + 1] = c
+            tcs[t] = tc
+    if not keep:
+        return _raw(hs, (), None)
 
     def backward_fn(grad):
-        gh = grad[0:h_dim]
-        dc = grad[h_dim:] + gh * o * (1.0 - tc * tc)
-        dz = np.empty_like(z)
-        dz[0:h_dim] = dc * g_cand * i * (1.0 - i)
-        dz[h_dim : 2 * h_dim] = dc * c_prev.data * f * (1.0 - f)
-        dz[2 * h_dim : 3 * h_dim] = dc * i * (1.0 - g_cand * g_cand)
-        dz[3 * h_dim :] = gh * tc * o * (1.0 - o)
-        if gates.requires_grad or gates._backward is not None:
-            _accum(gates, dz)
-        if c_prev.requires_grad or c_prev._backward is not None:
-            _accum(c_prev, dc * f)
+        dz = np.empty_like(acts)
+        dh_next = np.zeros(h_dim, dtype)
+        dc_next = np.zeros(h_dim, dtype)
+        for t in range(t_len - 1, -1, -1):
+            i = acts[t, 0:h_dim]
+            f = acts[t, h_dim : 2 * h_dim]
+            g_cand = acts[t, 2 * h_dim : 3 * h_dim]
+            o = acts[t, 3 * h_dim :]
+            tc = tcs[t]
+            dh = grad[t] + dh_next
+            dc = dc_next + dh * o * (1.0 - tc * tc)
+            dz[t, 0:h_dim] = dc * g_cand * i * (1.0 - i)
+            dz[t, h_dim : 2 * h_dim] = dc * cs[t] * f * (1.0 - f)
+            dz[t, 2 * h_dim : 3 * h_dim] = dc * i * (1.0 - g_cand * g_cand)
+            dz[t, 3 * h_dim :] = dh * tc * o * (1.0 - o)
+            dc_next = dc * f
+            dh_next = w @ dz[t]
+        if _tracked(xproj):
+            _accum(xproj, dz)
+        if _tracked(w_h):
+            _accum(w_h, hs[:-1].T @ dz[1:])
 
-    return _raw(data, (gates, c_prev), backward_fn)
+    return _raw(hs, (xproj, w_h), backward_fn)
 
 
 # -- reductions ----------------------------------------------------------
@@ -528,7 +508,7 @@ def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool)
 
 def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.sum(axis=axis, keepdims=keepdims)
-    if not _grad_enabled or not (x.requires_grad or x._backward is not None):
+    if not _track_any(x):
         return _make(data, "sum", (), None)
 
     def backward_fn(g):
@@ -540,7 +520,7 @@ def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def tensor_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.mean(axis=axis, keepdims=keepdims)
     count = x.data.size if axis is None else x.data.shape[axis]
-    if not _grad_enabled or not (x.requires_grad or x._backward is not None):
+    if not _track_any(x):
         return _make(data, "mean", (), None)
 
     def backward_fn(g):
@@ -552,7 +532,7 @@ def tensor_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def tensor_max(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     """Max reduction; the gradient routes to the first maximal element."""
     data = x.data.max(axis=axis, keepdims=keepdims)
-    if not _grad_enabled or not (x.requires_grad or x._backward is not None):
+    if not _track_any(x):
         return _raw(data, (), None)
 
     def backward_fn(g):
@@ -573,7 +553,7 @@ def tensor_max(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = x.data.reshape(shape)
-    if not _grad_enabled or not (x.requires_grad or x._backward is not None):
+    if not _track_any(x):
         return _raw(data, (), None)
 
     def backward_fn(g):
@@ -586,7 +566,7 @@ def transpose(x: Tensor) -> Tensor:
     if x.ndim != 2:
         raise ShapeMismatch(f"transpose expects a 2-D tensor, got {x.shape}")
     data = x.data.T
-    if not _grad_enabled or not (x.requires_grad or x._backward is not None):
+    if not _track_any(x):
         return _raw(data, (), None)
 
     def backward_fn(g):
@@ -597,7 +577,7 @@ def transpose(x: Tensor) -> Tensor:
 
 def _getitem(x: Tensor, key) -> Tensor:
     data = x.data[key]
-    if not _grad_enabled or not (x.requires_grad or x._backward is not None):
+    if not _track_any(x):
         return _raw(data, (), None)
 
     def backward_fn(g):
@@ -617,7 +597,7 @@ def take_rows(x: Tensor, indices) -> Tensor:
         )
     rows = np.arange(x.shape[0])
     data = x.data[rows, idx]
-    if not _grad_enabled or not (x.requires_grad or x._backward is not None):
+    if not _track_any(x):
         return _raw(data, (), None)
 
     def backward_fn(g):
@@ -652,7 +632,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         offset = 0
         index: list = [slice(None)] * g.ndim
         for t, size in zip(ts, sizes):
-            if t.requires_grad or t._backward is not None:
+            if _tracked(t):
                 index[axis] = slice(offset, offset + size)
                 _accum(t, g[tuple(index)])
             offset += size

@@ -18,6 +18,7 @@ reject a checkpoint whose config differs from an expected one.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -61,7 +62,7 @@ _CONFIG_KEYS = (
 
 def _decode_config(blob: bytes) -> ModelConfig:
     values: dict[str, str] = {}
-    for line in blob.decode("utf-8").splitlines():
+    for line in _utf8(blob, "config block").splitlines():
         if not line.strip():
             continue
         if "=" not in line:
@@ -74,17 +75,29 @@ def _decode_config(blob: bytes) -> ModelConfig:
     extra = sorted(set(values) - set(_CONFIG_KEYS))
     if extra:
         raise FormatError(f"checkpoint config has unknown fields {extra}")
-    return ModelConfig(
-        receptive_fields=tuple(int(r) for r in values["receptive_fields"].split(",")),
-        n_mels=int(values["n_mels"]),
-        gated_dim=int(values["gated_dim"]),
-        attn_hidden=int(values["attn_hidden"]),
-        lstm_hidden=int(values["lstm_hidden"]),
-        lstm_layers=int(values["lstm_layers"]),
-        fc_hidden=int(values["fc_hidden"]),
-        variant=values["variant"],
-        double_sigmoid=values["double_sigmoid"] == "true",
-    )
+    if values["double_sigmoid"] not in ("true", "false"):
+        raise FormatError(f"checkpoint config double_sigmoid={values['double_sigmoid']!r}")
+    try:
+        return ModelConfig(
+            receptive_fields=tuple(int(r) for r in values["receptive_fields"].split(",")),
+            n_mels=int(values["n_mels"]),
+            gated_dim=int(values["gated_dim"]),
+            attn_hidden=int(values["attn_hidden"]),
+            lstm_hidden=int(values["lstm_hidden"]),
+            lstm_layers=int(values["lstm_layers"]),
+            fc_hidden=int(values["fc_hidden"]),
+            variant=values["variant"],
+            double_sigmoid=values["double_sigmoid"] == "true",
+        )
+    except ValueError as exc:  # a field that is not an integer, or a ConfigError
+        raise FormatError(f"checkpoint config is invalid: {exc}") from None
+
+
+def _utf8(blob: bytes, what: str) -> str:
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"checkpoint {what} is not UTF-8") from None
 
 
 def save_checkpoint(path, params: MlnetParams) -> None:
@@ -139,11 +152,12 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> MlnetPara
         )
     loaded: dict[str, np.ndarray] = {}
     while not reader.exhausted:
-        name = reader.take(reader.u32()).decode("utf-8")
+        name = _utf8(reader.take(reader.u32()), "parameter name")
         rank = reader.u32()
-        dims = struct.unpack(f"<{rank}I", reader.take(4 * rank)) if rank else ()
-        count = int(np.prod(dims)) if dims else 1
-        values = np.frombuffer(reader.take(4 * count), dtype="<f4").reshape(dims)
+        dims = struct.unpack(f"<{rank}I", reader.take(4 * rank))
+        values = np.frombuffer(reader.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
+        if not np.isfinite(values).all():
+            raise FormatError(f"{path}: parameter {name!r} holds non-finite values")
         loaded[name] = values.astype(np.float32)
 
     def factory(name: str, shape: tuple[int, ...], kind: str) -> Tensor:

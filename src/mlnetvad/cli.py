@@ -220,6 +220,8 @@ def read_features(path) -> np.ndarray:
     blob = Path(path).read_bytes()
     if blob[:4] != FEATURE_MAGIC:
         raise FormatError(f"{path}: bad magic, not a feature dump")
+    if len(blob) < 16:
+        raise FormatError(f"{path}: truncated header, {len(blob)} of 16 bytes")
     version, t_len, n_mels = struct.unpack("<III", blob[4:16])
     if version != FEATURE_VERSION:
         raise FormatError(f"{path}: unsupported feature dump version {version}")

@@ -304,20 +304,38 @@ def write_mask(path, mask: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _read_text_lines(path) -> list[str]:
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+# the most samples a 16-bit WAV can hold: its data chunk size is a u32
+_MAX_MASK_SAMPLES = 2**31
+
+
 def read_mask(path) -> np.ndarray:
-    text = Path(path).read_text(encoding="utf-8").splitlines()
+    text = _read_text_lines(path)
     if not text or text[0] != MASK_HEADER:
         raise FormatError(f"{path}: missing mask header {MASK_HEADER!r}")
-    runs = []
+    values, counts = [], []
     for line in text[1:]:
-        line = line.strip()
-        if not line:
+        fields = line.split()
+        if not fields:
             continue
-        value, count = line.split()
+        if len(fields) != 2:
+            raise FormatError(f"{path}: expected '<value> <count>', got {line!r}")
+        value, count = fields
         if value not in ("0", "1"):
             raise FormatError(f"{path}: mask values must be 0/1, got {value!r}")
-        runs.append(np.full(int(count), int(value), dtype=np.int8))
-    return np.concatenate(runs) if runs else np.zeros(0, dtype=np.int8)
+        if not (count.isascii() and count.isdigit()):
+            raise FormatError(f"{path}: run length must be a non-negative integer, got {count!r}")
+        values.append(int(value))
+        counts.append(int(count))
+    if sum(counts) > _MAX_MASK_SAMPLES:
+        raise FormatError(f"{path}: mask of {sum(counts)} samples is longer than any WAV")
+    return np.repeat(np.array(values, dtype=np.int8), counts)
 
 
 @dataclass
@@ -337,7 +355,7 @@ def write_manifest(path, entries: list[ManifestEntry]) -> None:
 
 
 def read_manifest(path) -> list[ManifestEntry]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_text_lines(path)
     if not lines or lines[0] != MANIFEST_HEADER:
         raise FormatError(f"{path}: missing manifest header {MANIFEST_HEADER!r}")
     if len(lines) < 2 or lines[1] != "id\twav\tmask\tsplit\tsnr_db":
@@ -349,7 +367,11 @@ def read_manifest(path) -> list[ManifestEntry]:
         parts = ln.split("\t")
         if len(parts) != 5:
             raise FormatError(f"{path}: expected 5 tab-separated fields, got {len(parts)}")
-        entries.append(ManifestEntry(parts[0], parts[1], parts[2], parts[3], float(parts[4])))
+        try:
+            snr_db = float(parts[4])
+        except ValueError:
+            raise FormatError(f"{path}: snr_db must be a number, got {parts[4]!r}") from None
+        entries.append(ManifestEntry(parts[0], parts[1], parts[2], parts[3], snr_db))
     return entries
 
 

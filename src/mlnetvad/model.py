@@ -180,17 +180,20 @@ class MlnetParams:
         )
 
 
+def _branch_radii(cfg: ModelConfig) -> tuple[int, ...]:
+    """The receptive-field radius of each gated branch the variant owns."""
+    if cfg.variant == "bilstm_base":
+        return ()
+    if cfg.variant == "gated_unit":
+        return (cfg.context_radius,)
+    return cfg.receptive_fields
+
+
 def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     """(name, shape, kind) for every tensor the variant owns, in order."""
     shapes: list[tuple[str, tuple[int, ...], str]] = []
     d, f = cfg.gated_dim, cfg.n_mels
-    if cfg.variant == "bilstm_base":
-        branch_rs: tuple[int, ...] = ()
-    elif cfg.variant == "gated_unit":
-        branch_rs = (cfg.context_radius,)
-    else:
-        branch_rs = cfg.receptive_fields
-    for r in branch_rs:
+    for r in _branch_radii(cfg):
         k = (2 * r + 1) * f
         prefix = f"branch_r{r}"
         shapes.append((f"{prefix}.w_f", (d, k), "weight"))
@@ -230,13 +233,7 @@ def build_params(cfg: ModelConfig, factory) -> MlnetParams:
         return made[name]
 
     branches = []
-    if cfg.variant == "gated_unit":
-        branch_rs: tuple[int, ...] = (cfg.context_radius,)
-    elif cfg.variant == "bilstm_base":
-        branch_rs = ()
-    else:
-        branch_rs = cfg.receptive_fields
-    for r in branch_rs:
+    for r in _branch_radii(cfg):
         p = f"branch_r{r}"
         branches.append(
             BranchParams(r, take(f"{p}.w_f"), take(f"{p}.b_f"), take(f"{p}.w_g"), take(f"{p}.b_g"))
@@ -382,37 +379,13 @@ def non_attention_forward(q: Tensor) -> Tensor:
     return q.mean(axis=q.ndim - 2)
 
 
-def _lstm_scan(xproj: Tensor, w_h: Tensor, hidden: int, reverse: bool, dtype) -> list[Tensor]:
-    t_len = xproj.shape[0]
-    h = Tensor(np.zeros(hidden, dtype=dtype))
-    c = Tensor(np.zeros(hidden, dtype=dtype))
-    outs: list[Tensor | None] = [None] * t_len
-    steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    for t in steps:
-        gates = xproj[t] + h @ w_h
-        hc = ad.lstm_cell(gates, c)
-        h = hc[0:hidden]
-        c = hc[hidden:]
-        outs[t] = h
-    return outs  # type: ignore[return-value]
-
-
-def _stack_rows(rows: list[Tensor]) -> Tensor:
-    return ad.concat([r.reshape(1, r.shape[0]) for r in rows], axis=0)
-
-
 def classifier_forward(m: Tensor, params: MlnetParams) -> Tensor:
     """Stacked Bi-LSTM over the fused sequence, then leaky_relu FC and a
     sigmoid unit; returns per-frame speech probabilities (T,)."""
-    cfg = params.config
-    dtype = params.dtype
-    h = cfg.lstm_hidden
     seq = m
     for fwd, bwd in params.lstm:
-        xf = seq @ fwd.w_x + fwd.b
-        xb = seq @ bwd.w_x + bwd.b
-        out_f = _stack_rows(_lstm_scan(xf, fwd.w_h, h, reverse=False, dtype=dtype))
-        out_b = _stack_rows(_lstm_scan(xb, bwd.w_h, h, reverse=True, dtype=dtype))
+        out_f = ad.lstm_sequence(seq @ fwd.w_x + fwd.b, fwd.w_h)
+        out_b = ad.lstm_sequence((seq @ bwd.w_x + bwd.b)[::-1], bwd.w_h)[::-1]
         seq = ad.concat([out_f, out_b], axis=1)
     hidden = ad.leaky_relu(seq @ params.head.w_hidden.T + params.head.b_hidden)
     logits = hidden @ params.head.w_out.T + params.head.b_out

@@ -22,12 +22,18 @@ def read_wav(path) -> Waveform:
             raw = fh.readframes(fh.getnframes())
     except (wave.Error, EOFError) as exc:
         raise FormatError(f"{path}: not a readable PCM WAV file ({exc})") from exc
+    except RuntimeError as exc:  # wave's bare error for a chunk that runs past the end
+        raise FormatError(f"{path}: a chunk runs past the end of the file") from exc
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     if channels != 1:
         raise FormatError(f"{path}: expected mono audio, found {channels} channels")
     if width != 2:
         raise FormatError(f"{path}: expected 16-bit PCM, found {8 * width}-bit samples")
+    if rate < 1:
+        raise FormatError(f"{path}: bad sample rate {rate}")
+    if len(raw) % 2:
+        raise FormatError(f"{path}: data chunk ends inside a sample ({len(raw)} bytes)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _SCALE
     return Waveform(samples, sample_rate=rate)
 

@@ -211,40 +211,64 @@ def test_reshape_roundtrip_preserves_gradient(n, m):
     np.testing.assert_allclose(x.grad, np.ones((n, m)))
 
 
-class TestFusedLstmCell:
-    """The fused cell must be exactly the composite of elementary ops."""
+class TestLstmSequence:
+    """The sequence op must be exactly the per-frame composite of elementary ops."""
 
     @staticmethod
-    def _unfused(gates: Tensor, c_prev: Tensor, h_dim: int) -> Tensor:
-        i = ad.sigmoid(gates[0:h_dim])
-        f = ad.sigmoid(gates[h_dim : 2 * h_dim])
-        g = ad.tanh(gates[2 * h_dim : 3 * h_dim])
-        o = ad.sigmoid(gates[3 * h_dim :])
-        c = f * c_prev + i * g
-        h = o * ad.tanh(c)
-        return ad.concat([h, c])
+    def _per_frame(xproj: Tensor, w_h: Tensor, reverse: bool) -> Tensor:
+        t_len, h_dim = xproj.shape[0], w_h.shape[0]
+        h = Tensor(np.zeros(h_dim))
+        c = Tensor(np.zeros(h_dim))
+        rows = [None] * t_len
+        for t in (range(t_len - 1, -1, -1) if reverse else range(t_len)):
+            gates = xproj[t] + h @ w_h
+            i = ad.sigmoid(gates[0:h_dim])
+            f = ad.sigmoid(gates[h_dim : 2 * h_dim])
+            g = ad.tanh(gates[2 * h_dim : 3 * h_dim])
+            o = ad.sigmoid(gates[3 * h_dim :])
+            c = f * c + i * g
+            h = o * ad.tanh(c)
+            rows[t] = h.reshape(1, h_dim)
+        return ad.concat(rows, axis=0)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_forward_and_gradients_match_unfused(self, seed):
-        rng = np.random.default_rng(seed)
+    @staticmethod
+    def _op(xproj: Tensor, w_h: Tensor, reverse: bool) -> Tensor:
+        if reverse:
+            return ad.lstm_sequence(xproj[::-1], w_h)[::-1]
+        return ad.lstm_sequence(xproj, w_h)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("t_len", [1, 2, 7])
+    def test_matches_per_frame_composite(self, t_len, reverse):
+        rng = np.random.default_rng(100 * t_len + reverse)
         h_dim = 5
-        weight = Tensor(rng.normal(size=(3, 4 * h_dim)), requires_grad=True)
-        x = Tensor(rng.normal(size=3))
-        c_prev = Tensor(rng.normal(size=h_dim), requires_grad=True)
-        coeffs = Tensor(rng.normal(size=2 * h_dim))
+        w_x = Tensor(rng.normal(size=(3, 4 * h_dim)), requires_grad=True)
+        w_h = Tensor(rng.normal(size=(h_dim, 4 * h_dim)) * 0.5, requires_grad=True)
+        x = Tensor(rng.normal(size=(t_len, 3)))
+        coeffs = Tensor(rng.normal(size=(t_len, h_dim)))
 
-        fused = (ad.lstm_cell(x @ weight, c_prev) * coeffs).sum()
-        fused.backward()
-        grads_fused = (weight.grad.copy(), c_prev.grad.copy())
-        ad.zero_grads([weight, c_prev])
+        out = self._op(x @ w_x, w_h, reverse)
+        (out * coeffs).sum().backward()
+        grads_op = (w_x.grad.copy(), w_h.grad.copy())
+        ad.zero_grads([w_x, w_h])
 
-        unfused = (self._unfused(x @ weight, c_prev, h_dim) * coeffs).sum()
-        unfused.backward()
+        ref = self._per_frame(x @ w_x, w_h, reverse)
+        (ref * coeffs).sum().backward()
 
-        np.testing.assert_allclose(fused.data, unfused.data, atol=1e-12)
-        np.testing.assert_allclose(grads_fused[0], weight.grad, atol=1e-12)
-        np.testing.assert_allclose(grads_fused[1], c_prev.grad, atol=1e-12)
+        np.testing.assert_array_equal(out.data, ref.data)
+        np.testing.assert_allclose(grads_op[0], w_x.grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads_op[1], w_h.grad, rtol=0, atol=1e-12)
+
+    def test_no_grad_gives_the_same_states(self):
+        rng = np.random.default_rng(4)
+        xproj = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
+        w_h = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
+        tracked = ad.lstm_sequence(xproj, w_h)
+        with ad.no_grad():
+            untracked = ad.lstm_sequence(xproj, w_h)
+        assert untracked._backward is None
+        np.testing.assert_array_equal(tracked.data, untracked.data)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeMismatch):
-            ad.lstm_cell(Tensor(np.zeros(12)), Tensor(np.zeros(4)))
+            ad.lstm_sequence(Tensor(np.zeros((3, 12))), Tensor(np.zeros((4, 16))))

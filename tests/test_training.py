@@ -109,6 +109,17 @@ class TestAttentionLoss:
             assert rel_error(t.grad, n) <= 1e-5
 
 
+class TestDtypes:
+    @pytest.mark.parametrize("variant", ["full_attention", "bilstm_base"])
+    def test_float32_model_keeps_loss_and_gradients_float32(self, variant):
+        params = init_params(tiny_model(variant=variant), seed=2, dtype=np.float32)
+        loss, _, _ = utterance_loss(toy_corpus(1, seed=4)[0], params, TrainConfig())
+        loss.backward()
+        assert loss.dtype == np.float32
+        for name, t in params.named().items():
+            assert t.grad is not None and t.grad.dtype == np.float32, name
+
+
 class TestAdam:
     def _scalar_param(self, value=0.0):
         cfg = TrainConfig(seed=0)
