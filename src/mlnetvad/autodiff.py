@@ -28,10 +28,10 @@ from .errors import GraphError, NonFiniteError, ShapeMismatch
 __all__ = [
     "Tensor",
     "backward",
+    "bilstm_layer",
     "concat",
     "grad_enabled",
     "leaky_relu",
-    "lstm_sequence",
     "matmul",
     "no_grad",
     "take_rows",
@@ -424,75 +424,125 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     return _raw(data, (x,), backward_fn)
 
 
-# -- LSTM sequence --------------------------------------------------------
+# -- Bi-LSTM layer --------------------------------------------------------
 
 
-def lstm_sequence(xproj: Tensor, w_h: Tensor) -> Tensor:
-    """An LSTM run over a whole sequence from a zero state; returns the
-    (T, H) hidden states.
+def bilstm_layer(xproj_f: Tensor, xproj_b: Tensor, w_h_f: Tensor, w_h_b: Tensor) -> Tensor:
+    """Both directions of a Bi-LSTM layer, each from a zero state; returns
+    the (T, 2H) hidden states, columns [forward | backward].
 
-    ``xproj`` is (T, 4H), each frame's input projection plus bias, packed
-    [input, forget, candidate, output]; ``w_h`` is (H, 4H). The candidate
-    uses tanh, the other gates sigmoid. One node covers the whole time
-    loop: the forward keeps the gate activations and cell states only
-    when a graph is being built, and the backward is a single BPTT loop
-    whose recurrent-weight gradient is one GEMM after it. A backward
-    direction is ``lstm_sequence(x[::-1], w_h)[::-1]``. All outputs are
-    bounded, so no finite check is needed.
+    ``xproj_f`` and ``xproj_b`` are (T, 4H), each frame's input
+    projection plus bias for one direction, packed [input, forget,
+    candidate, output]; ``w_h_f`` and ``w_h_b`` are (H, 4H). The
+    candidate uses tanh, the other gates sigmoid. One node covers the
+    whole layer: a single time loop advances both directions together,
+    the backward one reading ``xproj_b`` from the last frame down, with
+    one stacked (2, 1, H) @ (2, H, 4H) recurrent matmul per step. The
+    forward keeps the gate activations, cell states, tanh(cell) and
+    hidden states only when a graph is being built. The backward is a
+    single BPTT loop: every gate-derivative factor that does not depend
+    on the recursion is computed for the whole sequence before it, and
+    both recurrent-weight gradients are one batched GEMM after it. All
+    outputs are bounded, so no finite check is needed.
     """
-    h_dim = w_h.shape[0]
-    if xproj.ndim != 2 or w_h.shape != (h_dim, 4 * h_dim) or xproj.shape[1] != 4 * h_dim:
-        raise ShapeMismatch(f"lstm_sequence: xproj {xproj.shape} does not fit w_h {w_h.shape}")
-    t_len = xproj.shape[0]
-    w = w_h.data
-    dtype = np.result_type(xproj.data, w)
-    keep = _track_any(xproj, w_h)
-    hs = np.empty((t_len, h_dim), dtype)
-    if keep:
-        acts = np.empty((t_len, 4 * h_dim), dtype)  # the gates after their activations
-        cs = np.zeros((t_len + 1, h_dim), dtype)  # cs[t] is the cell state before frame t
-        tcs = np.empty((t_len, h_dim), dtype)
-    h = np.zeros(h_dim, dtype)
-    c = np.zeros(h_dim, dtype)
-    for t in range(t_len):
-        z = xproj.data[t] + h @ w
-        a = _stable_sigmoid(z)
-        a[2 * h_dim : 3 * h_dim] = np.tanh(z[2 * h_dim : 3 * h_dim])
-        c = a[h_dim : 2 * h_dim] * c + a[0:h_dim] * a[2 * h_dim : 3 * h_dim]
-        tc = np.tanh(c)
-        h = a[3 * h_dim :] * tc
-        hs[t] = h
-        if keep:
-            acts[t] = a
-            cs[t + 1] = c
-            tcs[t] = tc
+    h_dim = w_h_f.shape[0]
+    if (
+        xproj_f.ndim != 2
+        or xproj_f.shape[1] != 4 * h_dim
+        or xproj_b.shape != xproj_f.shape
+        or w_h_f.shape != (h_dim, 4 * h_dim)
+        or w_h_b.shape != w_h_f.shape
+    ):
+        raise ShapeMismatch(
+            f"bilstm_layer: xproj {xproj_f.shape} and {xproj_b.shape} do not fit "
+            f"w_h {w_h_f.shape} and {w_h_b.shape}"
+        )
+    t_len = xproj_f.shape[0]
+    xf, xb = xproj_f.data, xproj_b.data
+    w = np.stack([w_h_f.data, w_h_b.data])  # (2, H, 4H): direction 0 forward, 1 backward
+    dtype = np.result_type(xf, xb, w)
+    keep = _track_any(xproj_f, xproj_b, w_h_f, w_h_b)
+    out = np.empty((t_len, 2 * h_dim), dtype)
+    # per-step state, (2, 1, .): one row per direction
+    h = np.zeros((2, 1, h_dim), dtype)
+    c = np.zeros((2, 1, h_dim), dtype)
+    z = np.empty((2, 1, 4 * h_dim), dtype)
+    a = np.empty_like(z)  # the gates after their activations
+    ig = np.empty_like(c)
+    tc = np.empty_like(c)
+    gate_i, gate_f = a[..., :h_dim], a[..., h_dim : 2 * h_dim]
+    gate_g, gate_o = a[..., 2 * h_dim : 3 * h_dim], a[..., 3 * h_dim :]
+    z_g = z[..., 2 * h_dim : 3 * h_dim]
+    if keep:  # indexed by step: the backward direction's step s is frame T-1-s
+        acts = np.empty((t_len, 2, 1, 4 * h_dim), dtype)
+        cs = np.zeros((t_len + 1, 2, 1, h_dim), dtype)  # cs[s] is the cell state before step s
+        tcs = np.empty((t_len, 2, 1, h_dim), dtype)
+    # exp(-z) overflowing to inf gives the exact sigmoid limit 0.0
+    with np.errstate(over="ignore"):
+        for s in range(t_len):
+            r = t_len - 1 - s
+            np.matmul(h, w, out=z)
+            z[0] += xf[s]
+            z[1] += xb[r]
+            np.negative(z, out=a)
+            np.exp(a, out=a)
+            a += 1.0
+            np.divide(1.0, a, out=a)
+            np.tanh(z_g, out=gate_g)
+            c *= gate_f
+            np.multiply(gate_i, gate_g, out=ig)
+            c += ig
+            np.tanh(c, out=tc)
+            np.multiply(gate_o, tc, out=h)
+            out[s, :h_dim] = h[0, 0]
+            out[r, h_dim:] = h[1, 0]
+            if keep:
+                acts[s] = a
+                cs[s + 1] = c
+                tcs[s] = tc
     if not keep:
-        return _raw(hs, (), None)
+        return _raw(out, (), None)
 
     def backward_fn(grad):
-        dz = np.empty_like(acts)
-        dh_next = np.zeros(h_dim, dtype)
-        dc_next = np.zeros(h_dim, dtype)
-        for t in range(t_len - 1, -1, -1):
-            i = acts[t, 0:h_dim]
-            f = acts[t, h_dim : 2 * h_dim]
-            g_cand = acts[t, 2 * h_dim : 3 * h_dim]
-            o = acts[t, 3 * h_dim :]
-            tc = tcs[t]
-            dh = grad[t] + dh_next
-            dc = dc_next + dh * o * (1.0 - tc * tc)
-            dz[t, 0:h_dim] = dc * g_cand * i * (1.0 - i)
-            dz[t, h_dim : 2 * h_dim] = dc * cs[t] * f * (1.0 - f)
-            dz[t, 2 * h_dim : 3 * h_dim] = dc * i * (1.0 - g_cand * g_cand)
-            dz[t, 3 * h_dim :] = dh * tc * o * (1.0 - o)
-            dc_next = dc * f
-            dh_next = w @ dz[t]
-        if _tracked(xproj):
-            _accum(xproj, dz)
-        if _tracked(w_h):
-            _accum(w_h, hs[:-1].T @ dz[1:])
+        gates = acts.reshape(t_len, 2, 4, h_dim)
+        i, f = gates[:, :, 0:1], gates[:, :, 1:2]
+        g_cand, o = gates[:, :, 2:3], gates[:, :, 3:4]
+        # the factors of dc and dh that do not depend on the recursion
+        dc_factors = np.concatenate(
+            [g_cand * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g_cand * g_cand)], axis=2
+        )
+        do_factor = tcs * o * (1.0 - o)
+        dh_to_dc = o * (1.0 - tcs * tcs)
+        grads = np.empty((t_len, 2, 1, h_dim), dtype)
+        grads[:, 0, 0] = grad[:, :h_dim]
+        grads[:, 1, 0] = grad[::-1, h_dim:]
+        w_t = np.ascontiguousarray(w.transpose(0, 2, 1))
+        dz = np.empty((t_len, 2, 1, 4 * h_dim), dtype)
+        dz_gates = dz.reshape(t_len, 2, 4, h_dim)
+        dh = np.zeros((2, 1, h_dim), dtype)
+        dc = np.zeros_like(dh)
+        dc_next = np.zeros_like(dh)
+        for s in range(t_len - 1, -1, -1):
+            dh += grads[s]  # dh held the recurrent part, w_h @ dz of step s+1
+            np.multiply(dh, dh_to_dc[s], out=dc)
+            dc += dc_next
+            np.multiply(dc, dc_factors[s], out=dz_gates[s, :, :3])
+            np.multiply(dh, do_factor[s], out=dz_gates[s, :, 3:])
+            np.multiply(dc, f[s], out=dc_next)
+            np.matmul(dz[s], w_t, out=dh)
+        dz = dz.reshape(t_len, 2, 4 * h_dim).transpose(1, 0, 2)  # (2, T, 4H), by direction
+        if _tracked(xproj_f):
+            _accum(xproj_f, dz[0])
+        if _tracked(xproj_b):
+            _accum(xproj_b, dz[1, ::-1])
+        if _tracked(w_h_f) or _tracked(w_h_b):
+            h_prev = np.stack([out[:-1, :h_dim], out[:0:-1, h_dim:]])  # (2, T-1, H)
+            dw = h_prev.transpose(0, 2, 1) @ dz[:, 1:]
+            for w_h, dw_dir in ((w_h_f, dw[0]), (w_h_b, dw[1])):
+                if _tracked(w_h):
+                    _accum(w_h, dw_dir)
 
-    return _raw(hs, (xproj, w_h), backward_fn)
+    return _raw(out, (xproj_f, xproj_b, w_h_f, w_h_b), backward_fn)
 
 
 # -- reductions ----------------------------------------------------------

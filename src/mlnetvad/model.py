@@ -384,9 +384,7 @@ def classifier_forward(m: Tensor, params: MlnetParams) -> Tensor:
     sigmoid unit; returns per-frame speech probabilities (T,)."""
     seq = m
     for fwd, bwd in params.lstm:
-        out_f = ad.lstm_sequence(seq @ fwd.w_x + fwd.b, fwd.w_h)
-        out_b = ad.lstm_sequence((seq @ bwd.w_x + bwd.b)[::-1], bwd.w_h)[::-1]
-        seq = ad.concat([out_f, out_b], axis=1)
+        seq = ad.bilstm_layer(seq @ fwd.w_x + fwd.b, seq @ bwd.w_x + bwd.b, fwd.w_h, bwd.w_h)
     hidden = ad.leaky_relu(seq @ params.head.w_hidden.T + params.head.b_hidden)
     logits = hidden @ params.head.w_out.T + params.head.b_out
     return ad.sigmoid(logits.reshape(logits.shape[0]))
@@ -419,20 +417,24 @@ def mlnet_forward(features, params: MlnetParams, collect_trace: bool = True) -> 
     radius = cfg.context_radius
     padded = replicate_pad(x, radius)
 
+    # one window matrix at the widest radius: the windows are time-major and
+    # nested, so a radius-r branch's window is a column slice of it
+    windows = window_matrix(padded, t_len, radius, radius)
+
     branch_weights = None
     trace = None
     if cfg.variant == "bilstm_base":
-        windows = Tensor(window_matrix(padded, t_len, radius, radius))
         assert params.projection is not None
-        m = ad.tanh(windows @ params.projection.w.T + params.projection.b)
+        m = ad.tanh(Tensor(windows) @ params.projection.w.T + params.projection.b)
     elif cfg.variant == "gated_unit":
-        windows = Tensor(window_matrix(padded, t_len, radius, radius))
-        m = _gated_affine_batch(windows, params.branches[0])
+        m = _gated_affine_batch(Tensor(windows), params.branches[0])
     else:
+        f = cfg.n_mels
         qs = []
         for bp in params.branches:
-            windows = Tensor(window_matrix(padded, t_len, bp.receptive_field, radius))
-            qs.append(_gated_affine_batch(windows, bp))
+            r = bp.receptive_field
+            branch_windows = Tensor(windows[:, (radius - r) * f : (radius + r + 1) * f])
+            qs.append(_gated_affine_batch(branch_windows, bp))
         stack = ad.concat([q.reshape(t_len, 1, cfg.gated_dim) for q in qs], axis=1)
         if cfg.variant == "non_attention":
             m = non_attention_forward(stack)

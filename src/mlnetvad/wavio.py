@@ -19,7 +19,8 @@ def read_wav(path) -> Waveform:
             channels = fh.getnchannels()
             width = fh.getsampwidth()
             rate = fh.getframerate()
-            raw = fh.readframes(fh.getnframes())
+            n_frames = fh.getnframes()
+            raw = fh.readframes(n_frames)
     except (wave.Error, EOFError) as exc:
         raise FormatError(f"{path}: not a readable PCM WAV file ({exc})") from exc
     except RuntimeError as exc:  # wave's bare error for a chunk that runs past the end
@@ -34,6 +35,11 @@ def read_wav(path) -> Waveform:
         raise FormatError(f"{path}: bad sample rate {rate}")
     if len(raw) % 2:
         raise FormatError(f"{path}: data chunk ends inside a sample ({len(raw)} bytes)")
+    if len(raw) != n_frames * width:
+        raise FormatError(
+            f"{path}: truncated, the data chunk declares {n_frames} samples "
+            f"but the file holds {len(raw) // width}"
+        )
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _SCALE
     return Waveform(samples, sample_rate=rate)
 

@@ -1,5 +1,7 @@
 """Compute-core tests: forward values, backward rules, graph semantics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -211,64 +213,89 @@ def test_reshape_roundtrip_preserves_gradient(n, m):
     np.testing.assert_allclose(x.grad, np.ones((n, m)))
 
 
+def _per_frame(xproj: Tensor, w_h: Tensor, reverse: bool) -> Tensor:
+    t_len, h_dim = xproj.shape[0], w_h.shape[0]
+    h = Tensor(np.zeros(h_dim))
+    c = Tensor(np.zeros(h_dim))
+    rows = [None] * t_len
+    for t in (range(t_len - 1, -1, -1) if reverse else range(t_len)):
+        gates = xproj[t] + h @ w_h
+        i = ad.sigmoid(gates[0:h_dim])
+        f = ad.sigmoid(gates[h_dim : 2 * h_dim])
+        g = ad.tanh(gates[2 * h_dim : 3 * h_dim])
+        o = ad.sigmoid(gates[3 * h_dim :])
+        c = f * c + i * g
+        h = o * ad.tanh(c)
+        rows[t] = h.reshape(1, h_dim)
+    return ad.concat(rows, axis=0)
+
+
 class TestLstmSequence:
-    """The sequence op must be exactly the per-frame composite of elementary ops."""
-
-    @staticmethod
-    def _per_frame(xproj: Tensor, w_h: Tensor, reverse: bool) -> Tensor:
-        t_len, h_dim = xproj.shape[0], w_h.shape[0]
-        h = Tensor(np.zeros(h_dim))
-        c = Tensor(np.zeros(h_dim))
-        rows = [None] * t_len
-        for t in (range(t_len - 1, -1, -1) if reverse else range(t_len)):
-            gates = xproj[t] + h @ w_h
-            i = ad.sigmoid(gates[0:h_dim])
-            f = ad.sigmoid(gates[h_dim : 2 * h_dim])
-            g = ad.tanh(gates[2 * h_dim : 3 * h_dim])
-            o = ad.sigmoid(gates[3 * h_dim :])
-            c = f * c + i * g
-            h = o * ad.tanh(c)
-            rows[t] = h.reshape(1, h_dim)
-        return ad.concat(rows, axis=0)
-
-    @staticmethod
-    def _op(xproj: Tensor, w_h: Tensor, reverse: bool) -> Tensor:
-        if reverse:
-            return ad.lstm_sequence(xproj[::-1], w_h)[::-1]
-        return ad.lstm_sequence(xproj, w_h)
+    """Each direction of the layer op must be exactly the per-frame composite
+    of elementary ops: forward in time for the first half of its columns,
+    backward in time for the second."""
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("t_len", [1, 2, 7])
     def test_matches_per_frame_composite(self, t_len, reverse):
         rng = np.random.default_rng(100 * t_len + reverse)
         h_dim = 5
-        w_x = Tensor(rng.normal(size=(3, 4 * h_dim)), requires_grad=True)
-        w_h = Tensor(rng.normal(size=(h_dim, 4 * h_dim)) * 0.5, requires_grad=True)
+        w_x = [Tensor(rng.normal(size=(3, 4 * h_dim)), requires_grad=True) for _ in range(2)]
+        w_h = [
+            Tensor(rng.normal(size=(h_dim, 4 * h_dim)) * 0.5, requires_grad=True) for _ in range(2)
+        ]
         x = Tensor(rng.normal(size=(t_len, 3)))
-        coeffs = Tensor(rng.normal(size=(t_len, h_dim)))
+        d = int(reverse)  # the direction under test; the other one gets no loss
+        cols = slice(d * h_dim, (d + 1) * h_dim)
+        coeffs = np.zeros((t_len, 2 * h_dim))
+        coeffs[:, cols] = rng.normal(size=(t_len, h_dim))
 
-        out = self._op(x @ w_x, w_h, reverse)
-        (out * coeffs).sum().backward()
-        grads_op = (w_x.grad.copy(), w_h.grad.copy())
-        ad.zero_grads([w_x, w_h])
+        out = ad.bilstm_layer(x @ w_x[0], x @ w_x[1], w_h[0], w_h[1])
+        (out * Tensor(coeffs)).sum().backward()
+        ref = _per_frame(x @ w_x[d], w_h[d], reverse)
+        np.testing.assert_array_equal(out.data[:, cols], ref.data)
+        for p in (w_x[1 - d], w_h[1 - d]):
+            np.testing.assert_array_equal(p.grad, 0.0)
 
-        ref = self._per_frame(x @ w_x, w_h, reverse)
-        (ref * coeffs).sum().backward()
+        grads_op = (w_x[d].grad.copy(), w_h[d].grad.copy())
+        ad.zero_grads([w_x[d], w_h[d]])
+        (ref * Tensor(coeffs[:, cols])).sum().backward()
+        np.testing.assert_allclose(grads_op[0], w_x[d].grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads_op[1], w_h[d].grad, rtol=0, atol=1e-12)
 
-        np.testing.assert_array_equal(out.data, ref.data)
-        np.testing.assert_allclose(grads_op[0], w_x.grad, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(grads_op[1], w_h.grad, rtol=0, atol=1e-12)
 
+class TestBilstmLayer:
     def test_no_grad_gives_the_same_states(self):
         rng = np.random.default_rng(4)
-        xproj = Tensor(rng.normal(size=(6, 8)), requires_grad=True)
-        w_h = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
-        tracked = ad.lstm_sequence(xproj, w_h)
+        args = [Tensor(rng.normal(size=(6, 8)), requires_grad=True) for _ in range(2)]
+        args += [Tensor(rng.normal(size=(2, 8)), requires_grad=True) for _ in range(2)]
+        tracked = ad.bilstm_layer(*args)
         with ad.no_grad():
-            untracked = ad.lstm_sequence(xproj, w_h)
+            untracked = ad.bilstm_layer(*args)
         assert untracked._backward is None
         np.testing.assert_array_equal(tracked.data, untracked.data)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            ad.lstm_sequence(Tensor(np.zeros((3, 12))), Tensor(np.zeros((4, 16))))
+        for shapes in [
+            ((3, 12), (3, 12), (4, 16), (4, 16)),  # xproj narrower than 4H
+            ((3, 16), (2, 16), (4, 16), (4, 16)),  # directions of different lengths
+            ((3, 16), (3, 16), (4, 16), (3, 12)),  # directions of different widths
+        ]:
+            with pytest.raises(ShapeMismatch):
+                ad.bilstm_layer(*(Tensor(np.zeros(shape)) for shape in shapes))
+
+    def test_no_grad_memory_is_the_output_plus_scratch(self):
+        # without a graph the op keeps per-step scratch only: a stacked copy
+        # of the two inputs alone would be four times the output
+        rng = np.random.default_rng(5)
+        t_len, h_dim = 2000, 8
+        args = [Tensor(rng.normal(size=(t_len, 4 * h_dim))) for _ in range(2)]
+        args += [Tensor(rng.normal(size=(h_dim, 4 * h_dim)) * 0.5) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                out = ad.bilstm_layer(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out.data.nbytes + 64 * 1024

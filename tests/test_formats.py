@@ -72,6 +72,11 @@ def with_config(blob: bytes, old: bytes, new: bytes) -> bytes:
     return blob[:8] + struct.pack("<I", len(cfg)) + cfg + blob[12 + n :]
 
 
+def overstate_data_size(blob: bytes) -> bytes:
+    """The WAV ``blob`` with its data chunk declaring 10^6 bytes, more than it holds."""
+    return blob[:40] + struct.pack("<I", 10**6) + blob[44:]
+
+
 def mask_text(*lines: str) -> bytes:
     return "\n".join([MASK_HEADER, *lines, ""]).encode()
 
@@ -116,6 +121,7 @@ FAULTS = {
         "non-finite",
     ),
     "wav-odd-data-chunk": (read_wav, valid_wav, lambda b: b[:-1], "inside a sample"),
+    "wav-data-past-end": (read_wav, valid_wav, overstate_data_size, "truncated"),
     "wav-chunk-past-end": (
         read_wav,
         valid_wav,
@@ -184,3 +190,14 @@ def test_eval_with_malformed_mask_exits_2(tmp_path, capsys):
     code = main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt)])
     assert code == 2
     assert "a.mask" in capsys.readouterr().err
+
+
+def test_predict_on_truncated_wav_exits_2(tmp_path, capsys):
+    wav = tmp_path / "cut.wav"
+    write_wav(wav, Waveform(np.zeros(16000), 16000))
+    wav.write_bytes(overstate_data_size(wav.read_bytes()))
+    ckpt = tmp_path / "m.mlnt"
+    save_checkpoint(ckpt, init_params(ModelConfig(), seed=0))
+    code = main(["predict", "--wav", str(wav), "--checkpoint", str(ckpt)])
+    assert code == 2
+    assert "truncated" in capsys.readouterr().err

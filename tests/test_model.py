@@ -151,6 +151,16 @@ class TestReplicatePadding:
         # first frame replicates the first row on the left
         np.testing.assert_array_equal(w[0], np.concatenate([x[0], x[0], x[1]]))
 
+    def test_narrower_windows_are_column_slices_of_the_widest(self):
+        x = np.arange(40.0).reshape(5, 8)
+        radius, f = 3, 8
+        widest = window_matrix(replicate_pad(x, radius), 5, radius, radius)
+        for r in range(radius + 1):
+            np.testing.assert_array_equal(
+                widest[:, (radius - r) * f : (radius + r + 1) * f],
+                window_matrix(replicate_pad(x, radius), 5, r, radius),
+            )
+
 
 def symmetric_attention(cfg: ModelConfig) -> AttentionParams:
     """Attention parameters that always yield equal branch scores."""
