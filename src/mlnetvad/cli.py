@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import struct
 import sys
+import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -31,6 +33,7 @@ from .wavio import read_wav
 FEATURE_MAGIC = b"MLFB"
 FEATURE_VERSION = 1
 PREDICT_HEADER = "#predictions\tv1"
+TSV_BLOCK_ROWS = 256  # predict TSV rows per %-format call and write
 
 
 class UsageError(MlnetVadError):
@@ -350,6 +353,7 @@ def cmd_eval(a: dict) -> int:
 
 
 def cmd_predict(a: dict) -> int:
+    started = time.perf_counter()
     ckpt = Path(a["checkpoint"])
     if not ckpt.exists():
         raise UsageError(f"checkpoint not found: {ckpt}")
@@ -370,24 +374,23 @@ def cmd_predict(a: dict) -> int:
         raise UsageError(f"{a['wav']}: shorter than one frame, nothing to predict")
     with ad.no_grad():
         out = mlnet_forward(feats, params, collect_trace=a["dump_attention"])
-    lines = [PREDICT_HEADER]
-    header = "time_s\tprob\tlabel"
+    probs = out.probs.data
+    header, row = "time_s\tprob\tlabel", "%.3f\t%.6f\t%d"
+    columns = [feats.frame_times, probs, probs >= a["theta"]]
     if a["dump_attention"]:
         header += "".join(f"\tp{i}" for i in range(params.config.n_branches))
-    lines.append(header)
-    probs = out.probs.data
-    for t in range(len(feats)):
-        label = 1 if probs[t] >= a["theta"] else 0
-        row = f"{feats.frame_times[t]:.3f}\t{probs[t]:.6f}\t{label}"
-        if a["dump_attention"]:
-            row += "".join(f"\t{p:.6f}" for p in out.trace.weights[t])
-        lines.append(row)
-    text = "\n".join(lines) + "\n"
-    if a["out"] is None:
-        sys.stdout.write(text)
-    else:
-        Path(a["out"]).write_text(text, encoding="utf-8")
-        print(f"wrote {len(feats)} frames to {a['out']}")
+        row += "\t%.6f" * params.config.n_branches
+        columns.append(out.trace.weights)
+    table = np.column_stack(columns)
+    with nullcontext(sys.stdout) if a["out"] is None else open(a["out"], "w", encoding="utf-8") as stream:
+        stream.write(f"{PREDICT_HEADER}\n{header}\n")
+        for lo in range(0, len(table), TSV_BLOCK_ROWS):
+            block = table[lo : lo + TSV_BLOCK_ROWS]
+            stream.write(f"{row}\n" * len(block) % tuple(block.ravel().tolist()))
+    if a["out"] is not None:
+        wall = time.perf_counter() - started
+        speed = f"{w.duration_s:.2f} s of audio in {wall:.3f} s wall, real-time factor {wall / w.duration_s:.4f}"
+        print(f"wrote {len(feats)} frames to {a['out']}: {speed}")
     return 0
 
 

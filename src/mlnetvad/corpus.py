@@ -165,12 +165,10 @@ def label_frames(
     mask = np.asarray(speech_mask)
     flen = cfg.frame_len_samples(sample_rate)
     hop = cfg.hop_samples(sample_rate)
-    t = num_frames(mask.size, flen, hop)
-    labels = np.zeros(t, dtype=np.int8)
-    for i in range(t):
-        start = i * hop
-        labels[i] = 1 if mask[start : start + flen].sum() * 2 > flen else 0
-    return labels
+    cs = np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
+    start = np.arange(num_frames(mask.size, flen, hop)) * hop
+    counts = cs[start + flen] - cs[start]
+    return (2 * counts > flen).astype(np.int8)
 
 
 # -- synthetic signal surrogates ----------------------------------------

@@ -10,10 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ShapeMismatch
 
 DEFAULT_SAMPLE_RATE = 16000
+# frames per rFFT and mel GEMM in featurize; one FFT of the whole utterance peaks higher
+FEATURE_BLOCK = 256
 
 
 @dataclass
@@ -123,10 +126,11 @@ def preemphasize(x: np.ndarray, coeff: float) -> np.ndarray:
 
 
 def frame_signal(w: Waveform, cfg: FrontendConfig) -> np.ndarray:
-    """Slice the pre-emphasized signal into hop-spaced frames.
+    """Hop-spaced frames of the pre-emphasized signal.
 
-    Returns a (T, frame_len_samples) array; T = 0 when the signal is
-    shorter than one frame.
+    Returns a read-only (T, frame_len_samples) strided view of one
+    pre-emphasized copy of the signal, not a copy per frame; T = 0 when
+    the signal is shorter than one frame.
     """
     cfg.validate_for(w.sample_rate)
     flen = cfg.frame_len_samples(w.sample_rate)
@@ -135,11 +139,7 @@ def frame_signal(w: Waveform, cfg: FrontendConfig) -> np.ndarray:
     if t == 0:
         return np.empty((0, flen), dtype=np.float64)
     y = preemphasize(w.samples, cfg.preemphasis)
-    frames = np.empty((t, flen), dtype=np.float64)
-    for i in range(t):
-        start = i * hop
-        frames[i] = y[start : start + flen]
-    return frames
+    return sliding_window_view(y, flen)[::hop][:t]
 
 
 def hz_to_mel(f) -> np.ndarray:
@@ -172,11 +172,12 @@ def mel_filterbank(sample_rate: int, cfg: FrontendConfig) -> np.ndarray:
     return bank
 
 
-def logmel_frame(frame: np.ndarray, bank: np.ndarray, cfg: FrontendConfig, window: np.ndarray) -> np.ndarray:
-    spectrum = np.fft.rfft(frame * window, n=cfg.fft_size)
-    power = spectrum.real**2 + spectrum.imag**2
-    energies = bank @ power
-    return np.log(np.maximum(energies, cfg.log_floor))
+def _logmel_rows(frames: np.ndarray, bank: np.ndarray, window: np.ndarray, cfg: FrontendConfig,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """(B, n_mels) log-mel rows of a (B, frame_len) block: one rFFT, one mel GEMM."""
+    spectrum = np.fft.rfft(frames * window, n=cfg.fft_size)
+    energies = (spectrum.real**2 + spectrum.imag**2) @ bank.T
+    return np.log(np.maximum(energies, cfg.log_floor, out=energies), out=out)
 
 
 def logmel(frame: np.ndarray, cfg: FrontendConfig, sample_rate: int = DEFAULT_SAMPLE_RATE) -> np.ndarray:
@@ -187,23 +188,20 @@ def logmel(frame: np.ndarray, cfg: FrontendConfig, sample_rate: int = DEFAULT_SA
     if frame.shape != (flen,):
         raise ShapeMismatch(f"expected frame of {flen} samples, got shape {frame.shape}")
     cfg.validate_for(sample_rate)
-    bank = mel_filterbank(sample_rate, cfg)
-    return logmel_frame(frame, bank, cfg, np.hanning(flen))
+    return _logmel_rows(frame[None], mel_filterbank(sample_rate, cfg), np.hanning(flen), cfg)[0]
 
 
 def featurize(w: Waveform, cfg: FrontendConfig, source_id: str = "") -> FeatureSequence:
-    """Full frontend: framing + per-frame log-mel, with frame timing."""
+    """Full frontend: framing + log-mel in blocks of frames, with frame timing."""
     frames = frame_signal(w, cfg)
     t = frames.shape[0]
     if t == 0:
-        return FeatureSequence(
-            np.empty((0, cfg.n_mels)), np.empty(0), source_id=source_id
-        )
+        return FeatureSequence(np.empty((0, cfg.n_mels)), np.empty(0), source_id=source_id)
     bank = mel_filterbank(w.sample_rate, cfg)
     window = np.hanning(frames.shape[1])
     feats = np.empty((t, cfg.n_mels), dtype=np.float64)
-    for i in range(t):
-        feats[i] = logmel_frame(frames[i], bank, cfg, window)
+    for lo in range(0, t, FEATURE_BLOCK):
+        _logmel_rows(frames[lo : lo + FEATURE_BLOCK], bank, window, cfg, feats[lo : lo + FEATURE_BLOCK])
     if cfg.normalize:
         mean = feats.mean(axis=0)
         std = feats.std(axis=0)

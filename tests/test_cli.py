@@ -1,11 +1,14 @@
 """CLI tests: subcommand behaviour, exit codes, file formats."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from mlnetvad.cli import main, read_features
+from mlnetvad import autodiff as ad
+from mlnetvad.checkpoint import load_checkpoint
+from mlnetvad.cli import PREDICT_HEADER, TSV_BLOCK_ROWS, main, read_features
 from mlnetvad.corpus import (
     ManifestEntry,
     MixSpec,
@@ -15,7 +18,8 @@ from mlnetvad.corpus import (
     write_mask,
 )
 from mlnetvad.frontend import FrontendConfig, Waveform, featurize
-from mlnetvad.wavio import write_wav
+from mlnetvad.model import mlnet_forward
+from mlnetvad.wavio import read_wav, write_wav
 
 SMALL_MODEL = [
     "--receptive-fields", "1,3",
@@ -270,6 +274,79 @@ class TestPredict:
              "--dump-attention"]
         )
         assert code == 2
+
+
+def per_row_predict_tsv(times, probs, theta, weights=None) -> str:
+    """The predict TSV formatted one row at a time with f-strings."""
+    header = "time_s\tprob\tlabel"
+    if weights is not None:
+        header += "".join(f"\tp{i}" for i in range(weights.shape[1]))
+    lines = [PREDICT_HEADER, header]
+    for t in range(len(times)):
+        label = 1 if probs[t] >= theta else 0
+        row = f"{times[t]:.3f}\t{probs[t]:.6f}\t{label}"
+        if weights is not None:
+            row += "".join(f"\t{p:.6f}" for p in weights[t])
+        lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="class")
+def long_prediction(tmp_path_factory):
+    """A trained checkpoint, a WAV of more than two TSV blocks and the
+    model's outputs on it, computed without the CLI."""
+    tmp_path = tmp_path_factory.mktemp("predict")
+    ckpt = train_small(tmp_path, make_corpus(tmp_path, n=4)) / "best.mlnt"
+    wav = tmp_path / "long.wav"
+    rng = np.random.default_rng(12)
+    write_wav(wav, Waveform(rng.uniform(-0.4, 0.4, 400 + (2 * TSV_BLOCK_ROWS + 40) * 160 + 33)))
+    feats = featurize(read_wav(wav), FrontendConfig(normalize=True))
+    with ad.no_grad():
+        out = mlnet_forward(feats, load_checkpoint(ckpt), collect_trace=True)
+    # a theta equal to one of the probabilities: both labels occur and
+    # the >= edge is exercised
+    theta = float(np.sort(out.probs.data)[len(feats) // 2])
+    return ckpt, wav, feats, out, theta
+
+
+class TestPredictTsv:
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_matches_per_row_formatter(self, long_prediction, tmp_path, capsys, dump, to_file):
+        ckpt, wav, feats, out, theta = long_prediction
+        weights = out.trace.weights if dump else None
+        expected = per_row_predict_tsv(feats.frame_times, out.probs.data, theta, weights)
+        assert {row.split("\t")[2] for row in expected.splitlines()[2:]} == {"0", "1"}
+        args = ["predict", "--wav", str(wav), "--checkpoint", str(ckpt), "--normalize",
+                "--theta", repr(theta), *(["--dump-attention"] if dump else [])]
+        tsv = tmp_path / "pred.tsv"
+        assert main(args + (["--out", str(tsv)] if to_file else [])) == 0
+        stdout = capsys.readouterr().out
+        if to_file:
+            assert tsv.read_bytes() == expected.encode("utf-8")
+            assert stdout.startswith(f"wrote {len(feats)} frames to {tsv}")
+        else:
+            # nothing but the TSV goes to standard output
+            assert stdout == expected
+
+    def test_out_line_reports_real_time_factor(self, long_prediction, tmp_path, capsys):
+        ckpt, wav, feats, _, _ = long_prediction
+        tsv = tmp_path / "pred.tsv"
+        args = ["predict", "--wav", str(wav), "--checkpoint", str(ckpt), "--normalize",
+                "--out", str(tsv)]
+        assert main(args) == 0
+        line = capsys.readouterr().out
+        m = re.fullmatch(
+            r"wrote (\d+) frames to (.+): (\d+\.\d{2}) s of audio in (\d+\.\d{3}) s wall, "
+            r"real-time factor (\d+\.\d{4})\n",
+            line,
+        )
+        assert m is not None, line
+        assert int(m[1]) == len(feats) and m[2] == str(tsv)
+        audio_s, wall_s, rtf = float(m[3]), float(m[4]), float(m[5])
+        assert audio_s == round(read_wav(wav).duration_s, 2)
+        assert wall_s > 0
+        assert rtf == pytest.approx(wall_s / audio_s, abs=1e-3)
 
 
 class TestAblate:

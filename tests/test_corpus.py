@@ -25,7 +25,7 @@ from mlnetvad.corpus import (
     write_mask,
 )
 from mlnetvad.errors import CorpusError
-from mlnetvad.frontend import FrontendConfig, Waveform, featurize
+from mlnetvad.frontend import FrontendConfig, Waveform, featurize, num_frames
 
 SR = 16000
 CFG = FrontendConfig()
@@ -153,6 +153,18 @@ class TestLabelFrames:
         assert label_frames(mask, CFG, SR)[0] == 0
         mask[200] = 1
         assert label_frames(mask, CFG, SR)[0] == 1
+
+    @pytest.mark.parametrize("n", [0, 399, 400, 401, 559, 560, 561, 4321, SR, 3 * SR + 97])
+    def test_matches_per_frame_loop(self, n):
+        rng = np.random.default_rng(n)
+        for p_speech in (0.1, 0.5, 0.9):
+            mask = (rng.random(n) < p_speech).astype(np.int8)
+            expected = np.zeros(num_frames(n, 400, 160), dtype=np.int8)
+            for i in range(expected.size):
+                expected[i] = 1 if mask[i * 160 : i * 160 + 400].sum() * 2 > 400 else 0
+            labels = label_frames(mask, CFG, SR)
+            assert labels.dtype == np.int8
+            np.testing.assert_array_equal(labels, expected)
 
     @given(st.integers(0, 3 * SR))
     def test_length_matches_featurize(self, n):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mlnetvad.errors import ConfigError, FormatError, ShapeMismatch
 from mlnetvad.frontend import (
+    FEATURE_BLOCK,
     FrontendConfig,
     Waveform,
     featurize,
@@ -163,6 +164,41 @@ class TestFeaturize:
         cfg = FrontendConfig(normalize=True)
         feats = featurize(tone(440, 1.0), cfg)
         np.testing.assert_allclose(feats.frames.mean(axis=0), 0.0, atol=1e-5)
+
+
+def preemphasized_frames(x: np.ndarray, t: int) -> np.ndarray:
+    """The pre-emphasized frames of ``x`` sliced one by one."""
+    y = np.concatenate([x[:1], x[1:] - 0.97 * x[:-1]])
+    return np.stack([y[i * 160 : i * 160 + 400] for i in range(t)])
+
+
+class TestBlockedFrontend:
+    """``featurize`` works in blocks of ``FEATURE_BLOCK`` frames; it must
+    agree with the single-frame ``logmel`` on every frame, across block
+    edges."""
+
+    def test_frame_signal_is_explicit_slicing(self):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-0.5, 0.5, 400 + 40 * 160 + 77)
+        frames = frame_signal(Waveform(x), CFG)
+        np.testing.assert_array_equal(frames, preemphasized_frames(x, 41))
+        # a strided view of one pre-emphasized signal, not a copy per frame
+        assert frames.strides == (160 * 8, 8)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize(
+        "t", [1, FEATURE_BLOCK - 1, FEATURE_BLOCK, FEATURE_BLOCK + 1, 2 * FEATURE_BLOCK + 7]
+    )
+    def test_matches_logmel_of_each_frame(self, t, normalize):
+        rng = np.random.default_rng(t)
+        x = rng.uniform(-0.5, 0.5, 400 + (t - 1) * 160 + int(rng.integers(0, 160)))
+        expected = np.stack([logmel(f, CFG) for f in preemphasized_frames(x, t)])
+        if normalize:
+            std = np.maximum(expected.std(axis=0), 1e-8)
+            expected = (expected - expected.mean(axis=0)) / std
+        feats = featurize(Waveform(x), FrontendConfig(normalize=normalize))
+        assert feats.frames.shape == (t, 40)
+        np.testing.assert_allclose(feats.frames, expected, rtol=0, atol=1e-12)
 
 
 class TestConfigValidation:
