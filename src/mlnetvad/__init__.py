@@ -25,7 +25,6 @@ from .model import (
     MlnetParams,
     attention_forward,
     classifier_forward,
-    gated_affine_forward,
     init_params,
     mlnet_forward,
     non_attention_forward,
@@ -60,7 +59,6 @@ __all__ = [
     "evaluate",
     "f1",
     "featurize",
-    "gated_affine_forward",
     "init_params",
     "label_frames",
     "load_checkpoint",

@@ -317,39 +317,21 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product for 1-D and 2-D operands, numpy semantics."""
+    """Matrix product of two 2-D operands."""
     a, b = _coerce(a), _coerce(b)
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise ShapeMismatch(f"matmul supports 1-D/2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[0]:
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeMismatch(f"matmul supports 2-D operands only, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
     data = a.data @ b.data
     if not _track_any(a, b):
         return _make(data, "matmul", (), None)
 
     def backward_fn(g):
-        track_a = _tracked(a)
-        track_b = _tracked(b)
-        if a.ndim == 2 and b.ndim == 2:
-            if track_a:
-                _accum(a, g @ b.data.T)
-            if track_b:
-                _accum(b, a.data.T @ g)
-        elif a.ndim == 1 and b.ndim == 2:
-            if track_a:
-                _accum(a, b.data @ g)
-            if track_b:
-                _accum(b, np.outer(a.data, g))
-        elif a.ndim == 2 and b.ndim == 1:
-            if track_a:
-                _accum(a, np.outer(g, b.data))
-            if track_b:
-                _accum(b, a.data.T @ g)
-        else:  # 1-D dot 1-D
-            if track_a:
-                _accum(a, g * b.data)
-            if track_b:
-                _accum(b, g * a.data)
+        if _tracked(a):
+            _accum(a, g @ b.data.T)
+        if _tracked(b):
+            _accum(b, a.data.T @ g)
 
     return _make(data, "matmul", (a, b), backward_fn)
 

@@ -5,7 +5,8 @@ Layout (all integers little-endian u32):
     magic   b"MLNT"
     u32     format version (currently 1)
     u32     config block length, then that many UTF-8 bytes of
-            "key=value" lines covering every ModelConfig field
+            "name=value" lines, one per ModelConfig field in
+            declaration order
     then, until EOF, one record per parameter:
     u32     name length, name UTF-8
     u32     rank, u32 dims[rank]
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -32,32 +34,20 @@ MAGIC = b"MLNT"
 VERSION = 1
 
 
+# how a ModelConfig field is written and read, by the type of its default
+_CODECS = {
+    int: (str, int),
+    str: (str, str),
+    tuple: (lambda v: ",".join(str(r) for r in v), lambda s: tuple(int(r) for r in s.split(","))),
+    bool: (lambda v: "true" if v else "false", lambda s: s == "true"),
+}
+
+
 def _encode_config(cfg: ModelConfig) -> bytes:
     lines = [
-        "receptive_fields=" + ",".join(str(r) for r in cfg.receptive_fields),
-        f"n_mels={cfg.n_mels}",
-        f"gated_dim={cfg.gated_dim}",
-        f"attn_hidden={cfg.attn_hidden}",
-        f"lstm_hidden={cfg.lstm_hidden}",
-        f"lstm_layers={cfg.lstm_layers}",
-        f"fc_hidden={cfg.fc_hidden}",
-        f"variant={cfg.variant}",
-        f"double_sigmoid={'true' if cfg.double_sigmoid else 'false'}",
+        f"{f.name}={_CODECS[type(f.default)][0](getattr(cfg, f.name))}" for f in fields(cfg)
     ]
     return "\n".join(lines).encode("utf-8")
-
-
-_CONFIG_KEYS = (
-    "receptive_fields",
-    "n_mels",
-    "gated_dim",
-    "attn_hidden",
-    "lstm_hidden",
-    "lstm_layers",
-    "fc_hidden",
-    "variant",
-    "double_sigmoid",
-)
 
 
 def _decode_config(blob: bytes) -> ModelConfig:
@@ -69,26 +59,18 @@ def _decode_config(blob: bytes) -> ModelConfig:
             raise FormatError(f"malformed config line {line!r}")
         key, _, value = line.partition("=")
         values[key] = value
-    missing = [k for k in _CONFIG_KEYS if k not in values]
+    kinds = {f.name: type(f.default) for f in fields(ModelConfig)}
+    missing = [k for k in kinds if k not in values]
     if missing:
         raise FormatError(f"checkpoint config missing fields {missing}")
-    extra = sorted(set(values) - set(_CONFIG_KEYS))
+    extra = sorted(set(values) - set(kinds))
     if extra:
         raise FormatError(f"checkpoint config has unknown fields {extra}")
-    if values["double_sigmoid"] not in ("true", "false"):
-        raise FormatError(f"checkpoint config double_sigmoid={values['double_sigmoid']!r}")
+    for name, kind in kinds.items():
+        if kind is bool and values[name] not in ("true", "false"):
+            raise FormatError(f"checkpoint config {name}={values[name]!r}")
     try:
-        return ModelConfig(
-            receptive_fields=tuple(int(r) for r in values["receptive_fields"].split(",")),
-            n_mels=int(values["n_mels"]),
-            gated_dim=int(values["gated_dim"]),
-            attn_hidden=int(values["attn_hidden"]),
-            lstm_hidden=int(values["lstm_hidden"]),
-            lstm_layers=int(values["lstm_layers"]),
-            fc_hidden=int(values["fc_hidden"]),
-            variant=values["variant"],
-            double_sigmoid=values["double_sigmoid"] == "true",
-        )
+        return ModelConfig(**{name: _CODECS[kind][1](values[name]) for name, kind in kinds.items()})
     except ValueError as exc:  # a field that is not an integer, or a ConfigError
         raise FormatError(f"checkpoint config is invalid: {exc}") from None
 

@@ -14,7 +14,7 @@ import struct
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -126,83 +126,61 @@ class Command:
 
 
 def _add_frontend_flags(cmd: Command) -> None:
-    cmd.add("--frame-ms", convert=float, default=25.0, metavar="MS", help="frame length")
-    cmd.add("--hop-ms", convert=float, default=10.0, metavar="MS", help="frame hop")
-    cmd.add("--n-mels", convert=int, default=40, metavar="N", help="mel bands")
-    cmd.add("--fft-size", convert=int, default=512, metavar="N", help="FFT length")
-    cmd.add("--preemphasis", convert=float, default=0.97, metavar="C", help="pre-emphasis coefficient")
-    cmd.add("--log-floor", convert=float, default=1e-10, metavar="E", help="energy floor before the log")
-    cmd.add("--mel-fmin", convert=float, default=0.0, metavar="HZ", help="lowest mel band edge")
-    cmd.add("--mel-fmax", convert=float, default=None, metavar="HZ", help="highest mel band edge (default: Nyquist)")
-    cmd.add("--normalize", convert=_parse_bool, default=False,
+    d = FrontendConfig
+    cmd.add("--frame-ms", convert=float, default=d.frame_len_ms, metavar="MS", help="frame length")
+    cmd.add("--hop-ms", convert=float, default=d.hop_ms, metavar="MS", help="frame hop")
+    cmd.add("--n-mels", convert=int, default=d.n_mels, metavar="N", help="mel bands")
+    cmd.add("--fft-size", convert=int, default=d.fft_size, metavar="N", help="FFT length")
+    cmd.add("--preemphasis", convert=float, default=d.preemphasis, metavar="C", help="pre-emphasis coefficient")
+    cmd.add("--log-floor", convert=float, default=d.log_floor, metavar="E", help="energy floor before the log")
+    cmd.add("--mel-fmin", convert=float, default=d.mel_fmin, metavar="HZ", help="lowest mel band edge")
+    cmd.add("--mel-fmax", convert=float, default=d.mel_fmax, metavar="HZ", help="highest mel band edge (default: Nyquist)")
+    cmd.add("--normalize", convert=_parse_bool, default=d.normalize,
             help="per-utterance mean/variance feature normalization")
 
 
-def _frontend_from(a: dict) -> FrontendConfig:
-    return FrontendConfig(
-        frame_len_ms=a["frame_ms"],
-        hop_ms=a["hop_ms"],
-        n_mels=a["n_mels"],
-        fft_size=a["fft_size"],
-        preemphasis=a["preemphasis"],
-        log_floor=a["log_floor"],
-        mel_fmin=a["mel_fmin"],
-        mel_fmax=a["mel_fmax"],
-        normalize=a["normalize"],
-    )
-
-
 def _add_model_flags(cmd: Command) -> None:
-    cmd.add("--variant", convert=str, default="full_attention",
+    d = ModelConfig
+    cmd.add("--variant", convert=str, default=d.variant,
             help=f"model variant, one of {', '.join(VARIANTS)}")
-    cmd.add("--receptive-fields", convert=_parse_fields, default=(1, 3, 5, 7, 9),
+    cmd.add("--receptive-fields", convert=_parse_fields, default=d.receptive_fields,
             metavar="R,R,...", help="branch receptive fields")
-    cmd.add("--gated-dim", convert=int, default=64, metavar="N", help="gated unit output size")
-    cmd.add("--attn-hidden", convert=int, default=64, metavar="N", help="attention hidden width")
-    cmd.add("--lstm-hidden", convert=int, default=64, metavar="N", help="LSTM units per direction")
-    cmd.add("--lstm-layers", convert=int, default=2, metavar="N", help="stacked Bi-LSTM layers")
-    cmd.add("--fc-hidden", convert=int, default=64, metavar="N", help="classifier hidden width")
-    cmd.add("--single-sigmoid", convert=_parse_bool, default=False,
+    cmd.add("--gated-dim", convert=int, default=d.gated_dim, metavar="N", help="gated unit output size")
+    cmd.add("--attn-hidden", convert=int, default=d.attn_hidden, metavar="N", help="attention hidden width")
+    cmd.add("--lstm-hidden", convert=int, default=d.lstm_hidden, metavar="N", help="LSTM units per direction")
+    cmd.add("--lstm-layers", convert=int, default=d.lstm_layers, metavar="N", help="stacked Bi-LSTM layers")
+    cmd.add("--fc-hidden", convert=int, default=d.fc_hidden, metavar="N", help="classifier hidden width")
+    cmd.add("--single-sigmoid", convert=_parse_bool, default=not d.double_sigmoid,
             help="normalize raw scores directly instead of sigmoid-of-sigmoid")
 
 
-def _model_from(a: dict) -> ModelConfig:
-    try:
-        return ModelConfig(
-            receptive_fields=a["receptive_fields"],
-            n_mels=a["n_mels"],
-            gated_dim=a["gated_dim"],
-            attn_hidden=a["attn_hidden"],
-            lstm_hidden=a["lstm_hidden"],
-            lstm_layers=a["lstm_layers"],
-            fc_hidden=a["fc_hidden"],
-            variant=a["variant"],
-            double_sigmoid=not a["single_sigmoid"],
-        )
-    except ConfigError as exc:
-        raise UsageError(str(exc))
-
-
 def _add_train_flags(cmd: Command) -> None:
-    cmd.add("--lr", convert=float, default=0.001, metavar="F", help="Adam learning rate")
-    cmd.add("--batch-size", convert=int, default=32, metavar="N", help="utterances per optimizer step")
-    cmd.add("--epochs", convert=int, default=150, metavar="N", help="training epochs")
-    cmd.add("--attention-loss-weight", convert=float, default=1.0, metavar="F",
+    d = TrainConfig
+    cmd.add("--lr", convert=float, default=d.lr, metavar="F", help="Adam learning rate")
+    cmd.add("--batch-size", convert=int, default=d.batch_size, metavar="N", help="utterances per optimizer step")
+    cmd.add("--epochs", convert=int, default=d.epochs, metavar="N", help="training epochs")
+    cmd.add("--attention-loss-weight", convert=float, default=d.attention_loss_weight, metavar="F",
             help="weight of the branch-sharpening loss term")
     cmd.add("--theta", convert=float, default=0.5, metavar="F", help="decision threshold for dev metrics")
 
 
-def _train_from(a: dict) -> TrainConfig:
-    try:
-        return TrainConfig(
-            lr=a["lr"],
-            batch_size=a["batch_size"],
-            epochs=a["epochs"],
-            attention_loss_weight=a["attention_loss_weight"],
-            seed=a["seed"],
-        )
-    except ConfigError as exc:
-        raise UsageError(str(exc))
+# the two config fields whose flag has another name
+_RENAMED_FIELDS = {
+    "frame_len_ms": lambda a: a["frame_ms"],
+    "double_sigmoid": lambda a: not a["single_sigmoid"],
+}
+
+
+def _config(cls, a: dict):
+    """A config dataclass from the merged flags named like its fields;
+    fields without a flag keep their defaults."""
+    values = {}
+    for f in fields(cls):
+        if f.name in _RENAMED_FIELDS:
+            values[f.name] = _RENAMED_FIELDS[f.name](a)
+        elif f.name in a:
+            values[f.name] = a[f.name]
+    return cls(**values)
 
 
 # -- feature dump ---------------------------------------------------------
@@ -247,15 +225,12 @@ def cmd_mix(a: dict) -> int:
     out = Path(a["out"])
     if out.exists() and any(out.iterdir()) and not a["force"]:
         raise UsageError(f"{out} is not empty; pass --force to write into it")
-    try:
-        spec = MixSpec(
-            snr_db_min=a["snr_min"],
-            snr_db_max=a["snr_max"],
-            silence_pad_s=a["pad_s"],
-            seed=a["seed"],
-        )
-    except ConfigError as exc:
-        raise UsageError(str(exc))
+    spec = MixSpec(
+        snr_db_min=a["snr_min"],
+        snr_db_max=a["snr_max"],
+        silence_pad_s=a["pad_s"],
+        seed=a["seed"],
+    )
     raws = synth_raw_corpus(a["n"] + a["n_eval"], spec, a["seed"], a["sample_rate"])
     train_pool, eval_pool = raws[: a["n"]], raws[a["n"] :]
     manifest = write_corpus_dir(
@@ -273,7 +248,7 @@ def cmd_mix(a: dict) -> int:
 
 
 def cmd_featurize(a: dict) -> int:
-    cfg = _frontend_from(a)
+    cfg = _config(FrontendConfig, a)
     w = read_wav(a["wav"])
     feats = featurize(w, cfg, source_id=Path(a["wav"]).stem)
     write_features(a["out"], feats.frames)
@@ -288,23 +263,18 @@ def _require_manifest(path_str: str) -> Path:
     return path
 
 
-def _load_split(manifest: Path, cfg: FrontendConfig, split: str):
-    utts = load_manifest_utterances(manifest, cfg, split=split)
-    return utts
-
-
 def cmd_train(a: dict) -> int:
     manifest = _require_manifest(a["manifest"])
-    frontend = _frontend_from(a)
-    model_cfg = _model_from(a)
-    train_cfg = _train_from(a)
+    frontend = _config(FrontendConfig, a)
+    model_cfg = _config(ModelConfig, a)
+    train_cfg = _config(TrainConfig, a)
     print(
         "config\t"
         f"lr={train_cfg.lr}\tbatch_size={train_cfg.batch_size}\t"
         f"epochs={train_cfg.epochs}\tvariant={model_cfg.variant}\tseed={train_cfg.seed}"
     )
-    train_utts = _load_split(manifest, frontend, "train")
-    dev_utts = _load_split(manifest, frontend, "dev")
+    train_utts = load_manifest_utterances(manifest, frontend, split="train")
+    dev_utts = load_manifest_utterances(manifest, frontend, split="dev")
     if not train_utts:
         raise UsageError(f"{manifest}: no utterances tagged split=train")
     result = train(
@@ -332,13 +302,13 @@ def cmd_eval(a: dict) -> int:
             f"  checkpoint: {params.config}\n"
             f"  requested variant: {a['variant']}"
         )
-    frontend = _frontend_from(a)
+    frontend = _config(FrontendConfig, a)
     if frontend.n_mels != params.config.n_mels:
         raise UsageError(
             f"frontend n_mels {frontend.n_mels} does not match checkpoint "
             f"n_mels {params.config.n_mels}"
         )
-    utts = _load_split(manifest, frontend, a["split"])
+    utts = load_manifest_utterances(manifest, frontend, split=a["split"])
     if not utts:
         raise UsageError(f"{manifest}: no utterances tagged split={a['split']}")
     report = evaluate(utts, params, theta=a["theta"])
@@ -362,7 +332,7 @@ def cmd_predict(a: dict) -> int:
         raise UsageError(
             f"--dump-attention needs a full_attention checkpoint, got {params.config.variant}"
         )
-    frontend = _frontend_from(a)
+    frontend = _config(FrontendConfig, a)
     if frontend.n_mels != params.config.n_mels:
         raise UsageError(
             f"frontend n_mels {frontend.n_mels} does not match checkpoint "
@@ -396,17 +366,17 @@ def cmd_predict(a: dict) -> int:
 
 def cmd_ablate(a: dict) -> int:
     manifest = _require_manifest(a["manifest"])
-    frontend = _frontend_from(a)
-    train_cfg = _train_from(a)
-    train_utts = _load_split(manifest, frontend, "train")
-    dev_utts = _load_split(manifest, frontend, "dev")
-    eval_utts = _load_split(manifest, frontend, "eval")
+    frontend = _config(FrontendConfig, a)
+    train_cfg = _config(TrainConfig, a)
+    train_utts = load_manifest_utterances(manifest, frontend, split="train")
+    dev_utts = load_manifest_utterances(manifest, frontend, split="dev")
+    eval_utts = load_manifest_utterances(manifest, frontend, split="eval")
     if not train_utts:
         raise UsageError(f"{manifest}: no utterances tagged split=train")
     out_dir = Path(a["out_dir"]) if a["out_dir"] is not None else None
     rows = []
     for variant in VARIANTS:
-        model_cfg = _model_from({**a, "variant": variant})
+        model_cfg = _config(ModelConfig, {**a, "variant": variant})
         ckpt_dir = out_dir / variant if out_dir is not None else None
         result = train(
             train_utts,
@@ -473,7 +443,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[Command, Ca
     tr = Command(sub, "train", "train a model on a mixed corpus")
     tr.parser.add_argument("--manifest", required=True, metavar="FILE", help="corpus manifest")
     tr.parser.add_argument("--out-dir", required=True, metavar="DIR", help="checkpoint/log directory")
-    tr.add("--seed", convert=int, default=0, metavar="S", help="training seed")
+    tr.add("--seed", convert=int, default=TrainConfig.seed, metavar="S", help="training seed")
     _add_train_flags(tr)
     _add_model_flags(tr)
     _add_frontend_flags(tr)
@@ -503,7 +473,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[Command, Ca
     ab = Command(sub, "ablate", "train and score all four variants on one corpus")
     ab.parser.add_argument("--manifest", required=True, metavar="FILE", help="corpus manifest")
     ab.add("--out-dir", convert=str, default=None, metavar="DIR", help="per-variant checkpoint directory")
-    ab.add("--seed", convert=int, default=0, metavar="S", help="shared training seed")
+    ab.add("--seed", convert=int, default=TrainConfig.seed, metavar="S", help="shared training seed")
     _add_train_flags(ab)
     _add_model_flags(ab)
     _add_frontend_flags(ab)
@@ -523,10 +493,7 @@ def main(argv: list[str] | None = None) -> int:
             if hasattr(ns, dest) and dest not in merged:
                 merged[dest] = getattr(ns, dest)
         return runner(merged)
-    except (UsageError, ConfigError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (UsageError, ConfigError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MlnetVadError as exc:

@@ -119,9 +119,12 @@ def preemphasize(x: np.ndarray, coeff: float) -> np.ndarray:
     """First-order high-pass y[n] = x[n] - coeff * x[n-1], y[0] = x[0]."""
     if x.size == 0 or coeff == 0.0:
         return x.astype(np.float64, copy=True)
+    # written into y in place: the formula's two full-length temporaries
+    # would set the frontend's memory peak
     y = np.empty_like(x, dtype=np.float64)
     y[0] = x[0]
-    y[1:] = x[1:] - coeff * x[:-1]
+    np.multiply(x[:-1], -coeff, out=y[1:])
+    y[1:] += x[1:]
     return y
 
 

@@ -118,6 +118,7 @@ class MlnetParams:
     def __init__(
         self,
         config: ModelConfig,
+        named: dict[str, Tensor],
         branches: list[BranchParams],
         projection: ProjectionParams | None,
         attention: AttentionParams | None,
@@ -125,6 +126,7 @@ class MlnetParams:
         head: HeadParams,
     ):
         self.config = config
+        self._named = named
         self.branches = branches
         self.projection = projection
         self.attention = attention
@@ -132,32 +134,8 @@ class MlnetParams:
         self.head = head
 
     def named(self) -> dict[str, Tensor]:
-        """Deterministically ordered name -> tensor mapping."""
-        out: dict[str, Tensor] = {}
-        for bp in self.branches:
-            prefix = f"branch_r{bp.receptive_field}"
-            out[f"{prefix}.w_f"] = bp.w_f
-            out[f"{prefix}.b_f"] = bp.b_f
-            out[f"{prefix}.w_g"] = bp.w_g
-            out[f"{prefix}.b_g"] = bp.b_g
-        if self.projection is not None:
-            out["projection.w"] = self.projection.w
-            out["projection.b"] = self.projection.b
-        if self.attention is not None:
-            out["attention.w0"] = self.attention.w0
-            out["attention.b0"] = self.attention.b0
-            out["attention.w1"] = self.attention.w1
-            out["attention.b1"] = self.attention.b1
-        for layer, (fwd, bwd) in enumerate(self.lstm):
-            for tag, d in (("fwd", fwd), ("bwd", bwd)):
-                out[f"lstm{layer}.{tag}.w_x"] = d.w_x
-                out[f"lstm{layer}.{tag}.w_h"] = d.w_h
-                out[f"lstm{layer}.{tag}.b"] = d.b
-        out["head.w_hidden"] = self.head.w_hidden
-        out["head.b_hidden"] = self.head.b_hidden
-        out["head.w_out"] = self.head.w_out
-        out["head.b_out"] = self.head.b_out
-        return out
+        """Name -> tensor mapping in ``_param_shapes`` order (not a copy)."""
+        return self._named
 
     def tensors(self) -> list[Tensor]:
         return list(self.named().values())
@@ -228,10 +206,7 @@ def build_params(cfg: ModelConfig, factory) -> MlnetParams:
     """Assemble an MlnetParams whose tensors come from ``factory(name,
     shape, kind)``; shared by the initializer and the checkpoint loader."""
     made = {name: factory(name, shape, kind) for name, shape, kind in _param_shapes(cfg)}
-
-    def take(name: str) -> Tensor:
-        return made[name]
-
+    take = made.__getitem__
     branches = []
     for r in _branch_radii(cfg):
         p = f"branch_r{r}"
@@ -260,7 +235,7 @@ def build_params(cfg: ModelConfig, factory) -> MlnetParams:
     head = HeadParams(
         take("head.w_hidden"), take("head.b_hidden"), take("head.w_out"), take("head.b_out")
     )
-    return MlnetParams(cfg, branches, projection, attention, lstm, head)
+    return MlnetParams(cfg, made, branches, projection, attention, lstm, head)
 
 
 def init_params(
@@ -288,25 +263,11 @@ def replicate_pad(x: np.ndarray, radius: int) -> np.ndarray:
     return np.pad(x, ((radius, radius), (0, 0)), mode="edge")
 
 
-def window_matrix(padded: np.ndarray, t_len: int, r: int, radius: int) -> np.ndarray:
-    """(T, (2r+1)*F) windows, time-major: frame -r first, +r last."""
-    cols = [padded[radius - r + k : radius - r + k + t_len] for k in range(2 * r + 1)]
+def window_matrix(padded: np.ndarray, t_len: int, radius: int) -> np.ndarray:
+    """(T, (2*radius+1)*F) windows of a radius-padded sequence, time-major:
+    frame -radius first, +radius last."""
+    cols = [padded[k : k + t_len] for k in range(2 * radius + 1)]
     return np.concatenate(cols, axis=1)
-
-
-def gated_affine_forward(window, branch: BranchParams) -> Tensor:
-    """One frame's gated affine unit: tanh(Wf v + bf) * sigmoid(Wg v + bg)
-    where v is the window flattened time-major. Output size is gated_dim
-    regardless of the receptive field."""
-    w = window if isinstance(window, Tensor) else Tensor(np.asarray(window))
-    vec = w.reshape(int(np.prod(w.shape)))
-    k = branch.w_f.shape[1]
-    if vec.shape != (k,):
-        raise ShapeMismatch(
-            f"branch r={branch.receptive_field} expects a window of {k} values, "
-            f"got shape {window.shape if hasattr(window, 'shape') else '?'}"
-        )
-    return ad.tanh(branch.w_f @ vec + branch.b_f) * ad.sigmoid(branch.w_g @ vec + branch.b_g)
 
 
 def _gated_affine_batch(windows: Tensor, branch: BranchParams) -> Tensor:
@@ -419,7 +380,7 @@ def mlnet_forward(features, params: MlnetParams, collect_trace: bool = True) -> 
 
     # one window matrix at the widest radius: the windows are time-major and
     # nested, so a radius-r branch's window is a column slice of it
-    windows = window_matrix(padded, t_len, radius, radius)
+    windows = window_matrix(padded, t_len, radius)
 
     branch_weights = None
     trace = None

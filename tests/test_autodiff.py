@@ -32,10 +32,13 @@ class TestForwardValues:
         a = Tensor(np.ones((3, 4)))
         b = Tensor(np.ones((4, 2)))
         assert (a @ b).shape == (3, 2)
-        v = Tensor(np.ones(4))
-        assert (v @ b).shape == (2,)
-        assert (a @ v).shape == (3,)
-        assert (v @ v).shape == ()
+        assert (Tensor(np.ones((1, 4))) @ b).shape == (1, 2)
+
+    @pytest.mark.parametrize("shapes", [((4,), (4, 2)), ((3, 4), (4,)), ((4,), (4,)), ((2, 3, 4), (4, 2))])
+    def test_matmul_non_2d_operand_rejected(self, shapes):
+        a, b = (Tensor(np.ones(shape)) for shape in shapes)
+        with pytest.raises(ShapeMismatch, match="2-D operands only"):
+            a @ b
 
     def test_clip_values(self):
         x = Tensor(np.array([-1.0, 0.5, 2.0]))
@@ -51,9 +54,9 @@ class TestBackwardRules:
     def test_linear_loss_gradient_is_input(self):
         rng = np.random.default_rng(0)
         w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        x = Tensor(rng.normal(size=4))
+        x = Tensor(rng.normal(size=(4, 1)))
         (w @ x).sum().backward()
-        np.testing.assert_allclose(w.grad, np.tile(x.data, (3, 1)), rtol=1e-6)
+        np.testing.assert_allclose(w.grad, np.tile(x.data.T, (3, 1)), rtol=1e-6)
 
     def test_fanout_accumulates(self):
         x = Tensor(2.0, requires_grad=True)
@@ -214,19 +217,20 @@ def test_reshape_roundtrip_preserves_gradient(n, m):
 
 
 def _per_frame(xproj: Tensor, w_h: Tensor, reverse: bool) -> Tensor:
+    """One direction as a graph of elementary ops over (1, H) rows."""
     t_len, h_dim = xproj.shape[0], w_h.shape[0]
-    h = Tensor(np.zeros(h_dim))
-    c = Tensor(np.zeros(h_dim))
+    h = Tensor(np.zeros((1, h_dim)))
+    c = Tensor(np.zeros((1, h_dim)))
     rows = [None] * t_len
     for t in (range(t_len - 1, -1, -1) if reverse else range(t_len)):
-        gates = xproj[t] + h @ w_h
-        i = ad.sigmoid(gates[0:h_dim])
-        f = ad.sigmoid(gates[h_dim : 2 * h_dim])
-        g = ad.tanh(gates[2 * h_dim : 3 * h_dim])
-        o = ad.sigmoid(gates[3 * h_dim :])
+        gates = xproj[t : t + 1] + h @ w_h
+        i = ad.sigmoid(gates[:, 0:h_dim])
+        f = ad.sigmoid(gates[:, h_dim : 2 * h_dim])
+        g = ad.tanh(gates[:, 2 * h_dim : 3 * h_dim])
+        o = ad.sigmoid(gates[:, 3 * h_dim :])
         c = f * c + i * g
         h = o * ad.tanh(c)
-        rows[t] = h.reshape(1, h_dim)
+        rows[t] = h
     return ad.concat(rows, axis=0)
 
 

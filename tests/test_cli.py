@@ -2,12 +2,14 @@
 
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mlnetvad import autodiff as ad
-from mlnetvad.checkpoint import load_checkpoint
+from mlnetvad import cli
+from mlnetvad.checkpoint import load_checkpoint, save_checkpoint
 from mlnetvad.cli import PREDICT_HEADER, TSV_BLOCK_ROWS, main, read_features
 from mlnetvad.corpus import (
     ManifestEntry,
@@ -18,7 +20,8 @@ from mlnetvad.corpus import (
     write_mask,
 )
 from mlnetvad.frontend import FrontendConfig, Waveform, featurize
-from mlnetvad.model import mlnet_forward
+from mlnetvad.model import ModelConfig, init_params, mlnet_forward
+from mlnetvad.training import TrainConfig
 from mlnetvad.wavio import read_wav, write_wav
 
 SMALL_MODEL = [
@@ -382,6 +385,130 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=3\nbogus_key=1\n")
         assert main(["mix", "--out", str(tmp_path / "c"), "--config", str(cfg)]) == 2
+
+
+class TestUnreadablePaths:
+    """A path that cannot be read (here a directory) is a usage error:
+    exit 2 with one ``error:`` line, not a traceback."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        ckpt = tmp_path / "m.mlnt"
+        save_checkpoint(ckpt, init_params(ModelConfig(), seed=0))
+        directory = tmp_path / "d"
+        directory.mkdir()
+        return ckpt, directory
+
+    @pytest.mark.parametrize("what", ["checkpoint", "input"])
+    def test_predict_directory_exit_2(self, paths, capsys, what):
+        ckpt, d = paths
+        args = ["predict", "--wav", str(d), "--checkpoint", str(d if what == "checkpoint" else ckpt)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("what", ["checkpoint", "input"])
+    def test_eval_directory_exit_2(self, paths, capsys, what):
+        ckpt, d = paths
+        args = ["eval", "--manifest", str(d), "--checkpoint", str(d if what == "checkpoint" else ckpt)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+# every train flag with a non-default value: (flag, value, config, field, parsed value)
+TRAIN_FLAGS = [
+    ("--frame-ms", "20", FrontendConfig, "frame_len_ms", 20.0),
+    ("--hop-ms", "8", FrontendConfig, "hop_ms", 8.0),
+    ("--n-mels", "24", FrontendConfig, "n_mels", 24),
+    ("--fft-size", "1024", FrontendConfig, "fft_size", 1024),
+    ("--preemphasis", "0.9", FrontendConfig, "preemphasis", 0.9),
+    ("--log-floor", "1e-8", FrontendConfig, "log_floor", 1e-8),
+    ("--mel-fmin", "50", FrontendConfig, "mel_fmin", 50.0),
+    ("--mel-fmax", "7000", FrontendConfig, "mel_fmax", 7000.0),
+    ("--normalize", None, FrontendConfig, "normalize", True),
+    ("--variant", "non_attention", ModelConfig, "variant", "non_attention"),
+    ("--receptive-fields", "0,2,4", ModelConfig, "receptive_fields", (0, 2, 4)),
+    ("--gated-dim", "8", ModelConfig, "gated_dim", 8),
+    ("--attn-hidden", "9", ModelConfig, "attn_hidden", 9),
+    ("--lstm-hidden", "10", ModelConfig, "lstm_hidden", 10),
+    ("--lstm-layers", "3", ModelConfig, "lstm_layers", 3),
+    ("--fc-hidden", "11", ModelConfig, "fc_hidden", 11),
+    ("--single-sigmoid", None, ModelConfig, "double_sigmoid", False),
+    ("--seed", "5", TrainConfig, "seed", 5),
+    ("--lr", "0.01", TrainConfig, "lr", 0.01),
+    ("--batch-size", "4", TrainConfig, "batch_size", 4),
+    ("--epochs", "3", TrainConfig, "epochs", 3),
+    ("--attention-loss-weight", "0.5", TrainConfig, "attention_loss_weight", 0.5),
+]
+
+
+class TestTrainConfigMapping:
+    """``mlnetvad train`` builds its three configs from the flags; the model
+    and trainer are replaced by probes that record what they receive."""
+
+    def run_train(self, tmp_path, monkeypatch, args):
+        seen = {}
+
+        def load(manifest, frontend, split):
+            seen.setdefault("frontend", frontend)
+            return [SimpleNamespace(utt_id=split)]
+
+        def train(train_utts, train_cfg, model_cfg, **kw):
+            seen.update(train=train_cfg, model=model_cfg, theta=kw["theta"])
+            return SimpleNamespace(best_epoch=1, history=[SimpleNamespace(dev_f1=0.5)])
+
+        monkeypatch.setattr(cli, "load_manifest_utterances", load)
+        monkeypatch.setattr(cli, "train", train)
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("")
+        base = ["train", "--manifest", str(manifest), "--out-dir", str(tmp_path / "o")]
+        assert main(base + args) == 0
+        return seen
+
+    def test_no_flags_give_the_dataclass_defaults(self, tmp_path, monkeypatch, capsys):
+        seen = self.run_train(tmp_path, monkeypatch, [])
+        assert seen["frontend"] == FrontendConfig()
+        assert seen["model"] == ModelConfig()
+        assert seen["train"] == TrainConfig()
+        assert seen["theta"] == 0.5
+
+    def expected(self):
+        values = {FrontendConfig: {}, ModelConfig: {"n_mels": 24}, TrainConfig: {}}
+        for _, _, cls, field, value in TRAIN_FLAGS:
+            values[cls][field] = value
+        return {"frontend": FrontendConfig(**values[FrontendConfig]),
+                "model": ModelConfig(**values[ModelConfig]),
+                "train": TrainConfig(**values[TrainConfig])}
+
+    def test_every_flag_lands_in_its_field(self, tmp_path, monkeypatch, capsys):
+        args = ["--theta", "0.3"]
+        for flag, value, *_ in TRAIN_FLAGS:
+            args += [flag] if value is None else [flag, value]
+        seen = self.run_train(tmp_path, monkeypatch, args)
+        for key, cfg in self.expected().items():
+            assert seen[key] == cfg
+        assert seen["theta"] == 0.3
+        for _, _, cls, field, value in TRAIN_FLAGS:
+            assert getattr(cls(), field) != value
+
+    def test_every_config_key_lands_in_its_field(self, tmp_path, monkeypatch, capsys):
+        lines = ["theta=0.3"]
+        for flag, value, *_ in TRAIN_FLAGS:
+            lines.append(f"{flag[2:].replace('-', '_')}={'true' if value is None else value}")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("\n".join(lines) + "\n")
+        seen = self.run_train(tmp_path, monkeypatch, ["--config", str(cfg_file)])
+        for key, cfg in self.expected().items():
+            assert seen[key] == cfg
+        assert seen["theta"] == 0.3
+
+    def test_invalid_config_value_is_exit_2(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("")
+        args = ["train", "--manifest", str(manifest), "--out-dir", str(tmp_path / "o")]
+        assert main(args + ["--lstm-hidden", "0"]) == 2
+        assert capsys.readouterr().err == "error: lstm_hidden must be >= 1\n"
+        assert main(args + ["--lr", "-1"]) == 2
+        assert capsys.readouterr().err == "error: lr must be positive\n"
 
 
 class TestHelp:

@@ -20,6 +20,7 @@ from mlnetvad.frontend import (
     mel_filterbank,
     mel_to_hz,
     num_frames,
+    preemphasize,
 )
 from mlnetvad.wavio import read_wav, write_wav
 
@@ -54,6 +55,15 @@ class TestFraming:
         frames = frame_signal(Waveform(x), CFG)
         assert frames[0, 0] == x[0]
         np.testing.assert_allclose(frames[0, 1:], x[1:] - 0.97 * x[:-1], atol=1e-12)
+
+    @pytest.mark.parametrize("coeff", [0.97, 0.5, 0.123, 0.999])
+    def test_preemphasize_is_the_formula_exactly(self, coeff):
+        # the in-place (-c * x[n-1]) + x[n] is bit-identical to x[n] - c * x[n-1]
+        rng = np.random.default_rng(int(coeff * 1000))
+        for n in (1, 2, 3, 401, 48000):
+            x = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-4, 0)
+            y = preemphasize(x, coeff)
+            np.testing.assert_array_equal(y, np.concatenate([x[:1], x[1:] - coeff * x[:-1]]))
 
     @given(st.integers(0, 10 * SR))
     def test_frame_count_formula_randomized(self, n):

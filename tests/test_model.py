@@ -10,11 +10,11 @@ from mlnetvad.errors import ConfigError, ShapeMismatch
 from mlnetvad.model import (
     AttentionParams,
     ModelConfig,
+    _gated_affine_batch,
     attention_forward,
     build_params,
     classifier_forward,
     fuse_branches,
-    gated_affine_forward,
     init_params,
     mlnet_forward,
     non_attention_forward,
@@ -83,14 +83,21 @@ class TestInitParams:
         assert weights.min() >= -0.05 and weights.max() <= 0.05
 
 
+def frame_windows(padded: np.ndarray, t_len: int, r: int, radius: int) -> np.ndarray:
+    """(T, (2r+1)*F) windows built frame by frame: padded[t+R-r : t+R+r+1]."""
+    return np.stack(
+        [padded[t + radius - r : t + radius + r + 1].ravel() for t in range(t_len)]
+    )
+
+
 class TestGatedAffine:
     def test_zero_params_give_zero(self):
         params = init_params(small_cfg(variant="gated_unit"), seed=0)
         bp = params.branches[0]
         for t in (bp.w_f, bp.w_g, bp.b_f, bp.b_g):
             t.data[:] = 0.0
-        window = np.random.default_rng(0).normal(size=(7, 8))
-        out = gated_affine_forward(window, bp)
+        windows = np.random.default_rng(0).normal(size=(4, 7 * 8))
+        out = _gated_affine_batch(Tensor(windows), bp)
         np.testing.assert_allclose(out.data, 0.0)
 
     def test_saturated_biases_give_one(self):
@@ -100,38 +107,42 @@ class TestGatedAffine:
         bp.w_g.data[:] = 0.0
         bp.b_f.data[:] = 50.0
         bp.b_g.data[:] = 50.0
-        out = gated_affine_forward(np.zeros((7, 8)), bp)
+        out = _gated_affine_batch(Tensor(np.zeros((4, 7 * 8))), bp)
         np.testing.assert_allclose(out.data, 1.0, atol=1e-6)
 
     @pytest.mark.parametrize("r", [1, 9])
     def test_output_size_constant_across_receptive_fields(self, r):
         cfg = ModelConfig(receptive_fields=(r,), variant="gated_unit")
         params = init_params(cfg, seed=2)
-        window = np.random.default_rng(1).normal(size=(2 * r + 1, 40))
-        assert gated_affine_forward(window, params.branches[0]).shape == (64,)
+        windows = np.random.default_rng(1).normal(size=(5, (2 * r + 1) * 40))
+        assert _gated_affine_batch(Tensor(windows), params.branches[0]).shape == (5, 64)
 
     def test_wrong_window_size_rejected(self):
         params = init_params(small_cfg(variant="gated_unit"), seed=0)
         with pytest.raises(ShapeMismatch):
-            gated_affine_forward(np.zeros((3, 8)), params.branches[0])
+            _gated_affine_batch(Tensor(np.zeros((4, 3 * 8))), params.branches[0])
 
     def test_batched_path_matches_per_frame_op(self):
+        # each branch's column slice of the widest window matrix, and its gated
+        # output, against windows and the unit's formula taken one frame at a time
         rng = np.random.default_rng(3)
         cfg = small_cfg()
         params = init_params(cfg, seed=4, dtype=np.float64)
-        x = rng.normal(size=(5, 8))
-        padded = replicate_pad(x, cfg.context_radius)
+        t_len, radius, f = 5, cfg.context_radius, cfg.n_mels
+        padded = replicate_pad(rng.normal(size=(t_len, f)), radius)
+        widest = window_matrix(padded, t_len, radius)
         for bp in params.branches:
             r = bp.receptive_field
-            windows = window_matrix(padded, 5, r, cfg.context_radius)
-            from mlnetvad.model import _gated_affine_batch
-
+            windows = widest[:, (radius - r) * f : (radius + r + 1) * f]
+            expected = frame_windows(padded, t_len, r, radius)
+            np.testing.assert_array_equal(windows, expected)
             batch = _gated_affine_batch(Tensor(windows), bp)
-            for t in range(5):
-                start = cfg.context_radius - r
-                frame_window = padded[start + t : start + t + 2 * r + 1]
-                single = gated_affine_forward(frame_window, bp)
-                np.testing.assert_allclose(batch.data[t], single.data, atol=1e-12)
+            for t in range(t_len):
+                v = expected[t]
+                single = np.tanh(bp.w_f.data @ v + bp.b_f.data) / (
+                    1.0 + np.exp(-(bp.w_g.data @ v + bp.b_g.data))
+                )
+                np.testing.assert_allclose(batch.data[t], single, rtol=0, atol=1e-12)
 
 
 class TestReplicatePadding:
@@ -145,7 +156,7 @@ class TestReplicatePadding:
     def test_window_matrix_time_major(self):
         x = np.arange(12.0).reshape(3, 4)
         padded = replicate_pad(x, 1)
-        w = window_matrix(padded, 3, 1, 1)
+        w = window_matrix(padded, 3, 1)
         # middle frame window = [x0, x1, x2] flattened
         np.testing.assert_array_equal(w[1], np.concatenate([x[0], x[1], x[2]]))
         # first frame replicates the first row on the left
@@ -154,11 +165,12 @@ class TestReplicatePadding:
     def test_narrower_windows_are_column_slices_of_the_widest(self):
         x = np.arange(40.0).reshape(5, 8)
         radius, f = 3, 8
-        widest = window_matrix(replicate_pad(x, radius), 5, radius, radius)
+        padded = replicate_pad(x, radius)
+        widest = window_matrix(padded, 5, radius)
         for r in range(radius + 1):
             np.testing.assert_array_equal(
                 widest[:, (radius - r) * f : (radius + r + 1) * f],
-                window_matrix(replicate_pad(x, radius), 5, r, radius),
+                frame_windows(padded, 5, r, radius),
             )
 
 
