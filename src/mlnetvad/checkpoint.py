@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ConfigError, FormatError
+from .errors import FormatError
 from .model import ModelConfig, MlnetParams, build_params
 
 MAGIC = b"MLNT"
@@ -117,8 +117,8 @@ class _Reader:
         return self.pos >= len(self.buf)
 
 
-def load_checkpoint(path, expect_config: ModelConfig | None = None) -> MlnetParams:
-    """Read a checkpoint; optionally require its config to match."""
+def load_checkpoint(path) -> MlnetParams:
+    """Read a checkpoint: its config, then every parameter that config implies."""
     reader = _Reader(Path(path).read_bytes(), path)
     if reader.take(4) != MAGIC:
         raise FormatError(f"{path}: bad magic, not a checkpoint file")
@@ -126,12 +126,6 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None) -> MlnetPara
     if version != VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     cfg = _decode_config(reader.take(reader.u32()))
-    if expect_config is not None and cfg != expect_config:
-        raise ConfigError(
-            "checkpoint config does not match the requested config:\n"
-            f"  checkpoint: {cfg}\n"
-            f"  requested:  {expect_config}"
-        )
     loaded: dict[str, np.ndarray] = {}
     while not reader.exhausted:
         name = _utf8(reader.take(reader.u32()), "parameter name")

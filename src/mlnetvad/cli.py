@@ -26,7 +26,7 @@ from .corpus import MixSpec, load_manifest_utterances, synth_raw_corpus, write_c
 from .errors import ConfigError, FormatError, MlnetVadError
 from .frontend import FrontendConfig, featurize
 from .metrics import evaluate
-from .model import VARIANTS, ModelConfig, mlnet_forward
+from .model import VARIANTS, MlnetParams, ModelConfig, mlnet_forward
 from .training import TrainConfig, train
 from .wavio import read_wav
 
@@ -290,60 +290,57 @@ def cmd_train(a: dict) -> int:
     return 0
 
 
-def cmd_eval(a: dict) -> int:
-    manifest = _require_manifest(a["manifest"])
+def _load_model(a: dict) -> tuple[MlnetParams, FrontendConfig]:
+    """The checkpoint's parameters and the frontend that feeds them."""
     ckpt = Path(a["checkpoint"])
     if not ckpt.exists():
         raise UsageError(f"checkpoint not found: {ckpt}")
     params = load_checkpoint(ckpt)
+    frontend = _config(FrontendConfig, a)
+    if frontend.n_mels != params.config.n_mels:
+        raise UsageError(
+            f"frontend n_mels {frontend.n_mels} does not match checkpoint "
+            f"n_mels {params.config.n_mels}"
+        )
+    return params, frontend
+
+
+def cmd_eval(a: dict) -> int:
+    manifest = _require_manifest(a["manifest"])
+    params, frontend = _load_model(a)
     if a["variant"] is not None and a["variant"] != params.config.variant:
         raise UsageError(
             "checkpoint variant does not match --variant:\n"
             f"  checkpoint: {params.config}\n"
             f"  requested variant: {a['variant']}"
         )
-    frontend = _config(FrontendConfig, a)
-    if frontend.n_mels != params.config.n_mels:
-        raise UsageError(
-            f"frontend n_mels {frontend.n_mels} does not match checkpoint "
-            f"n_mels {params.config.n_mels}"
-        )
     utts = load_manifest_utterances(manifest, frontend, split=a["split"])
     if not utts:
         raise UsageError(f"{manifest}: no utterances tagged split={a['split']}")
     report = evaluate(utts, params, theta=a["theta"])
-    sys.stdout.write(report.to_tsv(percent=True))
+    sys.stdout.write(report.to_tsv())
     if a["report_out"] is not None:
         prefix = Path(a["report_out"])
         prefix.parent.mkdir(parents=True, exist_ok=True)
         Path(f"{prefix}.json").write_text(report.to_json(), encoding="utf-8")
-        Path(f"{prefix}.tsv").write_text(report.to_tsv(percent=True), encoding="utf-8")
+        Path(f"{prefix}.tsv").write_text(report.to_tsv(), encoding="utf-8")
         print(f"reports: {prefix}.json {prefix}.tsv")
     return 0
 
 
 def cmd_predict(a: dict) -> int:
     started = time.perf_counter()
-    ckpt = Path(a["checkpoint"])
-    if not ckpt.exists():
-        raise UsageError(f"checkpoint not found: {ckpt}")
-    params = load_checkpoint(ckpt)
+    params, frontend = _load_model(a)
     if a["dump_attention"] and params.config.variant != "full_attention":
         raise UsageError(
             f"--dump-attention needs a full_attention checkpoint, got {params.config.variant}"
-        )
-    frontend = _config(FrontendConfig, a)
-    if frontend.n_mels != params.config.n_mels:
-        raise UsageError(
-            f"frontend n_mels {frontend.n_mels} does not match checkpoint "
-            f"n_mels {params.config.n_mels}"
         )
     w = read_wav(a["wav"])
     feats = featurize(w, frontend, source_id=Path(a["wav"]).stem)
     if len(feats) == 0:
         raise UsageError(f"{a['wav']}: shorter than one frame, nothing to predict")
     with ad.no_grad():
-        out = mlnet_forward(feats, params, collect_trace=a["dump_attention"])
+        out = mlnet_forward(feats, params)
     probs = out.probs.data
     header, row = "time_s\tprob\tlabel", "%.3f\t%.6f\t%d"
     columns = [feats.frame_times, probs, probs >= a["theta"]]

@@ -416,7 +416,7 @@ def load_manifest_utterances(
         w = read_wav(base / entry.wav_path)
         mask = read_mask(base / entry.mask_path)
         if mask.size != len(w):
-            raise CorpusError(
+            raise FormatError(
                 f"{entry.utt_id}: mask has {mask.size} samples, wav has {len(w)}"
             )
         feats = featurize(w, cfg, source_id=entry.utt_id)

@@ -118,17 +118,16 @@ class EvalReport:
         }
         return json.dumps(doc, indent=2)
 
-    def to_tsv(self, percent: bool = True) -> str:
-        """Tab-separated report; metric columns as percentages by default."""
-        scale = 100.0 if percent else 1.0
+    def to_tsv(self) -> str:
+        """Tab-separated report; metric columns as percentages."""
         lines = ["#eval-report\tv1", "id\tf1\tdcf\tdegenerate"]
         for r in self.recordings:
             lines.append(
-                f"{r.recording_id}\t{r.f1 * scale:.4f}\t{r.dcf * scale:.4f}\t"
+                f"{r.recording_id}\t{r.f1 * 100:.4f}\t{r.dcf * 100:.4f}\t"
                 f"{'yes' if r.degenerate else 'no'}"
             )
-        lines.append(f"macro\t{self.macro_f1 * scale:.4f}\t{self.macro_dcf * scale:.4f}\t-")
-        lines.append(f"micro\t{self.micro_f1 * scale:.4f}\t{self.micro_dcf * scale:.4f}\t-")
+        lines.append(f"macro\t{self.macro_f1 * 100:.4f}\t{self.macro_dcf * 100:.4f}\t-")
+        lines.append(f"micro\t{self.micro_f1 * 100:.4f}\t{self.micro_dcf * 100:.4f}\t-")
         return "\n".join(lines) + "\n"
 
 
@@ -154,7 +153,7 @@ def score_utterances(utts, params: MlnetParams) -> list[tuple[str, np.ndarray, n
     scored = []
     with ad.no_grad():
         for utt in utts:
-            probs = mlnet_forward(utt.features, params, collect_trace=False).probs.data
+            probs = mlnet_forward(utt.features, params).probs.data
             scored.append((utt.source_id, probs, np.asarray(utt.labels)))
     return scored
 

@@ -8,7 +8,8 @@ block can weigh branches of different receptive fields against each
 other. Four variants are supported for component ablations:
 
   bilstm_base     flatten the widest window, plain tanh projection
-  gated_unit      a single gated branch at the widest receptive field
+  gated_unit      a single gated branch at the widest receptive field,
+                  fused as the mean of that one branch
   non_attention   all branches, uniform 1/n fusion
   full_attention  all branches, learned channel-attention fusion
 """
@@ -134,7 +135,7 @@ class MlnetParams:
         self.head = head
 
     def named(self) -> dict[str, Tensor]:
-        """Name -> tensor mapping in ``_param_shapes`` order (not a copy)."""
+        """Name -> tensor mapping in ``build_params`` order (not a copy)."""
         return self._named
 
     def tensors(self) -> list[Tensor]:
@@ -146,9 +147,6 @@ class MlnetParams:
 
     def zero_grads(self) -> None:
         ad.zero_grads(self.tensors())
-
-    def n_parameters(self) -> int:
-        return sum(t.data.size for t in self.tensors())
 
     def copy(self) -> "MlnetParams":
         """Deep copy of parameter values (gradients are not copied)."""
@@ -167,75 +165,48 @@ def _branch_radii(cfg: ModelConfig) -> tuple[int, ...]:
     return cfg.receptive_fields
 
 
-def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
-    """(name, shape, kind) for every tensor the variant owns, in order."""
-    shapes: list[tuple[str, tuple[int, ...], str]] = []
-    d, f = cfg.gated_dim, cfg.n_mels
-    for r in _branch_radii(cfg):
-        k = (2 * r + 1) * f
-        prefix = f"branch_r{r}"
-        shapes.append((f"{prefix}.w_f", (d, k), "weight"))
-        shapes.append((f"{prefix}.b_f", (d,), "bias"))
-        shapes.append((f"{prefix}.w_g", (d, k), "weight"))
-        shapes.append((f"{prefix}.b_g", (d,), "bias"))
-    if cfg.variant == "bilstm_base":
-        shapes.append(("projection.w", (d, cfg.context_window * f), "weight"))
-        shapes.append(("projection.b", (d,), "bias"))
-    if cfg.variant == "full_attention":
-        n = cfg.n_branches
-        shapes.append(("attention.w0", (cfg.attn_hidden, n), "weight"))
-        shapes.append(("attention.b0", (cfg.attn_hidden,), "bias"))
-        shapes.append(("attention.w1", (n, cfg.attn_hidden), "weight"))
-        shapes.append(("attention.b1", (n,), "bias"))
-    h = cfg.lstm_hidden
-    in_dim = d
-    for layer in range(cfg.lstm_layers):
-        for tag in ("fwd", "bwd"):
-            shapes.append((f"lstm{layer}.{tag}.w_x", (in_dim, 4 * h), "weight"))
-            shapes.append((f"lstm{layer}.{tag}.w_h", (h, 4 * h), "weight"))
-            shapes.append((f"lstm{layer}.{tag}.b", (4 * h,), "bias"))
-        in_dim = 2 * h
-    shapes.append(("head.w_hidden", (cfg.fc_hidden, 2 * h), "weight"))
-    shapes.append(("head.b_hidden", (cfg.fc_hidden,), "bias"))
-    shapes.append(("head.w_out", (1, cfg.fc_hidden), "weight"))
-    shapes.append(("head.b_out", (1,), "bias"))
-    return shapes
-
-
 def build_params(cfg: ModelConfig, factory) -> MlnetParams:
     """Assemble an MlnetParams whose tensors come from ``factory(name,
-    shape, kind)``; shared by the initializer and the checkpoint loader."""
-    made = {name: factory(name, shape, kind) for name, shape, kind in _param_shapes(cfg)}
-    take = made.__getitem__
+    shape, kind)``; shared by the initializer and the checkpoint loader.
+
+    Each group names its fields and shapes once, in checkpoint order;
+    ``kind`` is ``"bias"`` for a 1-D shape and ``"weight"`` otherwise.
+    """
+    named: dict[str, Tensor] = {}
+
+    def group(prefix: str, **shapes: tuple[int, ...]) -> dict[str, Tensor]:
+        made = {}
+        for field, shape in shapes.items():
+            name = f"{prefix}.{field}"
+            kind = "bias" if len(shape) == 1 else "weight"
+            made[field] = named[name] = factory(name, shape, kind)
+        return made
+
+    d, f, h = cfg.gated_dim, cfg.n_mels, cfg.lstm_hidden
     branches = []
     for r in _branch_radii(cfg):
-        p = f"branch_r{r}"
-        branches.append(
-            BranchParams(r, take(f"{p}.w_f"), take(f"{p}.b_f"), take(f"{p}.w_g"), take(f"{p}.b_g"))
-        )
-    projection = None
+        k = (2 * r + 1) * f
+        gated = group(f"branch_r{r}", w_f=(d, k), b_f=(d,), w_g=(d, k), b_g=(d,))
+        branches.append(BranchParams(r, **gated))
+    projection = attention = None
     if cfg.variant == "bilstm_base":
-        projection = ProjectionParams(take("projection.w"), take("projection.b"))
-    attention = None
+        projection = ProjectionParams(**group("projection", w=(d, cfg.context_window * f), b=(d,)))
     if cfg.variant == "full_attention":
-        attention = AttentionParams(
-            take("attention.w0"), take("attention.b0"), take("attention.w1"), take("attention.b1")
-        )
+        n, a = cfg.n_branches, cfg.attn_hidden
+        attention = AttentionParams(**group("attention", w0=(a, n), b0=(a,), w1=(n, a), b1=(n,)))
     lstm = []
+    in_dim = d
     for layer in range(cfg.lstm_layers):
-        pair = tuple(
-            LstmDirectionParams(
-                take(f"lstm{layer}.{tag}.w_x"),
-                take(f"lstm{layer}.{tag}.w_h"),
-                take(f"lstm{layer}.{tag}.b"),
-            )
-            for tag in ("fwd", "bwd")
-        )
-        lstm.append(pair)
+        shapes = dict(w_x=(in_dim, 4 * h), w_h=(h, 4 * h), b=(4 * h,))
+        lstm.append(tuple(
+            LstmDirectionParams(**group(f"lstm{layer}.{tag}", **shapes)) for tag in ("fwd", "bwd")
+        ))
+        in_dim = 2 * h
+    fc = cfg.fc_hidden
     head = HeadParams(
-        take("head.w_hidden"), take("head.b_hidden"), take("head.w_out"), take("head.b_out")
+        **group("head", w_hidden=(fc, 2 * h), b_hidden=(fc,), w_out=(1, fc), b_out=(1,))
     )
-    return MlnetParams(cfg, made, branches, projection, attention, lstm, head)
+    return MlnetParams(cfg, named, branches, projection, attention, lstm, head)
 
 
 def init_params(
@@ -284,15 +255,15 @@ class AttentionResult:
     trace: AttentionTrace
 
 
-def normalize_branch_weights(a: Tensor, double_sigmoid: bool, axis: int = -1) -> Tensor:
-    """Turn raw branch scores into positive weights summing to one.
+def normalize_branch_weights(a: Tensor, double_sigmoid: bool) -> Tensor:
+    """Turn raw branch scores (last axis) into positive weights summing to one.
 
     ``double_sigmoid`` (the default) applies a second sigmoid before the
     ratio; without it the scores are normalized directly, which leaves
     the weight vector invariant to positive rescaling of the scores.
     """
     num = ad.sigmoid(a) if double_sigmoid else a
-    return num / num.sum(axis=axis, keepdims=True)
+    return num / num.sum(axis=-1, keepdims=True)
 
 
 def fuse_branches(p: Tensor, q: Tensor) -> Tensor:
@@ -323,7 +294,7 @@ def attention_forward(
         return ad.leaky_relu(d @ attn.w0.T + attn.b0) @ attn.w1.T + attn.b1
 
     a = ad.sigmoid(shared_net(d_avg) + shared_net(d_max))
-    p = normalize_branch_weights(a, double_sigmoid, axis=1)
+    p = normalize_branch_weights(a, double_sigmoid)
     fused = fuse_branches(p, q)
     if single:
         a_out, p_out, fused = a.reshape(a.shape[1]), p.reshape(p.shape[1]), fused.reshape(fused.shape[1])
@@ -358,7 +329,7 @@ class ModelOutput:
     trace: AttentionTrace | None = None
 
 
-def mlnet_forward(features, params: MlnetParams, collect_trace: bool = True) -> ModelOutput:
+def mlnet_forward(features, params: MlnetParams) -> ModelOutput:
     """Run the configured variant over a feature sequence.
 
     ``features`` is a FeatureSequence or a (T, n_mels) array. Edge
@@ -385,11 +356,9 @@ def mlnet_forward(features, params: MlnetParams, collect_trace: bool = True) -> 
     branch_weights = None
     trace = None
     if cfg.variant == "bilstm_base":
-        assert params.projection is not None
         m = ad.tanh(Tensor(windows) @ params.projection.w.T + params.projection.b)
-    elif cfg.variant == "gated_unit":
-        m = _gated_affine_batch(Tensor(windows), params.branches[0])
     else:
+        # gated_unit's one branch takes this path too: the mean of one branch is that branch
         f = cfg.n_mels
         qs = []
         for bp in params.branches:
@@ -397,13 +366,10 @@ def mlnet_forward(features, params: MlnetParams, collect_trace: bool = True) -> 
             branch_windows = Tensor(windows[:, (radius - r) * f : (radius + r + 1) * f])
             qs.append(_gated_affine_batch(branch_windows, bp))
         stack = ad.concat([q.reshape(t_len, 1, cfg.gated_dim) for q in qs], axis=1)
-        if cfg.variant == "non_attention":
-            m = non_attention_forward(stack)
-        else:
-            assert params.attention is not None
+        if cfg.variant == "full_attention":
             result = attention_forward(stack, params.attention, cfg.double_sigmoid)
-            m = result.fused
-            branch_weights = result.weights
-            trace = result.trace if collect_trace else None
+            m, branch_weights, trace = result.fused, result.weights, result.trace
+        else:
+            m = non_attention_forward(stack)
     probs = classifier_forward(m, params)
     return ModelOutput(probs=probs, branch_weights=branch_weights, trace=trace)

@@ -85,7 +85,7 @@ def utterance_loss(
     utt: LabeledUtterance, params: MlnetParams, cfg: TrainConfig
 ) -> tuple[Tensor, float, float]:
     """Total loss for one utterance; returns (loss, ce value, att value)."""
-    out = mlnet_forward(utt.features, params, collect_trace=False)
+    out = mlnet_forward(utt.features, params)
     ce = cross_entropy_loss(out.probs, utt.labels)
     att_value = 0.0
     loss = ce

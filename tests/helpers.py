@@ -90,6 +90,9 @@ def scalar_attention_oracle(
     return a, p, fused
 
 
+# one errstate per call, not per sigmoid: entering it on every sigmoid
+# took about half of criterion 1's finite-difference time
+@np.errstate(over="ignore")
 def reference_loss(
     x: np.ndarray,
     y: np.ndarray,
@@ -110,8 +113,7 @@ def reference_loss(
     """
 
     def sigmoid(v):
-        with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-v))
+        return 1.0 / (1.0 + np.exp(-v))
 
     def lrelu(v):
         return np.where(v > 0, v, 0.01 * v)

@@ -1,4 +1,4 @@
-"""Checkpoint format tests: round-trips, config gating, corruption."""
+"""Checkpoint format tests: round-trips, the config block, corruption."""
 
 import struct
 
@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mlnetvad.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
-from mlnetvad.errors import ConfigError, FormatError
+from mlnetvad.errors import FormatError
 from mlnetvad.model import VARIANTS, ModelConfig, init_params, mlnet_forward
 
 CFG = ModelConfig(
@@ -59,25 +59,6 @@ class TestRoundTrip:
 
 
 class TestValidation:
-    def test_expected_config_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "m.mlnt"
-        save_checkpoint(path, init_params(CFG, seed=1))
-        other = ModelConfig(
-            receptive_fields=(1, 2),
-            n_mels=6,
-            gated_dim=16,
-            attn_hidden=8,
-            lstm_hidden=8,
-            fc_hidden=8,
-        )
-        with pytest.raises(ConfigError, match="does not match"):
-            load_checkpoint(path, expect_config=other)
-
-    def test_matching_expected_config_ok(self, tmp_path):
-        path = tmp_path / "m.mlnt"
-        save_checkpoint(path, init_params(CFG, seed=1))
-        load_checkpoint(path, expect_config=CFG)
-
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.mlnt"
         path.write_bytes(b"XXXX" + b"\x00" * 32)

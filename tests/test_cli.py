@@ -305,7 +305,7 @@ def long_prediction(tmp_path_factory):
     write_wav(wav, Waveform(rng.uniform(-0.4, 0.4, 400 + (2 * TSV_BLOCK_ROWS + 40) * 160 + 33)))
     feats = featurize(read_wav(wav), FrontendConfig(normalize=True))
     with ad.no_grad():
-        out = mlnet_forward(feats, load_checkpoint(ckpt), collect_trace=True)
+        out = mlnet_forward(feats, load_checkpoint(ckpt))
     # a theta equal to one of the probabilities: both labels occur and
     # the >= edge is exercised
     theta = float(np.sort(out.probs.data)[len(feats) // 2])

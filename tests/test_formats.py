@@ -178,18 +178,27 @@ def test_mutated_file_is_read_or_rejected(tmp_path_factory, kind):
     check()
 
 
-def test_eval_with_malformed_mask_exits_2(tmp_path, capsys):
+def eval_with_mask(tmp_path, mask_runs: str) -> int:
+    """``mlnetvad eval`` on one 1600-sample recording whose mask holds ``mask_runs``."""
     (tmp_path / "wav").mkdir()
     (tmp_path / "mask").mkdir()
     write_wav(tmp_path / "wav/a.wav", Waveform(np.zeros(1600), 16000))
-    (tmp_path / "mask/a.mask").write_text(f"{MASK_HEADER}\n1 abc\n", encoding="utf-8")
+    (tmp_path / "mask/a.mask").write_text(f"{MASK_HEADER}\n{mask_runs}\n", encoding="utf-8")
     manifest = tmp_path / "manifest.tsv"
     write_manifest(manifest, [ManifestEntry("a", "wav/a.wav", "mask/a.mask", "dev", 0.0)])
     ckpt = tmp_path / "m.mlnt"
     save_checkpoint(ckpt, init_params(ModelConfig(receptive_fields=(1,), lstm_layers=1), seed=0))
-    code = main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt)])
-    assert code == 2
+    return main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt)])
+
+
+def test_eval_with_malformed_mask_exits_2(tmp_path, capsys):
+    assert eval_with_mask(tmp_path, "1 abc") == 2
     assert "a.mask" in capsys.readouterr().err
+
+
+def test_eval_with_mask_and_wav_of_different_lengths_exits_2(tmp_path, capsys):
+    assert eval_with_mask(tmp_path, "0 1599") == 2
+    assert "a: mask has 1599 samples, wav has 1600" in capsys.readouterr().err
 
 
 def test_predict_on_truncated_wav_exits_2(tmp_path, capsys):

@@ -152,6 +152,6 @@ class TestEvaluate:
 
     def test_tsv_percentages(self):
         scored = [("a", np.array([0.9, 0.2]), np.array([1, 0]))]
-        text = evaluate_scored(scored).to_tsv(percent=True)
+        text = evaluate_scored(scored).to_tsv()
         assert "100.0000" in text
         assert text.startswith("#eval-report\tv1\n")

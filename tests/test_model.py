@@ -8,6 +8,7 @@ from helpers import numeric_grad, rel_error, scalar_attention_oracle
 from mlnetvad.autodiff import Tensor
 from mlnetvad.errors import ConfigError, ShapeMismatch
 from mlnetvad.model import (
+    VARIANTS,
     AttentionParams,
     ModelConfig,
     _gated_affine_batch,
@@ -81,6 +82,69 @@ class TestInitParams:
         assert weights.size >= 10_000
         assert abs(weights.mean()) < 0.005
         assert weights.min() >= -0.05 and weights.max() <= 0.05
+
+
+def param_shapes_oracle(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, kind) of every tensor the variant owns, in checkpoint
+    order, written out by hand for each group."""
+    shapes: list[tuple[str, tuple[int, ...], str]] = []
+    d, f = cfg.gated_dim, cfg.n_mels
+    radii = {"bilstm_base": (), "gated_unit": (cfg.context_radius,)}.get(
+        cfg.variant, cfg.receptive_fields
+    )
+    for r in radii:
+        k = (2 * r + 1) * f
+        prefix = f"branch_r{r}"
+        shapes.append((f"{prefix}.w_f", (d, k), "weight"))
+        shapes.append((f"{prefix}.b_f", (d,), "bias"))
+        shapes.append((f"{prefix}.w_g", (d, k), "weight"))
+        shapes.append((f"{prefix}.b_g", (d,), "bias"))
+    if cfg.variant == "bilstm_base":
+        shapes.append(("projection.w", (d, cfg.context_window * f), "weight"))
+        shapes.append(("projection.b", (d,), "bias"))
+    if cfg.variant == "full_attention":
+        n = cfg.n_branches
+        shapes.append(("attention.w0", (cfg.attn_hidden, n), "weight"))
+        shapes.append(("attention.b0", (cfg.attn_hidden,), "bias"))
+        shapes.append(("attention.w1", (n, cfg.attn_hidden), "weight"))
+        shapes.append(("attention.b1", (n,), "bias"))
+    h = cfg.lstm_hidden
+    in_dim = d
+    for layer in range(cfg.lstm_layers):
+        for tag in ("fwd", "bwd"):
+            shapes.append((f"lstm{layer}.{tag}.w_x", (in_dim, 4 * h), "weight"))
+            shapes.append((f"lstm{layer}.{tag}.w_h", (h, 4 * h), "weight"))
+            shapes.append((f"lstm{layer}.{tag}.b", (4 * h,), "bias"))
+        in_dim = 2 * h
+    shapes.append(("head.w_hidden", (cfg.fc_hidden, 2 * h), "weight"))
+    shapes.append(("head.b_hidden", (cfg.fc_hidden,), "bias"))
+    shapes.append(("head.w_out", (1, cfg.fc_hidden), "weight"))
+    shapes.append(("head.b_out", (1,), "bias"))
+    return shapes
+
+
+BUILD_CONFIGS = [
+    pytest.param(ModelConfig(variant=v, double_sigmoid=ds), id=f"{v}-double_sigmoid={ds}")
+    for v in VARIANTS
+    for ds in (True, False)
+] + [
+    pytest.param(ModelConfig(variant=v, receptive_fields=(0, 2, 4), lstm_layers=3), id=f"{v}-024x3")
+    for v in VARIANTS
+]
+
+
+class TestBuildParams:
+    @pytest.mark.parametrize("cfg", BUILD_CONFIGS)
+    def test_factory_calls_match_the_shape_table(self, cfg):
+        calls = []
+
+        def factory(name, shape, kind):
+            calls.append((name, shape, kind))
+            return Tensor(np.zeros(shape))
+
+        params = build_params(cfg, factory)
+        assert calls == param_shapes_oracle(cfg)
+        assert list(params.named()) == [name for name, _, _ in calls]
 
 
 def frame_windows(padded: np.ndarray, t_len: int, r: int, radius: int) -> np.ndarray:
@@ -345,6 +409,39 @@ class TestMlnetForward:
         out_full = mlnet_forward(x, full)
         out_mean = mlnet_forward(x, mean)
         np.testing.assert_allclose(out_full.probs.data, out_mean.probs.data, atol=1e-6)
+
+    def test_gated_unit_is_its_one_branch(self):
+        # the one widest gated branch in numpy, fed to the shared classifier:
+        # same probabilities and gradients as the variant's mean-fusion path
+        cfg = small_cfg(variant="gated_unit")
+        params = init_params(cfg, seed=6, dtype=np.float64)
+        rng = np.random.default_rng(14)
+        t_len, radius = 7, cfg.context_radius
+        x = rng.normal(size=(t_len, 8))
+        weights = Tensor(rng.normal(size=t_len))
+        out = mlnet_forward(x, params)
+        (out.probs * weights).sum().backward()
+
+        bp = params.branches[0]
+        windows = frame_windows(replicate_pad(x, radius), t_len, radius, radius)
+        th = np.tanh(windows @ bp.w_f.data.T + bp.b_f.data)
+        sg = 1.0 / (1.0 + np.exp(-(windows @ bp.w_g.data.T + bp.b_g.data)))
+        m = Tensor(th * sg, requires_grad=True)
+        rest = params.copy()
+        probs = classifier_forward(m, rest)
+        (probs * weights).sum().backward()
+        np.testing.assert_allclose(out.probs.data, probs.data, rtol=0, atol=1e-12)
+        for (name, t), ref in zip(params.named().items(), rest.named().values()):
+            if not name.startswith("branch_"):
+                np.testing.assert_allclose(t.grad, ref.grad, rtol=1e-10, atol=1e-14, err_msg=name)
+
+        d_f = m.grad * sg * (1.0 - th**2)
+        d_g = m.grad * th * sg * (1.0 - sg)
+        for got, want in [
+            (bp.w_f, d_f.T @ windows), (bp.b_f, d_f.sum(axis=0)),
+            (bp.w_g, d_g.T @ windows), (bp.b_g, d_g.sum(axis=0)),
+        ]:
+            np.testing.assert_allclose(got.grad, want, rtol=1e-10, atol=1e-14)
 
     def test_gradients_flow_to_every_parameter(self):
         for variant in ("bilstm_base", "gated_unit", "non_attention", "full_attention"):
