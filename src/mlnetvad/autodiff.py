@@ -7,10 +7,11 @@ order. Gradients accumulate (+=) into leaves until ``zero_grads`` is
 called, which is what batch-level gradient accumulation relies on.
 
 Non-finite detection: every op that can turn finite inputs into NaN or
-infinity (the arithmetic ops, log, and the reductions) checks its output
-and raises. Ops whose outputs are finite whenever their inputs are finite
-(activations, shape ops, clip, max) skip the runtime check; together the
-two groups guarantee all tensors stay finite.
+infinity (the arithmetic ops, ``affine``, log, and the reductions) checks
+its output and raises. Ops whose outputs are finite whenever their inputs
+are finite (activations, shape ops, clip, max) skip the check, except the
+bounded ``gated_units``, whose numpy inputs no ``Tensor`` has checked.
+Together the two groups guarantee all tensors stay finite.
 
 Only the operations the network needs are implemented; there is no
 general broadcasting machinery beyond numpy's, and no GPU path.
@@ -27,15 +28,15 @@ from .errors import GraphError, NonFiniteError, ShapeMismatch
 
 __all__ = [
     "Tensor",
+    "affine",
     "backward",
     "bilstm_layer",
-    "concat",
+    "gated_units",
     "grad_enabled",
     "leaky_relu",
     "matmul",
     "no_grad",
     "take_rows",
-    "transpose",
     "zero_grads",
 ]
 
@@ -139,10 +140,6 @@ class Tensor:
 
     def __getitem__(self, key):
         return _getitem(self, key)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -313,7 +310,7 @@ def div(a, b) -> Tensor:
     )
 
 
-# -- matmul -------------------------------------------------------------
+# -- matmul and dense layers -------------------------------------------
 
 
 def matmul(a, b) -> Tensor:
@@ -334,6 +331,57 @@ def matmul(a, b) -> Tensor:
             _accum(b, a.data.T @ g)
 
     return _make(data, "matmul", (a, b), backward_fn)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """A dense layer, ``x @ w.T + b``: x is (T, in), w (out, in), b (out,)."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1] or b.shape != (w.shape[0],):
+        raise ShapeMismatch(f"affine: x {x.shape} does not fit w {w.shape} and b {b.shape}")
+    data = x.data @ w.data.T + b.data
+    if not _track_any(x, w, b):
+        return _make(data, "affine", (), None)
+
+    def backward_fn(g):
+        if _tracked(x):
+            _accum(x, g @ w.data)
+        if _tracked(w):
+            _accum(w, (x.data.T @ g).T)
+        if _tracked(b):
+            _accum(b, g.sum(axis=0))
+
+    return _make(data, "affine", (x, w, b), backward_fn)
+
+
+def gated_units(inputs: Sequence[np.ndarray], weights: Sequence[tuple[Tensor, ...]]) -> Tensor:
+    """The (T, n, d) stack of n gated affine units: unit i maps its (T, K_i)
+    numpy input x_i to ``tanh(x_i @ w_f.T + b_f) * sigmoid(x_i @ w_g.T +
+    b_g)``, where ``weights[i] = (w_f, b_f, w_g, b_g)``. The inputs get no
+    gradient; the node keeps only each unit's tanh and sigmoid outputs."""
+    d = weights[0][0].shape[:1] if weights else ()
+    shapes = [[t.shape for t in unit] for unit in weights]
+    if not inputs or len(inputs) != len(weights) or any(
+        x.ndim != 2 or x.shape[0] != inputs[0].shape[0] or unit != [d + x.shape[1:], d] * 2
+        for x, unit in zip(inputs, shapes)
+    ):
+        raise ShapeMismatch(f"gated_units: inputs {[x.shape for x in inputs]} do not fit {shapes}")
+    ths = [np.tanh(x @ w_f.data.T + b_f.data) for x, (w_f, b_f, _, _) in zip(inputs, weights)]
+    sgs = [_stable_sigmoid(x @ w_g.data.T + b_g.data) for x, (_, _, w_g, b_g) in zip(inputs, weights)]
+    out = np.stack([th * sg for th, sg in zip(ths, sgs)], axis=1)
+    params = tuple(t for unit in weights for t in unit)
+    if not _track_any(*params):
+        return _make(out, "gated_units", (), None)
+
+    def backward_fn(g):
+        for i, (x, (w_f, b_f, w_g, b_g), th, sg) in enumerate(zip(inputs, weights, ths, sgs)):
+            d_f = g[:, i] * sg * (1.0 - th * th)
+            d_g = g[:, i] * th * sg * (1.0 - sg)
+            for w, b, dz in ((w_f, b_f, d_f), (w_g, b_g, d_g)):
+                if _tracked(w):
+                    _accum(w, (x.T @ dz).T)
+                if _tracked(b):
+                    _accum(b, dz.sum(axis=0))
+
+    return _make(out, "gated_units", params, backward_fn)
 
 
 # -- activations and pointwise functions --------------------------------
@@ -594,19 +642,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _raw(data, (x,), backward_fn)
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.ndim != 2:
-        raise ShapeMismatch(f"transpose expects a 2-D tensor, got {x.shape}")
-    data = x.data.T
-    if not _track_any(x):
-        return _raw(data, (), None)
-
-    def backward_fn(g):
-        _accum(x, g.T)
-
-    return _raw(data, (x,), backward_fn)
-
-
 def _getitem(x: Tensor, key) -> Tensor:
     data = x.data[key]
     if not _track_any(x):
@@ -638,35 +673,3 @@ def take_rows(x: Tensor, indices) -> Tensor:
         np.add.at(x.grad, (rows, idx), g)
 
     return _raw(data, (x,), backward_fn)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate along ``axis``; all other dimensions must agree."""
-    ts = [_coerce(t) for t in tensors]
-    if not ts:
-        raise ShapeMismatch("concat of an empty sequence")
-    base = list(ts[0].shape)
-    for t in ts[1:]:
-        other = list(t.shape)
-        if len(other) != len(base) or any(
-            i != axis and other[i] != base[i] for i in range(len(base))
-        ):
-            raise ShapeMismatch(
-                f"concat: incompatible shapes {[t.shape for t in ts]} along axis {axis}"
-            )
-    data = np.concatenate([t.data for t in ts], axis=axis)
-    if not _track_any(*ts):
-        return _raw(data, (), None)
-
-    sizes = [t.shape[axis] for t in ts]
-
-    def backward_fn(g):
-        offset = 0
-        index: list = [slice(None)] * g.ndim
-        for t, size in zip(ts, sizes):
-            if _tracked(t):
-                index[axis] = slice(offset, offset + size)
-                _accum(t, g[tuple(index)])
-            offset += size
-
-    return _raw(data, tuple(ts), backward_fn)

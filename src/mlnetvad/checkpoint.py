@@ -13,8 +13,7 @@ Layout (all integers little-endian u32):
     f32[]   little-endian values, row-major
 
 Values are stored as 32-bit floats, so a float32-trained model round
-trips bit-exactly. Loading validates shapes against the config and can
-reject a checkpoint whose config differs from an expected one.
+trips bit-exactly. Loading validates shapes against the config.
 """
 
 from __future__ import annotations

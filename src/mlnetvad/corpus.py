@@ -162,6 +162,7 @@ def label_frames(
 ) -> np.ndarray:
     """Per-frame labels from a per-sample mask: 1 iff strictly more than
     half of the frame's samples are speech."""
+    cfg.validate_for(sample_rate)
     mask = np.asarray(speech_mask)
     flen = cfg.frame_len_samples(sample_rate)
     hop = cfg.hop_samples(sample_rate)

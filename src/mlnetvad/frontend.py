@@ -79,11 +79,14 @@ class FrontendConfig:
         return int(round(sample_rate * self.hop_ms / 1000.0))
 
     def validate_for(self, sample_rate: int) -> None:
-        if self.fft_size < self.frame_len_samples(sample_rate):
+        flen, hop = self.frame_len_samples(sample_rate), self.hop_samples(sample_rate)
+        if flen < 1 or hop < 1:
             raise ConfigError(
-                f"fft_size {self.fft_size} smaller than frame length "
-                f"{self.frame_len_samples(sample_rate)} samples"
+                f"frame length {self.frame_len_ms} ms and hop {self.hop_ms} ms must each "
+                f"span at least one sample at {sample_rate} Hz"
             )
+        if self.fft_size < flen:
+            raise ConfigError(f"fft_size {self.fft_size} smaller than frame length {flen} samples")
 
 
 @dataclass

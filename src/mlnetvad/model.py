@@ -241,13 +241,6 @@ def window_matrix(padded: np.ndarray, t_len: int, radius: int) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
-def _gated_affine_batch(windows: Tensor, branch: BranchParams) -> Tensor:
-    """(T, K) pre-flattened windows -> (T, gated_dim)."""
-    lin_f = windows @ branch.w_f.T + branch.b_f
-    lin_g = windows @ branch.w_g.T + branch.b_g
-    return ad.tanh(lin_f) * ad.sigmoid(lin_g)
-
-
 @dataclass
 class AttentionResult:
     weights: Tensor
@@ -291,7 +284,7 @@ def attention_forward(
     d_max = q.max(axis=2)
 
     def shared_net(d: Tensor) -> Tensor:
-        return ad.leaky_relu(d @ attn.w0.T + attn.b0) @ attn.w1.T + attn.b1
+        return ad.affine(ad.leaky_relu(ad.affine(d, attn.w0, attn.b0)), attn.w1, attn.b1)
 
     a = ad.sigmoid(shared_net(d_avg) + shared_net(d_max))
     p = normalize_branch_weights(a, double_sigmoid)
@@ -317,8 +310,8 @@ def classifier_forward(m: Tensor, params: MlnetParams) -> Tensor:
     seq = m
     for fwd, bwd in params.lstm:
         seq = ad.bilstm_layer(seq @ fwd.w_x + fwd.b, seq @ bwd.w_x + bwd.b, fwd.w_h, bwd.w_h)
-    hidden = ad.leaky_relu(seq @ params.head.w_hidden.T + params.head.b_hidden)
-    logits = hidden @ params.head.w_out.T + params.head.b_out
+    hidden = ad.leaky_relu(ad.affine(seq, params.head.w_hidden, params.head.b_hidden))
+    logits = ad.affine(hidden, params.head.w_out, params.head.b_out)
     return ad.sigmoid(logits.reshape(logits.shape[0]))
 
 
@@ -356,16 +349,16 @@ def mlnet_forward(features, params: MlnetParams) -> ModelOutput:
     branch_weights = None
     trace = None
     if cfg.variant == "bilstm_base":
-        m = ad.tanh(Tensor(windows) @ params.projection.w.T + params.projection.b)
+        m = ad.tanh(ad.affine(Tensor(windows), params.projection.w, params.projection.b))
     else:
         # gated_unit's one branch takes this path too: the mean of one branch is that branch
         f = cfg.n_mels
-        qs = []
+        inputs, weights = [], []
         for bp in params.branches:
             r = bp.receptive_field
-            branch_windows = Tensor(windows[:, (radius - r) * f : (radius + r + 1) * f])
-            qs.append(_gated_affine_batch(branch_windows, bp))
-        stack = ad.concat([q.reshape(t_len, 1, cfg.gated_dim) for q in qs], axis=1)
+            inputs.append(windows[:, (radius - r) * f : (radius + r + 1) * f])
+            weights.append((bp.w_f, bp.b_f, bp.w_g, bp.b_g))
+        stack = ad.gated_units(inputs, weights)
         if cfg.variant == "full_attention":
             result = attention_forward(stack, params.attention, cfg.double_sigmoid)
             m, branch_weights, trace = result.fused, result.weights, result.trace

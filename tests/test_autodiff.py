@@ -83,14 +83,6 @@ class TestBackwardRules:
         x.max(axis=1).sum().backward()
         np.testing.assert_allclose(x.grad, [[0, 1, 0], [1, 0, 0]])
 
-    def test_concat_splits_gradient(self):
-        a = Tensor(np.zeros((2, 2)), requires_grad=True)
-        b = Tensor(np.zeros((2, 3)), requires_grad=True)
-        out = ad.concat([a, b], axis=1)
-        (out * Tensor(np.arange(10.0).reshape(2, 5))).sum().backward()
-        np.testing.assert_allclose(a.grad, [[0, 1], [5, 6]])
-        np.testing.assert_allclose(b.grad, [[2, 3, 4], [7, 8, 9]])
-
     def test_slice_gradient_scatters(self):
         x = Tensor(np.zeros(5), requires_grad=True)
         (x[1:4].sum() * 2.0).backward()
@@ -104,22 +96,20 @@ class TestBackwardRules:
 
 def _random_composite(rng):
     """A three-layer mix of the op set on small float64 tensors."""
+    x = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
     w1 = Tensor(rng.normal(size=(4, 6)) * 0.5, requires_grad=True)
     b1 = Tensor(rng.normal(size=4) * 0.1, requires_grad=True)
-    w2 = Tensor(rng.normal(size=(3, 4)) * 0.5, requires_grad=True)
+    w2 = Tensor(rng.normal(size=(4, 3)) * 0.5, requires_grad=True)
     w3 = Tensor(rng.normal(size=(2, 5)) * 0.5, requires_grad=True)
-    x = Tensor(rng.normal(size=(5, 6)))
 
     def forward():
-        h = ad.tanh(x @ w1.T + b1)                     # (5, 4)
-        g = ad.sigmoid(h @ w2.T)                       # (5, 3)
-        pooled = ad.concat(
-            [g.mean(axis=1, keepdims=True), g.max(axis=1, keepdims=True)], axis=1
-        )                                              # (5, 2)
-        z = ad.leaky_relu(w3 @ pooled)                 # (2, 2)
+        h = ad.tanh(ad.affine(x, w1, b1))              # (5, 4)
+        g = ad.sigmoid(h @ w2)                         # (5, 3)
+        pooled = g.mean(axis=1, keepdims=True) * g.max(axis=1, keepdims=True)  # (5, 1)
+        z = ad.leaky_relu(w3 @ pooled)                 # (2, 1)
         return (z * z).sum() + g.reshape(15)[2:9].sum()
 
-    return forward, [w1, b1, w2, w3]
+    return forward, [x, w1, b1, w2, w3]
 
 
 class TestGradientOracle:
@@ -159,6 +149,16 @@ class TestGraphSemantics:
         b = Tensor(np.ones((4, 5)))
         with pytest.raises(ShapeMismatch, match=r"\(2, 3\)"):
             a @ b
+
+    def test_affine_shape_mismatch_rejected(self):
+        for x, w, b in [
+            ((4, 3), (2, 5), (2,)),  # x width differs from w's
+            ((4, 3), (2, 3), (3,)),  # bias does not match the output width
+            ((3,), (2, 3), (2,)),  # x not 2-D
+            ((4, 3), (3,), (3,)),  # w not 2-D
+        ]:
+            with pytest.raises(ShapeMismatch, match="affine"):
+                ad.affine(*(Tensor(np.ones(shape)) for shape in (x, w, b)))
 
     def test_non_finite_forward_trips(self):
         x = Tensor(np.array([0.0, 1.0]))
@@ -216,8 +216,9 @@ def test_reshape_roundtrip_preserves_gradient(n, m):
     np.testing.assert_allclose(x.grad, np.ones((n, m)))
 
 
-def _per_frame(xproj: Tensor, w_h: Tensor, reverse: bool) -> Tensor:
-    """One direction as a graph of elementary ops over (1, H) rows."""
+def _per_frame(xproj: Tensor, w_h: Tensor, reverse: bool) -> list[Tensor]:
+    """One direction as a graph of elementary ops: its (1, H) hidden-state
+    rows in time order."""
     t_len, h_dim = xproj.shape[0], w_h.shape[0]
     h = Tensor(np.zeros((1, h_dim)))
     c = Tensor(np.zeros((1, h_dim)))
@@ -231,7 +232,7 @@ def _per_frame(xproj: Tensor, w_h: Tensor, reverse: bool) -> Tensor:
         c = f * c + i * g
         h = o * ad.tanh(c)
         rows[t] = h
-    return ad.concat(rows, axis=0)
+    return rows
 
 
 class TestLstmSequence:
@@ -256,14 +257,14 @@ class TestLstmSequence:
 
         out = ad.bilstm_layer(x @ w_x[0], x @ w_x[1], w_h[0], w_h[1])
         (out * Tensor(coeffs)).sum().backward()
-        ref = _per_frame(x @ w_x[d], w_h[d], reverse)
-        np.testing.assert_array_equal(out.data[:, cols], ref.data)
+        rows = _per_frame(x @ w_x[d], w_h[d], reverse)
+        np.testing.assert_array_equal(out.data[:, cols], np.concatenate([r.data for r in rows]))
         for p in (w_x[1 - d], w_h[1 - d]):
             np.testing.assert_array_equal(p.grad, 0.0)
 
         grads_op = (w_x[d].grad.copy(), w_h[d].grad.copy())
         ad.zero_grads([w_x[d], w_h[d]])
-        (ref * Tensor(coeffs[:, cols])).sum().backward()
+        sum((r * Tensor(c)).sum() for r, c in zip(rows, coeffs[:, None, cols])).backward()
         np.testing.assert_allclose(grads_op[0], w_x[d].grad, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grads_op[1], w_h[d].grad, rtol=0, atol=1e-12)
 

@@ -119,6 +119,15 @@ class TestFeaturize:
         direct = featurize(Waveform(np.round(np.clip(w.samples, -1, 1) * 32767) / 32767), FrontendConfig())
         np.testing.assert_allclose(dumped, direct.frames.astype(np.float32), rtol=1e-5)
 
+    @pytest.mark.parametrize("flag", ["--frame-ms", "--hop-ms"])
+    def test_frame_or_hop_shorter_than_one_sample_is_exit_2(self, tmp_path, capsys, flag):
+        wav = tmp_path / "x.wav"
+        write_wav(wav, Waveform(np.zeros(16000)))
+        out = tmp_path / "x.mlfb"
+        assert main(["featurize", "--wav", str(wav), "--out", str(out), flag, "0.01"]) == 2
+        assert "at least one sample" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreadable_wav_is_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.wav"
         bad.write_bytes(b"nope")

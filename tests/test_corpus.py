@@ -24,7 +24,7 @@ from mlnetvad.corpus import (
     write_manifest,
     write_mask,
 )
-from mlnetvad.errors import CorpusError
+from mlnetvad.errors import ConfigError, CorpusError
 from mlnetvad.frontend import FrontendConfig, Waveform, featurize, num_frames
 
 SR = 16000
@@ -153,6 +153,12 @@ class TestLabelFrames:
         assert label_frames(mask, CFG, SR)[0] == 0
         mask[200] = 1
         assert label_frames(mask, CFG, SR)[0] == 1
+
+    @pytest.mark.parametrize("field", ["frame_len_ms", "hop_ms"])
+    def test_frame_or_hop_shorter_than_one_sample_rejected(self, field):
+        cfg = FrontendConfig(**{field: 0.01})
+        with pytest.raises(ConfigError, match="at least one sample"):
+            label_frames(np.ones(SR, dtype=np.int8), cfg, SR)
 
     @pytest.mark.parametrize("n", [0, 399, 400, 401, 559, 560, 561, 4321, SR, 3 * SR + 97])
     def test_matches_per_frame_loop(self, n):

@@ -11,7 +11,6 @@ from mlnetvad.model import (
     VARIANTS,
     AttentionParams,
     ModelConfig,
-    _gated_affine_batch,
     attention_forward,
     build_params,
     classifier_forward,
@@ -154,14 +153,18 @@ def frame_windows(padded: np.ndarray, t_len: int, r: int, radius: int) -> np.nda
     )
 
 
+def units(bp):
+    return (bp.w_f, bp.b_f, bp.w_g, bp.b_g)
+
+
 class TestGatedAffine:
     def test_zero_params_give_zero(self):
         params = init_params(small_cfg(variant="gated_unit"), seed=0)
         bp = params.branches[0]
-        for t in (bp.w_f, bp.w_g, bp.b_f, bp.b_g):
+        for t in units(bp):
             t.data[:] = 0.0
         windows = np.random.default_rng(0).normal(size=(4, 7 * 8))
-        out = _gated_affine_batch(Tensor(windows), bp)
+        out = ad.gated_units([windows], [units(bp)])
         np.testing.assert_allclose(out.data, 0.0)
 
     def test_saturated_biases_give_one(self):
@@ -171,7 +174,7 @@ class TestGatedAffine:
         bp.w_g.data[:] = 0.0
         bp.b_f.data[:] = 50.0
         bp.b_g.data[:] = 50.0
-        out = _gated_affine_batch(Tensor(np.zeros((4, 7 * 8))), bp)
+        out = ad.gated_units([np.zeros((4, 7 * 8), np.float32)], [units(bp)])
         np.testing.assert_allclose(out.data, 1.0, atol=1e-6)
 
     @pytest.mark.parametrize("r", [1, 9])
@@ -179,12 +182,20 @@ class TestGatedAffine:
         cfg = ModelConfig(receptive_fields=(r,), variant="gated_unit")
         params = init_params(cfg, seed=2)
         windows = np.random.default_rng(1).normal(size=(5, (2 * r + 1) * 40))
-        assert _gated_affine_batch(Tensor(windows), params.branches[0]).shape == (5, 64)
+        assert ad.gated_units([windows], [units(params.branches[0])]).shape == (5, 1, 64)
 
     def test_wrong_window_size_rejected(self):
-        params = init_params(small_cfg(variant="gated_unit"), seed=0)
-        with pytest.raises(ShapeMismatch):
-            _gated_affine_batch(Tensor(np.zeros((4, 3 * 8))), params.branches[0])
+        params = init_params(small_cfg(), seed=0)
+        one = units(params.branches[0])  # radius 1: 3 frames of 8 bands
+        for inputs, weights in [
+            ([np.zeros((4, 5 * 8))], [one]),  # window wider than the unit
+            ([np.zeros((4, 3 * 8)), np.zeros((5, 5 * 8))], [one, units(params.branches[1])]),
+            ([np.zeros((4, 3 * 8))], [one, one]),  # one input for two units
+            ([np.zeros(3 * 8)], [one]),  # not 2-D
+            ([], []),
+        ]:
+            with pytest.raises(ShapeMismatch):
+                ad.gated_units(inputs, weights)
 
     def test_batched_path_matches_per_frame_op(self):
         # each branch's column slice of the widest window matrix, and its gated
@@ -195,18 +206,21 @@ class TestGatedAffine:
         t_len, radius, f = 5, cfg.context_radius, cfg.n_mels
         padded = replicate_pad(rng.normal(size=(t_len, f)), radius)
         widest = window_matrix(padded, t_len, radius)
+        inputs = []
         for bp in params.branches:
             r = bp.receptive_field
             windows = widest[:, (radius - r) * f : (radius + r + 1) * f]
-            expected = frame_windows(padded, t_len, r, radius)
-            np.testing.assert_array_equal(windows, expected)
-            batch = _gated_affine_batch(Tensor(windows), bp)
+            np.testing.assert_array_equal(windows, frame_windows(padded, t_len, r, radius))
+            inputs.append(windows)
+        batch = ad.gated_units(inputs, [units(bp) for bp in params.branches])
+        assert batch.shape == (t_len, cfg.n_branches, cfg.gated_dim)
+        for i, (bp, windows) in enumerate(zip(params.branches, inputs)):
             for t in range(t_len):
-                v = expected[t]
+                v = windows[t]
                 single = np.tanh(bp.w_f.data @ v + bp.b_f.data) / (
                     1.0 + np.exp(-(bp.w_g.data @ v + bp.b_g.data))
                 )
-                np.testing.assert_allclose(batch.data[t], single, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(batch.data[t, i], single, rtol=0, atol=1e-12)
 
 
 class TestReplicatePadding:
@@ -275,6 +289,38 @@ class TestAttention:
             res = attention_forward(q, params.attention)
             assert abs(res.weights.data.sum() - 1.0) <= 1e-6
             assert (res.weights.data > 0).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_double_sigmoid_bounds_every_weight(self, n):
+        # each raw score lies in [0, 1], so its second sigmoid lies in
+        # [s(0), s(1)]: no weight can leave the closed interval below,
+        # and saturated scores reach both of its ends
+        s0, s1 = 0.5, 1.0 / (1.0 + np.exp(-1.0))
+        lo, hi = s0 / (s0 + (n - 1) * s1), s1 / (s1 + (n - 1) * s0)
+        slack = 1e-15  # the sum of n terms may round in another order than the bound's
+        cfg = small_cfg(receptive_fields=tuple(range(n)))
+        rng = np.random.default_rng(20 + n)
+        seen = []
+        for scale in (0.1, 1.0, 10.0):
+            params = init_params(cfg, seed=n, dtype=np.float64)
+            at = params.attention
+            for t in (at.w0, at.b0, at.w1, at.b1):
+                t.data[:] = rng.normal(scale=scale, size=t.shape)
+            q = Tensor(rng.normal(size=(50, n, 8)))
+            seen.append(attention_forward(q, at).weights.data)
+        # saturating inputs: raw scores of exactly 0 and 1
+        at.w1.data[:] = 0.0
+        for one_hot in np.eye(n):
+            for raw in (one_hot, 1.0 - one_hot):
+                at.b1.data[:] = np.where(raw > 0, 800.0, -800.0)
+                res = attention_forward(Tensor(rng.normal(size=(4, n, 8))), at)
+                np.testing.assert_array_equal(res.trace.raw, np.broadcast_to(raw, (4, n)))
+                seen.append(res.weights.data)
+        p = np.concatenate([w.reshape(-1) for w in seen])
+        assert p.min() >= lo - slack and p.max() <= hi + slack
+        np.testing.assert_allclose([p.min(), p.max()], [lo, hi], rtol=1e-15)
+        if n == 5:
+            np.testing.assert_allclose([lo, hi], [0.146, 0.268], atol=5e-4)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(4)
@@ -442,6 +488,35 @@ class TestMlnetForward:
             (bp.w_g, d_g.T @ windows), (bp.b_g, d_g.sum(axis=0)),
         ]:
             np.testing.assert_allclose(got.grad, want, rtol=1e-10, atol=1e-14)
+
+    def test_gated_units_are_the_units_formula(self):
+        # three branches of different widths, as mlnet_forward feeds them: the
+        # stack is the unit's formula in numpy exactly, and every gradient its
+        # derivative in numpy
+        cfg = small_cfg(variant="non_attention")
+        params = init_params(cfg, seed=8, dtype=np.float64)
+        rng = np.random.default_rng(15)
+        t_len, radius, f = 7, cfg.context_radius, cfg.n_mels
+        widest = window_matrix(replicate_pad(rng.normal(size=(t_len, f)), radius), t_len, radius)
+        inputs = [
+            widest[:, (radius - bp.receptive_field) * f : (radius + bp.receptive_field + 1) * f]
+            for bp in params.branches
+        ]
+        assert len({x.shape[1] for x in inputs}) == 3
+        coeffs = rng.normal(size=(t_len, 3, cfg.gated_dim))
+        out = ad.gated_units(inputs, [units(bp) for bp in params.branches])
+        (out * Tensor(coeffs)).sum().backward()
+        for i, (bp, x) in enumerate(zip(params.branches, inputs)):
+            th = np.tanh(x @ bp.w_f.data.T + bp.b_f.data)
+            sg = 1.0 / (1.0 + np.exp(-(x @ bp.w_g.data.T + bp.b_g.data)))
+            np.testing.assert_array_equal(out.data[:, i], th * sg)
+            d_f = coeffs[:, i] * sg * (1.0 - th**2)
+            d_g = coeffs[:, i] * th * sg * (1.0 - sg)
+            for got, want in [
+                (bp.w_f, d_f.T @ x), (bp.b_f, d_f.sum(axis=0)),
+                (bp.w_g, d_g.T @ x), (bp.b_g, d_g.sum(axis=0)),
+            ]:
+                np.testing.assert_allclose(got.grad, want, rtol=0, atol=1e-12)
 
     def test_gradients_flow_to_every_parameter(self):
         for variant in ("bilstm_base", "gated_unit", "non_attention", "full_attention"):
