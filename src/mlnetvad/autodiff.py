@@ -3,8 +3,9 @@
 A dynamic graph is rebuilt for every forward pass: each op output records
 its parent tensors and a closure that propagates the incoming gradient to
 them. ``backward`` on a scalar walks the graph once in reverse topological
-order. Gradients accumulate (+=) into leaves until ``zero_grads`` is
-called, which is what batch-level gradient accumulation relies on.
+order and frees each node's closure as it goes, so a graph serves one
+``backward``. Gradients accumulate (+=) into leaves until ``zero_grads``
+is called, which is what batch-level gradient accumulation relies on.
 
 Non-finite detection: every op that can turn finite inputs into NaN or
 infinity (the arithmetic ops, ``affine``, log, and the reductions) checks
@@ -226,12 +227,19 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
         t.grad = None
 
 
+def _consumed(g: np.ndarray) -> None:
+    raise GraphError("this graph was consumed by an earlier backward; build it again")
+
+
 def backward(loss: Tensor) -> None:
     """Populate gradients of everything the scalar ``loss`` depends on.
 
     Visits each graph node exactly once, in reverse topological order.
-    Leaf gradients accumulate across calls; interior gradients live only
-    as long as the graph itself.
+    Leaf gradients accumulate across calls. The walk frees the graph as
+    it goes: once a node's closure has run, the node drops its gradient,
+    its closure and its parents, keeping only its data. A second
+    ``backward`` over a consumed graph, or over a new graph built on a
+    consumed node, raises ``GraphError``.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -254,6 +262,9 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
+            node.grad = None
+            node._backward = _consumed
+            node._parents = ()
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -456,22 +467,65 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
 
 # -- Bi-LSTM layer --------------------------------------------------------
 
+SCAN_BLOCK = 64  # time steps whose input rows bilstm_layer gathers at once
 
-def bilstm_layer(xproj_f: Tensor, xproj_b: Tensor, w_h_f: Tensor, w_h_b: Tensor) -> Tensor:
-    """Both directions of a Bi-LSTM layer, each from a zero state; returns
-    the (T, 2H) hidden states, columns [forward | backward].
 
-    ``xproj_f`` and ``xproj_b`` are (T, 4H), each frame's input
-    projection plus bias for one direction, packed [input, forget,
-    candidate, output]; ``w_h_f`` and ``w_h_b`` are (H, 4H). The
-    candidate uses tanh, the other gates sigmoid. One node covers the
-    whole layer: a single time loop advances both directions together,
-    the backward one reading ``xproj_b`` from the last frame down, with
-    one stacked (2, 1, H) @ (2, H, 4H) recurrent matmul per step. The
-    forward keeps the gate activations, cell states, tanh(cell) and
-    hidden states only when a graph is being built. The backward is a
-    single BPTT loop: every gate-derivative factor that does not depend
-    on the recursion is computed for the whole sequence before it, and
+def _packed_lengths(lengths, rows: int) -> np.ndarray:
+    """The utterance lengths of a packed batch of ``rows`` rows; None is
+    one utterance of them all."""
+    if lengths is None:
+        return np.array([rows], dtype=np.int64)
+    lens = np.asarray(lengths)
+    if (
+        lens.ndim != 1
+        or lens.size == 0
+        or lens.dtype.kind not in "iu"
+        or (lens < 1).any()
+        or lens.sum() != rows
+    ):
+        raise ShapeMismatch(f"lengths {lens.tolist()} do not split {rows} packed rows")
+    return lens.astype(np.int64)
+
+
+def _step_rows(offsets: np.ndarray, lengths: np.ndarray, start: int, stop: int):
+    """(fwd, bwd, real), each (stop - start, B): the packed row that each
+    direction's steps ``start`` to ``stop - 1`` read for every utterance,
+    and whether the step is real. A padded step, past an utterance's
+    length, reads the row of that direction's last real step."""
+    steps = np.arange(start, stop)[:, None]
+    last = lengths - 1
+    fwd = offsets + np.minimum(steps, last)
+    bwd = offsets + np.maximum(last - steps, 0)
+    return fwd, bwd, steps < lengths
+
+
+def bilstm_layer(
+    xproj_f: Tensor, xproj_b: Tensor, w_h_f: Tensor, w_h_b: Tensor, lengths=None
+) -> Tensor:
+    """Both directions of a Bi-LSTM layer over a packed batch of B
+    utterances, each direction of each utterance from a zero state.
+
+    ``xproj_f`` and ``xproj_b`` are packed (ΣT, 4H): the rows of utterance
+    b are ``lengths[b]`` consecutive frames, each frame's input projection
+    plus bias for one direction, gates packed [input, forget, candidate,
+    output]. ``lengths`` (positive, summing to ΣT) defaults to one
+    utterance of all rows. ``w_h_f`` and ``w_h_b`` are (H, 4H). Returns the
+    packed (ΣT, 2H) hidden states, columns [forward | backward]. The
+    candidate uses tanh, the other gates sigmoid.
+
+    One node covers the whole layer: a single time loop of max(lengths)
+    steps advances both directions of every utterance as (2, B, H) states,
+    with one (2, B, H) @ (2, H, 4H) recurrent matmul per step. The
+    backward direction's step s is frame ``lengths[b] - 1 - s`` of
+    utterance b. The loop reads its inputs from time-major blocks of
+    ``SCAN_BLOCK`` steps, gathered from the packed rows once per block.
+    A shorter utterance's padded steps come after its real ones in both
+    directions, so they never feed a real frame; their zero incoming
+    gradient makes their share of the BPTT zero. The forward keeps the
+    gate activations, cell states and tanh(cell) only when a graph is
+    being built. The backward is a single BPTT loop over the same
+    (steps, 2, B, .) layout: every gate-derivative factor that does not
+    depend on the recursion is computed for all steps before it, and
     both recurrent-weight gradients are one batched GEMM after it. All
     outputs are bounded, so no finite check is needed.
     """
@@ -487,87 +541,101 @@ def bilstm_layer(xproj_f: Tensor, xproj_b: Tensor, w_h_f: Tensor, w_h_b: Tensor)
             f"bilstm_layer: xproj {xproj_f.shape} and {xproj_b.shape} do not fit "
             f"w_h {w_h_f.shape} and {w_h_b.shape}"
         )
-    t_len = xproj_f.shape[0]
+    rows = xproj_f.shape[0]
+    lengths = _packed_lengths(lengths, rows)
+    offsets = np.cumsum(lengths) - lengths
+    n_utts, t_max = lengths.size, int(lengths.max())
     xf, xb = xproj_f.data, xproj_b.data
     w = np.stack([w_h_f.data, w_h_b.data])  # (2, H, 4H): direction 0 forward, 1 backward
     dtype = np.result_type(xf, xb, w)
     keep = _track_any(xproj_f, xproj_b, w_h_f, w_h_b)
-    out = np.empty((t_len, 2 * h_dim), dtype)
-    # per-step state, (2, 1, .): one row per direction
-    h = np.zeros((2, 1, h_dim), dtype)
-    c = np.zeros((2, 1, h_dim), dtype)
-    z = np.empty((2, 1, 4 * h_dim), dtype)
+    out = np.empty((rows, 2 * h_dim), dtype)
+    block = min(SCAN_BLOCK, t_max)
+    xs = np.empty((block, 2, n_utts, 4 * h_dim), dtype)  # a block's inputs, by step and direction
+    hs = np.empty((block, 2, n_utts, h_dim), dtype)  # a block's hidden states
+    # per-step state, (2, B, .): one row per direction and utterance
+    h = np.zeros((2, n_utts, h_dim), dtype)
+    c = np.zeros_like(h)
+    z = np.empty((2, n_utts, 4 * h_dim), dtype)
     a = np.empty_like(z)  # the gates after their activations
     ig = np.empty_like(c)
     tc = np.empty_like(c)
     gate_i, gate_f = a[..., :h_dim], a[..., h_dim : 2 * h_dim]
     gate_g, gate_o = a[..., 2 * h_dim : 3 * h_dim], a[..., 3 * h_dim :]
     z_g = z[..., 2 * h_dim : 3 * h_dim]
-    if keep:  # indexed by step: the backward direction's step s is frame T-1-s
-        acts = np.empty((t_len, 2, 1, 4 * h_dim), dtype)
-        cs = np.zeros((t_len + 1, 2, 1, h_dim), dtype)  # cs[s] is the cell state before step s
-        tcs = np.empty((t_len, 2, 1, h_dim), dtype)
+    if keep:  # indexed by step
+        acts = np.empty((t_max, 2, n_utts, 4 * h_dim), dtype)
+        cs = np.zeros((t_max + 1, 2, n_utts, h_dim), dtype)  # cs[s] is the cell state before step s
+        tcs = np.empty((t_max, 2, n_utts, h_dim), dtype)
     # exp(-z) overflowing to inf gives the exact sigmoid limit 0.0
     with np.errstate(over="ignore"):
-        for s in range(t_len):
-            r = t_len - 1 - s
-            np.matmul(h, w, out=z)
-            z[0] += xf[s]
-            z[1] += xb[r]
-            np.negative(z, out=a)
-            np.exp(a, out=a)
-            a += 1.0
-            np.divide(1.0, a, out=a)
-            np.tanh(z_g, out=gate_g)
-            c *= gate_f
-            np.multiply(gate_i, gate_g, out=ig)
-            c += ig
-            np.tanh(c, out=tc)
-            np.multiply(gate_o, tc, out=h)
-            out[s, :h_dim] = h[0, 0]
-            out[r, h_dim:] = h[1, 0]
-            if keep:
-                acts[s] = a
-                cs[s + 1] = c
-                tcs[s] = tc
+        for start in range(0, t_max, block):
+            stop = min(start + block, t_max)
+            fwd, bwd, real = _step_rows(offsets, lengths, start, stop)
+            xs[: stop - start, 0] = xf[fwd]
+            xs[: stop - start, 1] = xb[bwd]
+            for s in range(start, stop):
+                np.matmul(h, w, out=z)
+                z += xs[s - start]
+                np.negative(z, out=a)
+                np.exp(a, out=a)
+                a += 1.0
+                np.divide(1.0, a, out=a)
+                np.tanh(z_g, out=gate_g)
+                c *= gate_f
+                np.multiply(gate_i, gate_g, out=ig)
+                c += ig
+                np.tanh(c, out=tc)
+                h = hs[s - start]
+                np.multiply(gate_o, tc, out=h)
+                if keep:
+                    acts[s] = a
+                    cs[s + 1] = c
+                    tcs[s] = tc
+            out[fwd[real], :h_dim] = hs[: stop - start, 0][real]
+            out[bwd[real], h_dim:] = hs[: stop - start, 1][real]
     if not keep:
         return _raw(out, (), None)
 
     def backward_fn(grad):
-        gates = acts.reshape(t_len, 2, 4, h_dim)
-        i, f = gates[:, :, 0:1], gates[:, :, 1:2]
-        g_cand, o = gates[:, :, 2:3], gates[:, :, 3:4]
+        fwd, bwd, real = _step_rows(offsets, lengths, 0, t_max)
+        gates = acts.reshape(t_max, 2, n_utts, 4, h_dim)
+        i, f = gates[:, :, :, 0], gates[:, :, :, 1]
+        g_cand, o = gates[:, :, :, 2], gates[:, :, :, 3]
         # the factors of dc and dh that do not depend on the recursion
-        dc_factors = np.concatenate(
-            [g_cand * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g_cand * g_cand)], axis=2
+        dc_factors = np.stack(
+            [g_cand * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g_cand * g_cand)], axis=3
         )
         do_factor = tcs * o * (1.0 - o)
         dh_to_dc = o * (1.0 - tcs * tcs)
-        grads = np.empty((t_len, 2, 1, h_dim), dtype)
-        grads[:, 0, 0] = grad[:, :h_dim]
-        grads[:, 1, 0] = grad[::-1, h_dim:]
+        grads = np.zeros((t_max, 2, n_utts, h_dim), dtype)  # padded steps get none
+        grads[:, 0][real] = grad[fwd[real], :h_dim]
+        grads[:, 1][real] = grad[bwd[real], h_dim:]
         w_t = np.ascontiguousarray(w.transpose(0, 2, 1))
-        dz = np.empty((t_len, 2, 1, 4 * h_dim), dtype)
-        dz_gates = dz.reshape(t_len, 2, 4, h_dim)
-        dh = np.zeros((2, 1, h_dim), dtype)
+        dz = np.empty((t_max, 2, n_utts, 4 * h_dim), dtype)
+        dz_gates = dz.reshape(t_max, 2, n_utts, 4, h_dim)
+        dh = np.zeros((2, n_utts, h_dim), dtype)
         dc = np.zeros_like(dh)
         dc_next = np.zeros_like(dh)
-        for s in range(t_len - 1, -1, -1):
+        dc_gates = dc[:, :, None]  # a view of dc that broadcasts over the three gates
+        for s in range(t_max - 1, -1, -1):
             dh += grads[s]  # dh held the recurrent part, w_h @ dz of step s+1
             np.multiply(dh, dh_to_dc[s], out=dc)
             dc += dc_next
-            np.multiply(dc, dc_factors[s], out=dz_gates[s, :, :3])
-            np.multiply(dh, do_factor[s], out=dz_gates[s, :, 3:])
+            np.multiply(dc_gates, dc_factors[s], out=dz_gates[s, :, :, :3])
+            np.multiply(dh, do_factor[s], out=dz_gates[s, :, :, 3])
             np.multiply(dc, f[s], out=dc_next)
             np.matmul(dz[s], w_t, out=dh)
-        dz = dz.reshape(t_len, 2, 4 * h_dim).transpose(1, 0, 2)  # (2, T, 4H), by direction
-        if _tracked(xproj_f):
-            _accum(xproj_f, dz[0])
-        if _tracked(xproj_b):
-            _accum(xproj_b, dz[1, ::-1])
+        for x, rows_of, d in ((xproj_f, fwd, 0), (xproj_b, bwd, 1)):
+            if _tracked(x):
+                dx = np.empty((rows, 4 * h_dim), dtype)
+                dx[rows_of[real]] = dz[:, d][real]
+                _accum(x, dx)
         if _tracked(w_h_f) or _tracked(w_h_b):
-            h_prev = np.stack([out[:-1, :h_dim], out[:0:-1, h_dim:]])  # (2, T-1, H)
-            dw = h_prev.transpose(0, 2, 1) @ dz[:, 1:]
+            # the state before step s, for s >= 1; a padded step's dz is zero
+            h_prev = np.stack([out[fwd[:-1], :h_dim], out[bwd[:-1], h_dim:]])  # (2, T-1, B, H)
+            dz_dirs = dz[1:].transpose(1, 0, 2, 3).reshape(2, -1, 4 * h_dim)
+            dw = h_prev.reshape(2, -1, h_dim).transpose(0, 2, 1) @ dz_dirs
             for w_h, dw_dir in ((w_h_f, dw[0]), (w_h_b, dw[1])):
                 if _tracked(w_h):
                     _accum(w_h, dw_dir)

@@ -305,7 +305,14 @@ def _load_model(a: dict) -> tuple[MlnetParams, FrontendConfig]:
     return params, frontend
 
 
+def _speed(audio_s: float, started: float) -> str:
+    """How long the work since ``started`` took against the audio it covered."""
+    wall = time.perf_counter() - started
+    return f"{audio_s:.2f} s of audio in {wall:.3f} s wall, real-time factor {wall / audio_s:.4f}"
+
+
 def cmd_eval(a: dict) -> int:
+    started = time.perf_counter()
     manifest = _require_manifest(a["manifest"])
     params, frontend = _load_model(a)
     if a["variant"] is not None and a["variant"] != params.config.variant:
@@ -325,6 +332,8 @@ def cmd_eval(a: dict) -> int:
         Path(f"{prefix}.json").write_text(report.to_json(), encoding="utf-8")
         Path(f"{prefix}.tsv").write_text(report.to_tsv(), encoding="utf-8")
         print(f"reports: {prefix}.json {prefix}.tsv")
+    frames = sum(len(u.features) for u in utts)
+    print(f"scored {frames} frames: {_speed(sum(u.features.duration_s for u in utts), started)}")
     return 0
 
 
@@ -355,9 +364,7 @@ def cmd_predict(a: dict) -> int:
             block = table[lo : lo + TSV_BLOCK_ROWS]
             stream.write(f"{row}\n" * len(block) % tuple(block.ravel().tolist()))
     if a["out"] is not None:
-        wall = time.perf_counter() - started
-        speed = f"{w.duration_s:.2f} s of audio in {wall:.3f} s wall, real-time factor {wall / w.duration_s:.4f}"
-        print(f"wrote {len(feats)} frames to {a['out']}: {speed}")
+        print(f"wrote {len(feats)} frames to {a['out']}: {_speed(w.duration_s, started)}")
     return 0
 
 

@@ -91,11 +91,13 @@ class FrontendConfig:
 
 @dataclass
 class FeatureSequence:
-    """T x n_mels log-mel matrix with per-frame start times in seconds."""
+    """T x n_mels log-mel matrix with per-frame start times in seconds,
+    and the length of the audio it came from, when known."""
 
     frames: np.ndarray
     frame_times: np.ndarray
     source_id: str = ""
+    duration_s: float | None = None
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -202,7 +204,7 @@ def featurize(w: Waveform, cfg: FrontendConfig, source_id: str = "") -> FeatureS
     frames = frame_signal(w, cfg)
     t = frames.shape[0]
     if t == 0:
-        return FeatureSequence(np.empty((0, cfg.n_mels)), np.empty(0), source_id=source_id)
+        return FeatureSequence(np.empty((0, cfg.n_mels)), np.empty(0), source_id, w.duration_s)
     bank = mel_filterbank(w.sample_rate, cfg)
     window = np.hanning(frames.shape[1])
     feats = np.empty((t, cfg.n_mels), dtype=np.float64)
@@ -213,4 +215,4 @@ def featurize(w: Waveform, cfg: FrontendConfig, source_id: str = "") -> FeatureS
         std = feats.std(axis=0)
         feats = (feats - mean) / np.maximum(std, 1e-8)
     times = np.arange(t) * (cfg.hop_ms / 1000.0)
-    return FeatureSequence(feats, times, source_id=source_id)
+    return FeatureSequence(feats, times, source_id, w.duration_s)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeMismatch
+from .errors import ConfigError, GraphError, ShapeMismatch
 from .frontend import FeatureSequence
 
 VARIANTS = ("bilstm_base", "gated_unit", "non_attention", "full_attention")
@@ -304,12 +304,20 @@ def non_attention_forward(q: Tensor) -> Tensor:
     return q.mean(axis=q.ndim - 2)
 
 
-def classifier_forward(m: Tensor, params: MlnetParams) -> Tensor:
-    """Stacked Bi-LSTM over the fused sequence, then leaky_relu FC and a
-    sigmoid unit; returns per-frame speech probabilities (T,)."""
+def classifier_forward(m: Tensor, params: MlnetParams, lengths=None) -> Tensor:
+    """Stacked Bi-LSTM over the fused sequences, then leaky_relu FC and a
+    sigmoid unit; returns per-frame speech probabilities.
+
+    ``m`` is a packed batch: the (ΣT, gated_dim) fused rows of B
+    utterances, one after another, with ``lengths`` their frame counts
+    (None for one utterance). The probabilities (ΣT,) are packed the same
+    way. Every layer runs the whole batch as one ``bilstm_layer`` node.
+    """
     seq = m
     for fwd, bwd in params.lstm:
-        seq = ad.bilstm_layer(seq @ fwd.w_x + fwd.b, seq @ bwd.w_x + bwd.b, fwd.w_h, bwd.w_h)
+        seq = ad.bilstm_layer(
+            seq @ fwd.w_x + fwd.b, seq @ bwd.w_x + bwd.b, fwd.w_h, bwd.w_h, lengths
+        )
     hidden = ad.leaky_relu(ad.affine(seq, params.head.w_hidden, params.head.b_hidden))
     logits = ad.affine(hidden, params.head.w_out, params.head.b_out)
     return ad.sigmoid(logits.reshape(logits.shape[0]))
@@ -317,20 +325,22 @@ def classifier_forward(m: Tensor, params: MlnetParams) -> Tensor:
 
 @dataclass
 class ModelOutput:
+    """``probs`` (and ``branch_weights`` and ``trace``, for the attention
+    variant) hold the frames of every utterance packed one after another;
+    ``lengths`` gives each utterance's frame count."""
+
     probs: Tensor
+    lengths: np.ndarray
     branch_weights: Tensor | None = None
     trace: AttentionTrace | None = None
 
 
-def mlnet_forward(features, params: MlnetParams) -> ModelOutput:
-    """Run the configured variant over a feature sequence.
-
-    ``features`` is a FeatureSequence or a (T, n_mels) array. Edge
-    frames see replicate-padded context. Returns per-frame
-    probabilities in (0, 1) plus, for the attention variant, the
-    normalized branch weights (kept in the graph for the attention
-    loss) and a numpy trace.
-    """
+def _fused_sequence(
+    features, params: MlnetParams
+) -> tuple[Tensor, Tensor | None, AttentionTrace | None]:
+    """One utterance through the windows, the branches and the fusion:
+    the (T, gated_dim) fused rows, and for the attention variant the
+    branch weights and the trace."""
     cfg = params.config
     x = features.frames if isinstance(features, FeatureSequence) else np.asarray(features)
     if x.ndim != 2 or x.shape[1] != cfg.n_mels:
@@ -346,23 +356,55 @@ def mlnet_forward(features, params: MlnetParams) -> ModelOutput:
     # nested, so a radius-r branch's window is a column slice of it
     windows = window_matrix(padded, t_len, radius)
 
-    branch_weights = None
-    trace = None
     if cfg.variant == "bilstm_base":
         m = ad.tanh(ad.affine(Tensor(windows), params.projection.w, params.projection.b))
+        return m, None, None
+    # gated_unit's one branch takes this path too: the mean of one branch is that branch
+    f = cfg.n_mels
+    inputs, weights = [], []
+    for bp in params.branches:
+        r = bp.receptive_field
+        inputs.append(windows[:, (radius - r) * f : (radius + r + 1) * f])
+        weights.append((bp.w_f, bp.b_f, bp.w_g, bp.b_g))
+    stack = ad.gated_units(inputs, weights)
+    if cfg.variant == "full_attention":
+        result = attention_forward(stack, params.attention, cfg.double_sigmoid)
+        return result.fused, result.weights, result.trace
+    return non_attention_forward(stack), None, None
+
+
+def mlnet_forward(features, params: MlnetParams) -> ModelOutput:
+    """Run the configured variant over one feature sequence or a batch.
+
+    ``features`` is a FeatureSequence or a (T, n_mels) array, or a list
+    or tuple of them. Edge frames see replicate-padded context. The
+    windows, branches and attention run one utterance at a time, so the
+    front end's memory stays that of one utterance; their fused rows are
+    packed and the classifier runs the batch at once. Returns per-frame
+    probabilities in (0, 1), packed in input order, with each
+    utterance's length, plus, for the attention variant, the normalized
+    branch weights (kept in the graph for the attention loss) and a
+    numpy trace, packed the same way.
+
+    A graph covers one utterance: several sequences need ``no_grad``.
+    """
+    seqs = list(features) if isinstance(features, (list, tuple)) else [features]
+    if not seqs:
+        raise ShapeMismatch("cannot run the model on an empty batch")
+    if len(seqs) > 1 and ad.grad_enabled():
+        raise GraphError(f"a graph covers one utterance; run {len(seqs)} sequences under no_grad")
+    fused = [_fused_sequence(x, params) for x in seqs]
+    lengths = np.array([m.shape[0] for m, _, _ in fused], dtype=np.int64)
+    if len(fused) == 1:
+        m, branch_weights, trace = fused[0]
     else:
-        # gated_unit's one branch takes this path too: the mean of one branch is that branch
-        f = cfg.n_mels
-        inputs, weights = [], []
-        for bp in params.branches:
-            r = bp.receptive_field
-            inputs.append(windows[:, (radius - r) * f : (radius + r + 1) * f])
-            weights.append((bp.w_f, bp.b_f, bp.w_g, bp.b_g))
-        stack = ad.gated_units(inputs, weights)
-        if cfg.variant == "full_attention":
-            result = attention_forward(stack, params.attention, cfg.double_sigmoid)
-            m, branch_weights, trace = result.fused, result.weights, result.trace
-        else:
-            m = non_attention_forward(stack)
-    probs = classifier_forward(m, params)
-    return ModelOutput(probs=probs, branch_weights=branch_weights, trace=trace)
+        m = Tensor(np.concatenate([m.data for m, _, _ in fused]))
+        branch_weights = trace = None
+        if params.config.variant == "full_attention":
+            branch_weights = Tensor(np.concatenate([bw.data for _, bw, _ in fused]))
+            trace = AttentionTrace(
+                raw=np.concatenate([t.raw for _, _, t in fused]),
+                weights=np.concatenate([t.weights for _, _, t in fused]),
+            )
+    probs = classifier_forward(m, params, lengths)
+    return ModelOutput(probs=probs, lengths=lengths, branch_weights=branch_weights, trace=trace)

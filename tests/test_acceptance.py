@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import mlnetvad.autodiff as ad
 from helpers import (
@@ -216,6 +217,7 @@ def test_criterion_8_frontend_formula_and_silence():
         np.testing.assert_allclose(feats.frames, math.log(1e-10), atol=1e-12)
 
 
+@pytest.mark.slow
 def test_criterion_5_desk_scale_end_to_end():
     with criterion(5, "200-utterance end-to-end training"):
         started = time.perf_counter()
@@ -248,6 +250,7 @@ def test_criterion_5_desk_scale_end_to_end():
         assert elapsed <= 900.0, f"end-to-end took {elapsed:.0f}s"
 
 
+@pytest.mark.slow
 def test_criterion_6_ablation_direction():
     with criterion(6, "full_attention >= bilstm_base dev F1 on >= 7/10 seeds"):
         # default (raw log-mel) frontend: the gated-unit variants cope with

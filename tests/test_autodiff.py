@@ -191,6 +191,27 @@ class TestGraphSemantics:
         for a, b in zip(g1, g2):
             np.testing.assert_array_equal(a, b)
 
+    def test_backward_frees_the_graph_and_keeps_leaf_gradients(self):
+        forward, params = _random_composite(np.random.default_rng(6))
+        loss = forward()
+        hidden = loss._parents[0]
+        loss.backward()
+        assert all(p.grad is not None for p in params)
+        for node in (loss, hidden):
+            assert node.grad is None and node._parents == ()
+
+    def test_second_backward_over_a_consumed_graph_raises(self):
+        forward, params = _random_composite(np.random.default_rng(8))
+        loss = forward()
+        loss.backward()
+        grads = [p.grad.copy() for p in params]
+        with pytest.raises(GraphError, match="consumed"):
+            loss.backward()
+        with pytest.raises(GraphError, match="consumed"):
+            (loss * 2.0).backward()
+        for p, g in zip(params, grads):
+            np.testing.assert_array_equal(p.grad, g)
+
     def test_constants_are_untracked(self):
         x = Tensor(np.ones(3))
         y = x * 2.0 + 1.0
@@ -288,6 +309,53 @@ class TestBilstmLayer:
         ]:
             with pytest.raises(ShapeMismatch):
                 ad.bilstm_layer(*(Tensor(np.zeros(shape)) for shape in shapes))
+
+    @pytest.mark.parametrize("lengths", [[5, 1, 9], [70, 1, 130, 64, 2]])
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_packed_batch_matches_single_calls(self, lengths, dtype, tol):
+        # ragged lengths, one of 1 frame, some longer than one scan block
+        rng = np.random.default_rng(len(lengths))
+        h_dim = 4
+        xs = [rng.normal(size=(sum(lengths), 4 * h_dim)).astype(dtype) for _ in range(2)]
+        ws = [(rng.normal(size=(h_dim, 4 * h_dim)) * 0.5).astype(dtype) for _ in range(2)]
+        with ad.no_grad():
+            packed = ad.bilstm_layer(*map(Tensor, xs + ws), lengths=lengths).data
+            bounds = np.cumsum(lengths)[:-1]
+            singles = [
+                ad.bilstm_layer(Tensor(xf), Tensor(xb), *map(Tensor, ws)).data
+                for xf, xb in zip(np.split(xs[0], bounds), np.split(xs[1], bounds))
+            ]
+        assert packed.dtype == dtype
+        np.testing.assert_allclose(packed, np.concatenate(singles), rtol=0, atol=tol)
+
+    def test_packed_gradients_match_single_calls(self):
+        rng = np.random.default_rng(9)
+        h_dim, lengths = 3, [6, 1, 70]
+        xs = [rng.normal(size=(sum(lengths), 4 * h_dim)) for _ in range(2)]
+        ws = [rng.normal(size=(h_dim, 4 * h_dim)) * 0.5 for _ in range(2)]
+        coeffs = rng.normal(size=(sum(lengths), 2 * h_dim))
+        packed = [Tensor(a, requires_grad=True) for a in xs + ws]
+        (ad.bilstm_layer(*packed, lengths=lengths) * Tensor(coeffs)).sum().backward()
+
+        w_single = [Tensor(w, requires_grad=True) for w in ws]
+        dx = [[], []]
+        lo = 0
+        for t_len in lengths:
+            rows = slice(lo, lo + t_len)
+            x_single = [Tensor(a[rows], requires_grad=True) for a in xs]
+            (ad.bilstm_layer(*x_single, *w_single) * Tensor(coeffs[rows])).sum().backward()
+            for d in range(2):
+                dx[d].append(x_single[d].grad)
+            lo += t_len
+        for d in range(2):
+            np.testing.assert_allclose(packed[d].grad, np.concatenate(dx[d]), rtol=0, atol=1e-10)
+            np.testing.assert_allclose(packed[2 + d].grad, w_single[d].grad, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("lengths", [[2, 2], [4, 4], [3, 2, 0], [4, 3, -1], [3, 0, 4], []])
+    def test_lengths_that_do_not_split_the_rows_rejected(self, lengths):
+        args = [Tensor(np.zeros((7, 8))) for _ in range(2)] + [Tensor(np.zeros((2, 8))) for _ in range(2)]
+        with pytest.raises(ShapeMismatch, match="lengths"):
+            ad.bilstm_layer(*args, lengths=lengths)
 
     def test_no_grad_memory_is_the_output_plus_scratch(self):
         # without a graph the op keeps per-step scratch only: a stacked copy

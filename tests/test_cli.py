@@ -205,6 +205,39 @@ class TestEval:
             assert rec["tn"] == 0
         assert abs(doc["macro"]["dcf"] - 0.25) < 1e-12
 
+    def test_last_line_reports_real_time_factor(self, tmp_path, capsys):
+        manifest = make_corpus(tmp_path, n=8)
+        ckpt = tmp_path / "model.mlnt"
+        save_checkpoint(ckpt, init_params(ModelConfig(
+            receptive_fields=(1, 3), gated_dim=8, attn_hidden=8, lstm_hidden=8, fc_hidden=8
+        ), seed=0))
+        prefix = tmp_path / "rep"
+        capsys.readouterr()
+        args = ["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt), "--normalize"]
+        assert main(args + ["--report-out", str(prefix)]) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        table = prefix.with_suffix(".tsv").read_text()
+        assert "".join(lines[:-2]) == table
+        assert lines[-2] == f"reports: {prefix}.json {prefix}.tsv\n"
+        m = re.fullmatch(
+            r"scored (\d+) frames: (\d+\.\d{2}) s of audio in (\d+\.\d{3}) s wall, "
+            r"real-time factor (\d+\.\d{4})\n",
+            lines[-1],
+        )
+        assert m is not None, lines[-1]
+        dev = [e for e in read_manifest(manifest) if e.split == "dev"]
+        wavs = [read_wav(manifest.parent / e.wav_path) for e in dev]
+        frontend = FrontendConfig(normalize=True)
+        assert int(m[1]) == sum(len(featurize(w, frontend)) for w in wavs)
+        audio_s, wall_s, rtf = float(m[2]), float(m[3]), float(m[4])
+        assert audio_s == round(sum(w.duration_s for w in wavs), 2)
+        assert wall_s > 0
+        assert rtf == pytest.approx(wall_s / audio_s, abs=1e-3)
+        # without report files the speed line follows the table
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(table) and out[len(table):].startswith("scored ")
+
     def test_variant_mismatch_exit_2(self, tmp_path, capsys):
         manifest = make_corpus(tmp_path, n=4)
         run = train_small(tmp_path, manifest)

@@ -7,14 +7,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mlnetvad.autodiff as ad
+from mlnetvad.corpus import LabeledUtterance
 from mlnetvad.errors import ShapeMismatch
+from mlnetvad.frontend import FeatureSequence
 from mlnetvad.metrics import (
+    SCORE_BATCH,
     ConfusionCounts,
     confusion,
     dcf,
     evaluate_scored,
     f1,
+    score_utterances,
 )
+from mlnetvad.model import VARIANTS, ModelConfig, init_params, mlnet_forward
 
 
 def loop_confusion(probs, labels, theta):
@@ -155,3 +161,33 @@ class TestEvaluate:
         text = evaluate_scored(scored).to_tsv()
         assert "100.0000" in text
         assert text.startswith("#eval-report\tv1\n")
+
+
+class TestScoreUtterances:
+    # unsorted, one of 1 frame, more utterances than one batch holds
+    LENGTHS = (5, 1, 30, 12, 7, 3, 22, 9, 15, 2, 40)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_batched_scores_match_single_calls_in_input_order(self, variant, dtype, tol):
+        assert len(self.LENGTHS) > SCORE_BATCH
+        cfg = ModelConfig(receptive_fields=(1, 2), n_mels=8, gated_dim=8, attn_hidden=8,
+                          lstm_hidden=8, fc_hidden=8, variant=variant)
+        params = init_params(cfg, seed=3, dtype=dtype)
+        rng = np.random.default_rng(21)
+        utts = [
+            LabeledUtterance(
+                FeatureSequence(rng.normal(size=(t_len, 8)), np.arange(t_len) * 0.01),
+                rng.integers(0, 2, size=t_len),
+                f"utt-{i}",
+            )
+            for i, t_len in enumerate(self.LENGTHS)
+        ]
+        scored = score_utterances(utts, params)
+        assert [rec_id for rec_id, _, _ in scored] == [u.source_id for u in utts]
+        with ad.no_grad():
+            for utt, (_, probs, labels) in zip(utts, scored):
+                single = mlnet_forward(utt.features, params).probs.data
+                assert probs.dtype == dtype and probs.shape == single.shape
+                np.testing.assert_allclose(probs, single, rtol=0, atol=tol)
+                np.testing.assert_array_equal(labels, utt.labels)

@@ -6,7 +6,7 @@ import pytest
 import mlnetvad.autodiff as ad
 from helpers import numeric_grad, rel_error, scalar_attention_oracle
 from mlnetvad.autodiff import Tensor
-from mlnetvad.errors import ConfigError, ShapeMismatch
+from mlnetvad.errors import ConfigError, GraphError, ShapeMismatch
 from mlnetvad.model import (
     VARIANTS,
     AttentionParams,
@@ -429,6 +429,48 @@ class TestMlnetForward:
         params = init_params(small_cfg(), seed=0)
         with pytest.raises(ShapeMismatch):
             mlnet_forward(np.zeros((0, 8)), params)
+        with ad.no_grad(), pytest.raises(ShapeMismatch):
+            mlnet_forward([np.ones((3, 8)), np.zeros((0, 8))], params)
+        with pytest.raises(ShapeMismatch):
+            mlnet_forward([], params)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_packed_batch_matches_single_calls(self, variant, dtype, tol):
+        rng = np.random.default_rng(16)
+        params = init_params(small_cfg(variant=variant), seed=4, dtype=dtype)
+        seqs = [rng.normal(size=(t_len, 8)) for t_len in (9, 1, 70, 4)]
+        with ad.no_grad():
+            batch = mlnet_forward(seqs, params)
+            singles = [mlnet_forward(x, params) for x in seqs]
+        np.testing.assert_array_equal(batch.lengths, [9, 1, 70, 4])
+        assert batch.probs.dtype == dtype
+        np.testing.assert_allclose(
+            batch.probs.data, np.concatenate([o.probs.data for o in singles]), rtol=0, atol=tol
+        )
+        if variant == "full_attention":
+            for field in ("raw", "weights"):
+                np.testing.assert_array_equal(
+                    getattr(batch.trace, field),
+                    np.concatenate([getattr(o.trace, field) for o in singles]),
+                )
+            np.testing.assert_array_equal(batch.branch_weights.data, batch.trace.weights)
+        else:
+            assert batch.trace is None and batch.branch_weights is None
+
+    def test_batch_of_one_is_the_single_call(self):
+        params = init_params(small_cfg(), seed=5)
+        x = np.random.default_rng(17).normal(size=(12, 8))
+        one, single = mlnet_forward([x], params), mlnet_forward(x, params)
+        np.testing.assert_array_equal(one.probs.data, single.probs.data)
+        np.testing.assert_array_equal(one.trace.weights, single.trace.weights)
+        np.testing.assert_array_equal(single.lengths, [12])
+        assert one.branch_weights._backward is not None  # the graph is kept
+
+    def test_several_sequences_with_a_graph_rejected(self):
+        params = init_params(small_cfg(), seed=0)
+        with pytest.raises(GraphError, match="no_grad"):
+            mlnet_forward([np.ones((3, 8)), np.ones((4, 8))], params)
 
     def test_trace_present_only_for_attention_variant(self):
         rng = np.random.default_rng(12)
