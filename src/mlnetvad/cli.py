@@ -216,6 +216,7 @@ def read_features(path) -> np.ndarray:
 
 
 def cmd_mix(a: dict) -> int:
+    started = time.perf_counter()
     if a["n"] is None:
         raise UsageError("--n is required")
     if a["n"] < 1:
@@ -241,7 +242,8 @@ def cmd_mix(a: dict) -> int:
         eval_raws=eval_pool or None,
     )
     snrs = [r.snr_db for r in raws]
-    print(f"wrote {len(raws)} utterances to {out}")
+    audio_s = sum(r.waveform.duration_s for r in raws)
+    print(f"wrote {len(raws)} utterances to {out}: {_speed(audio_s, started)}")
     print(f"manifest: {manifest}")
     print(f"snr_db: min={min(snrs):.2f} max={max(snrs):.2f} mean={float(np.mean(snrs)):.2f}")
     return 0

@@ -196,28 +196,52 @@ def speech_surrogate(rng: np.random.Generator, sample_rate: int, duration_s: flo
 NOISE_KINDS = ("white", "pink", "babble")
 
 
+def _fast_fft_len(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n.
+
+    numpy's FFT runs such lengths as radix-2, 3 and 5 passes; a length with
+    a large prime factor goes to Bluestein's algorithm at up to ten times
+    the cost.
+    """
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two that lifts p35 to n or past it
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def noise_surrogate(rng: np.random.Generator, sample_rate: int, n: int, kind: str) -> np.ndarray:
-    """Broadband noise shaped per ``kind``, RMS-normalized to 0.1."""
+    """Broadband noise shaped per ``kind``, RMS-normalized to 0.1.
+
+    Pink and babble noise are shaped in the frequency domain at the
+    5-smooth length m = _fast_fft_len(n): the n normals drawn are
+    zero-padded to m and the first n shaped samples are kept, so the
+    generator draws n normals (and, for babble, two uniforms) whatever m is.
+    """
     base = rng.standard_normal(n)
     if kind == "white":
         out = base
-    elif kind == "pink":
-        spectrum = np.fft.rfft(base)
-        freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-        scale = np.ones_like(freqs)
-        nonzero = freqs > 0
-        scale[nonzero] = 1.0 / np.sqrt(freqs[nonzero] / freqs[nonzero][0])
-        out = np.fft.irfft(spectrum * scale, n=n)
-    elif kind == "babble":
-        spectrum = np.fft.rfft(base)
-        freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-        band = ((freqs >= 150.0) & (freqs <= 3500.0)).astype(float)
-        shaped = np.fft.irfft(spectrum * band, n=n)
-        t = np.arange(n) / sample_rate
-        env = 1.0 + 0.5 * np.sin(
-            2.0 * np.pi * rng.uniform(1.0, 4.0) * t + rng.uniform(0, 2 * np.pi)
-        )
-        out = shaped * env
+    elif kind in ("pink", "babble"):
+        m = _fast_fft_len(n)
+        freqs = np.fft.rfftfreq(m, d=1.0 / sample_rate)
+        if kind == "pink":
+            scale = np.ones_like(freqs)
+            nonzero = freqs > 0
+            scale[nonzero] = 1.0 / np.sqrt(freqs[nonzero] / freqs[nonzero][0])
+        else:
+            scale = ((freqs >= 150.0) & (freqs <= 3500.0)).astype(float)
+        out = np.fft.irfft(np.fft.rfft(base, n=m) * scale, n=m)[:n]
+        if kind == "babble":
+            t = np.arange(n) / sample_rate
+            env = 1.0 + 0.5 * np.sin(
+                2.0 * np.pi * rng.uniform(1.0, 4.0) * t + rng.uniform(0, 2 * np.pi)
+            )
+            out = out * env
     else:
         raise ConfigError(f"unknown noise kind {kind!r}")
     rms = float(np.sqrt(np.mean(out**2)))
@@ -407,7 +431,8 @@ def write_corpus_dir(
 def load_manifest_utterances(
     manifest_path, cfg: FrontendConfig | None = None, split: str | None = None
 ) -> list[LabeledUtterance]:
-    """Load, featurize and frame-label the recordings listed in a manifest."""
+    """Load, featurize and frame-label the recordings listed in a manifest;
+    a recording shorter than one frame is a FormatError."""
     cfg = cfg or FrontendConfig()
     base = Path(manifest_path).parent
     utts = []
@@ -421,6 +446,8 @@ def load_manifest_utterances(
                 f"{entry.utt_id}: mask has {mask.size} samples, wav has {len(w)}"
             )
         feats = featurize(w, cfg, source_id=entry.utt_id)
+        if len(feats) == 0:
+            raise FormatError(f"{entry.utt_id}: {base / entry.wav_path} is shorter than one frame")
         labels = label_frames(mask, cfg, w.sample_rate)
         utts.append(LabeledUtterance(feats, labels, entry.utt_id))
     return utts

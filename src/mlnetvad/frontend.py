@@ -8,6 +8,7 @@ once and inputs must already be at the configured sample rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -180,6 +181,16 @@ def mel_filterbank(sample_rate: int, cfg: FrontendConfig) -> np.ndarray:
     return bank
 
 
+@lru_cache(maxsize=16)
+def _analysis_tables(sample_rate: int, cfg: FrontendConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The mel filterbank and the Hann window for ``(sample_rate, cfg)``,
+    built once and shared read-only by every later call."""
+    bank = mel_filterbank(sample_rate, cfg)
+    window = np.hanning(cfg.frame_len_samples(sample_rate))
+    bank.flags.writeable = window.flags.writeable = False
+    return bank, window
+
+
 def _logmel_rows(frames: np.ndarray, bank: np.ndarray, window: np.ndarray, cfg: FrontendConfig,
                  out: np.ndarray | None = None) -> np.ndarray:
     """(B, n_mels) log-mel rows of a (B, frame_len) block: one rFFT, one mel GEMM."""
@@ -196,7 +207,7 @@ def logmel(frame: np.ndarray, cfg: FrontendConfig, sample_rate: int = DEFAULT_SA
     if frame.shape != (flen,):
         raise ShapeMismatch(f"expected frame of {flen} samples, got shape {frame.shape}")
     cfg.validate_for(sample_rate)
-    return _logmel_rows(frame[None], mel_filterbank(sample_rate, cfg), np.hanning(flen), cfg)[0]
+    return _logmel_rows(frame[None], *_analysis_tables(sample_rate, cfg), cfg)[0]
 
 
 def featurize(w: Waveform, cfg: FrontendConfig, source_id: str = "") -> FeatureSequence:
@@ -205,8 +216,7 @@ def featurize(w: Waveform, cfg: FrontendConfig, source_id: str = "") -> FeatureS
     t = frames.shape[0]
     if t == 0:
         return FeatureSequence(np.empty((0, cfg.n_mels)), np.empty(0), source_id, w.duration_s)
-    bank = mel_filterbank(w.sample_rate, cfg)
-    window = np.hanning(frames.shape[1])
+    bank, window = _analysis_tables(w.sample_rate, cfg)
     feats = np.empty((t, cfg.n_mels), dtype=np.float64)
     for lo in range(0, t, FEATURE_BLOCK):
         _logmel_rows(frames[lo : lo + FEATURE_BLOCK], bank, window, cfg, feats[lo : lo + FEATURE_BLOCK])

@@ -100,6 +100,22 @@ class TestMix:
         assert main(args) == 2
         assert main(args + ["--force"]) == 0
 
+    def test_first_line_reports_real_time_factor(self, tmp_path, capsys):
+        manifest = make_corpus(tmp_path, n=4, extra=["--n-eval", "1"])
+        first = capsys.readouterr().out.splitlines(keepends=True)[0]
+        m = re.fullmatch(
+            r"wrote (\d+) utterances to (.+): (\d+\.\d{2}) s of audio in (\d+\.\d{3}) s wall, "
+            r"real-time factor (\d+\.\d{4})\n",
+            first,
+        )
+        assert m is not None, first
+        assert int(m[1]) == 5 and m[2] == str(manifest.parent)
+        wavs = [read_wav(manifest.parent / e.wav_path) for e in read_manifest(manifest)]
+        audio_s, wall_s, rtf = float(m[3]), float(m[4]), float(m[5])
+        assert audio_s == round(sum(w.duration_s for w in wavs), 2)
+        assert wall_s > 0
+        assert rtf == pytest.approx(wall_s / audio_s, abs=1e-3)
+
     def test_eval_split_tagged(self, tmp_path, capsys):
         manifest = make_corpus(tmp_path, n=4, extra=["--n-eval", "2"])
         splits = [e.split for e in read_manifest(manifest)]

@@ -8,12 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mlnetvad.corpus import (
+    NOISE_KINDS,
     LabeledUtterance,
     ManifestEntry,
     MixSpec,
     label_frames,
     load_manifest_utterances,
+    _fast_fft_len,
     mix_noise,
+    noise_surrogate,
     pad_silence,
     read_manifest,
     read_mask,
@@ -207,6 +210,111 @@ class TestSynthCorpus:
         utt = synth_corpus(1, MixSpec(), seed=1)[0]
         with pytest.raises(CorpusError):
             LabeledUtterance(utt.features, utt.labels[:-1], "bad")
+
+
+def is_5_smooth(m: int) -> bool:
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def exact_length_noise(rng: np.random.Generator, sample_rate: int, n: int, kind: str) -> np.ndarray:
+    """The noise formula before 5-smooth FFT lengths: shaped at exactly n samples."""
+    base = rng.standard_normal(n)
+    if kind == "white":
+        out = base
+    else:
+        spectrum = np.fft.rfft(base)
+        freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+        if kind == "pink":
+            scale = np.ones_like(freqs)
+            nonzero = freqs > 0
+            scale[nonzero] = 1.0 / np.sqrt(freqs[nonzero] / freqs[nonzero][0])
+            out = np.fft.irfft(spectrum * scale, n=n)
+        else:
+            band = ((freqs >= 150.0) & (freqs <= 3500.0)).astype(float)
+            t = np.arange(n) / sample_rate
+            env = 1.0 + 0.5 * np.sin(
+                2.0 * np.pi * rng.uniform(1.0, 4.0) * t + rng.uniform(0, 2 * np.pi)
+            )
+            out = np.fft.irfft(spectrum * band, n=n) * env
+    rms = float(np.sqrt(np.mean(out**2)))
+    return 0.1 * out / rms
+
+
+# a prime, a length with large prime factors (7 * 31 * 383) and 2^4 * 3^2 * 5^4
+NOISE_LENGTHS = (90001, 83111, 90000)
+
+
+class TestNoiseSurrogate:
+    def test_fast_fft_len_matches_brute_force(self):
+        expected, nxt = {}, None
+        for n in range(6000, 0, -1):
+            if is_5_smooth(n):
+                nxt = n
+            expected[n] = nxt
+        assert [_fast_fft_len(n) for n in range(1, 5001)] == [expected[n] for n in range(1, 5001)]
+
+    @given(st.integers(5001, 10**12))
+    def test_fast_fft_len_is_the_next_5_smooth_number(self, n):
+        exponents = range(n.bit_length() + 1)
+        smooth = [2**a * 3**b * 5**c for a in exponents for b in exponents for c in exponents]
+        m = _fast_fft_len(n)
+        assert m >= n and is_5_smooth(m)
+        assert m == min(x for x in smooth if x >= n)
+
+    @pytest.mark.parametrize("n", NOISE_LENGTHS)
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_length_rms_and_finite(self, kind, n):
+        out = noise_surrogate(np.random.default_rng(n), SR, n, kind)
+        assert out.shape == (n,)
+        assert np.isfinite(out).all()
+        assert abs(float(np.sqrt(np.mean(out**2))) - 0.1) < 1e-12
+
+    @pytest.mark.parametrize("n", NOISE_LENGTHS)
+    def test_babble_keeps_its_band(self, n):
+        out = noise_surrogate(np.random.default_rng(n), SR, n, "babble")
+        power = np.abs(np.fft.rfft(out)) ** 2
+        freqs = np.fft.rfftfreq(n, d=1.0 / SR)
+        in_band = (freqs >= 150.0) & (freqs <= 3500.0)
+        assert power[in_band].sum() >= 0.999 * power.sum()
+
+    @pytest.mark.parametrize("n", [2**10 * 3**2 * 5, 90000])
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_5_smooth_length_is_the_exact_length_formula(self, kind, n):
+        np.testing.assert_array_equal(
+            noise_surrogate(np.random.default_rng(3), SR, n, kind),
+            exact_length_noise(np.random.default_rng(3), SR, n, kind),
+        )
+
+    @pytest.mark.parametrize("n", NOISE_LENGTHS)
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_draws_n_normals_and_babble_two_uniforms(self, kind, n):
+        used = np.random.default_rng(5)
+        noise_surrogate(used, SR, n, kind)
+        expected = np.random.default_rng(5)
+        expected.standard_normal(n)
+        if kind == "babble":
+            expected.uniform(size=2)
+        np.testing.assert_array_equal(used.standard_normal(4), expected.standard_normal(4))
+
+    def test_corpus_synthesis_runs_only_5_smooth_transforms(self, monkeypatch):
+        lengths = []
+
+        def guard(transform, default_len):
+            def run(a, n=None, *args, **kwargs):
+                lengths.append(default_len(np.shape(a)[-1]) if n is None else n)
+                return transform(a, n, *args, **kwargs)
+            return run
+
+        monkeypatch.setattr(np.fft, "rfft", guard(np.fft.rfft, lambda size: size))
+        monkeypatch.setattr(np.fft, "irfft", guard(np.fft.irfft, lambda size: 2 * (size - 1)))
+        raws = synth_raw_corpus(20, MixSpec(), seed=4)
+        shaped = [len(r.waveform) for r in raws if r.noise_kind != "white"]
+        assert not all(is_5_smooth(n) for n in shaped)
+        assert len(lengths) == 2 * len(shaped)
+        assert all(is_5_smooth(m) for m in lengths), lengths
 
 
 class TestSplit:

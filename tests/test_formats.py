@@ -178,11 +178,11 @@ def test_mutated_file_is_read_or_rejected(tmp_path_factory, kind):
     check()
 
 
-def eval_with_mask(tmp_path, mask_runs: str) -> int:
-    """``mlnetvad eval`` on one 1600-sample recording whose mask holds ``mask_runs``."""
+def eval_with_mask(tmp_path, mask_runs: str, n_samples: int = 1600) -> int:
+    """``mlnetvad eval`` on one recording of ``n_samples`` zeros whose mask holds ``mask_runs``."""
     (tmp_path / "wav").mkdir()
     (tmp_path / "mask").mkdir()
-    write_wav(tmp_path / "wav/a.wav", Waveform(np.zeros(1600), 16000))
+    write_wav(tmp_path / "wav/a.wav", Waveform(np.zeros(n_samples), 16000))
     (tmp_path / "mask/a.mask").write_text(f"{MASK_HEADER}\n{mask_runs}\n", encoding="utf-8")
     manifest = tmp_path / "manifest.tsv"
     write_manifest(manifest, [ManifestEntry("a", "wav/a.wav", "mask/a.mask", "dev", 0.0)])
@@ -199,6 +199,11 @@ def test_eval_with_malformed_mask_exits_2(tmp_path, capsys):
 def test_eval_with_mask_and_wav_of_different_lengths_exits_2(tmp_path, capsys):
     assert eval_with_mask(tmp_path, "0 1599") == 2
     assert "a: mask has 1599 samples, wav has 1600" in capsys.readouterr().err
+
+
+def test_eval_with_wav_shorter_than_one_frame_exits_2(tmp_path, capsys):
+    assert eval_with_mask(tmp_path, "0 100", n_samples=100) == 2
+    assert f"a: {tmp_path / 'wav/a.wav'} is shorter than one frame" in capsys.readouterr().err
 
 
 def test_predict_on_truncated_wav_exits_2(tmp_path, capsys):

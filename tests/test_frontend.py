@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mlnetvad import frontend
 from mlnetvad.errors import ConfigError, FormatError, ShapeMismatch
 from mlnetvad.frontend import (
     FEATURE_BLOCK,
@@ -209,6 +210,36 @@ class TestBlockedFrontend:
         feats = featurize(Waveform(x), FrontendConfig(normalize=normalize))
         assert feats.frames.shape == (t, 40)
         np.testing.assert_allclose(feats.frames, expected, rtol=0, atol=1e-12)
+
+
+class TestAnalysisTables:
+    def test_cached_tables_are_built_once_and_read_only(self):
+        bank, window = frontend._analysis_tables(SR, CFG)
+        assert frontend._analysis_tables(SR, FrontendConfig())[0] is bank
+        assert not bank.flags.writeable and not window.flags.writeable
+        with pytest.raises(ValueError):
+            bank[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            window[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "sr, cfg",
+        [
+            (SR, CFG),
+            (SR, FrontendConfig(normalize=True)),
+            (8000, FrontendConfig(frame_len_ms=32.0, n_mels=24, mel_fmin=100.0, mel_fmax=3500.0)),
+            (SR, FrontendConfig(fft_size=1024, hop_ms=5.0, preemphasis=0.0)),
+        ],
+    )
+    def test_featurize_and_logmel_equal_an_uncached_build(self, monkeypatch, sr, cfg):
+        rng = np.random.default_rng(sr)
+        w = Waveform(rng.normal(scale=0.2, size=sr), sr)
+        frame = rng.normal(scale=0.2, size=cfg.frame_len_samples(sr))
+        featurize(w, cfg)  # the second call of each reads the cache
+        cached = featurize(w, cfg).frames, logmel(frame, cfg, sr)
+        monkeypatch.setattr(frontend, "_analysis_tables", frontend._analysis_tables.__wrapped__)
+        np.testing.assert_array_equal(cached[0], featurize(w, cfg).frames)
+        np.testing.assert_array_equal(cached[1], logmel(frame, cfg, sr))
 
 
 class TestConfigValidation:
