@@ -20,7 +20,6 @@ from .corpus import (
 from .frontend import FeatureSequence, FrontendConfig, Waveform, featurize
 from .metrics import ConfusionCounts, EvalReport, confusion, dcf, evaluate, f1
 from .model import (
-    AttentionTrace,
     ModelConfig,
     MlnetParams,
     attention_forward,
@@ -35,7 +34,6 @@ from .wavio import read_wav, write_wav
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionTrace",
     "ConfusionCounts",
     "EvalReport",
     "FeatureSequence",

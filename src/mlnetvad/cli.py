@@ -340,6 +340,9 @@ def cmd_eval(a: dict) -> int:
 
 
 def cmd_predict(a: dict) -> int:
+    """Per-frame probabilities and labels for one WAV as a TSV; with
+    ``--dump-attention`` one more column per branch, read from the
+    forward pass's ``branch_weights``."""
     started = time.perf_counter()
     params, frontend = _load_model(a)
     if a["dump_attention"] and params.config.variant != "full_attention":
@@ -358,7 +361,7 @@ def cmd_predict(a: dict) -> int:
     if a["dump_attention"]:
         header += "".join(f"\tp{i}" for i in range(params.config.n_branches))
         row += "\t%.6f" * params.config.n_branches
-        columns.append(out.trace.weights)
+        columns.append(out.branch_weights.data)
     table = np.column_stack(columns)
     with nullcontext(sys.stdout) if a["out"] is None else open(a["out"], "w", encoding="utf-8") as stream:
         stream.write(f"{PREDICT_HEADER}\n{header}\n")

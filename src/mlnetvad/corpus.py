@@ -222,7 +222,11 @@ def noise_surrogate(rng: np.random.Generator, sample_rate: int, n: int, kind: st
     5-smooth length m = _fast_fft_len(n): the n normals drawn are
     zero-padded to m and the first n shaped samples are kept, so the
     generator draws n normals (and, for babble, two uniforms) whatever m is.
+    Raises CorpusError for n < 1, and for shaped noise left with zero
+    power (babble when no FFT bin of length m lies in its band).
     """
+    if n < 1:
+        raise CorpusError(f"cannot make {kind} noise of n={n} samples at {sample_rate} Hz")
     base = rng.standard_normal(n)
     if kind == "white":
         out = base
@@ -230,9 +234,9 @@ def noise_surrogate(rng: np.random.Generator, sample_rate: int, n: int, kind: st
         m = _fast_fft_len(n)
         freqs = np.fft.rfftfreq(m, d=1.0 / sample_rate)
         if kind == "pink":
+            # bin 0 is DC; the first nonzero bin, if m has one, is the reference
             scale = np.ones_like(freqs)
-            nonzero = freqs > 0
-            scale[nonzero] = 1.0 / np.sqrt(freqs[nonzero] / freqs[nonzero][0])
+            scale[1:] = 1.0 / np.sqrt(freqs[1:] / freqs[1:2])
         else:
             scale = ((freqs >= 150.0) & (freqs <= 3500.0)).astype(float)
         out = np.fft.irfft(np.fft.rfft(base, n=m) * scale, n=m)[:n]
@@ -245,6 +249,8 @@ def noise_surrogate(rng: np.random.Generator, sample_rate: int, n: int, kind: st
     else:
         raise ConfigError(f"unknown noise kind {kind!r}")
     rms = float(np.sqrt(np.mean(out**2)))
+    if rms == 0.0:
+        raise CorpusError(f"{kind} noise of n={n} samples at {sample_rate} Hz has zero power")
     return 0.1 * out / rms
 
 

@@ -86,7 +86,6 @@ class RecordingScore:
     f1: float
     dcf: float
     counts: ConfusionCounts
-    degenerate: bool
 
 
 @dataclass
@@ -112,7 +111,7 @@ class EvalReport:
                     "fp": r.counts.fp,
                     "fn": r.counts.fn,
                     "tn": r.counts.tn,
-                    "degenerate": r.degenerate,
+                    "degenerate": r.counts.degenerate,
                 }
                 for r in self.recordings
             ],
@@ -125,7 +124,7 @@ class EvalReport:
         for r in self.recordings:
             lines.append(
                 f"{r.recording_id}\t{r.f1 * 100:.4f}\t{r.dcf * 100:.4f}\t"
-                f"{'yes' if r.degenerate else 'no'}"
+                f"{'yes' if r.counts.degenerate else 'no'}"
             )
         lines.append(f"macro\t{self.macro_f1 * 100:.4f}\t{self.macro_dcf * 100:.4f}\t-")
         lines.append(f"micro\t{self.micro_f1 * 100:.4f}\t{self.micro_dcf * 100:.4f}\t-")
@@ -142,7 +141,7 @@ def evaluate_scored(
     pooled = ConfusionCounts(0, 0, 0, 0)
     for rec_id, probs, labels in scored:
         c = confusion(probs, labels, theta)
-        recordings.append(RecordingScore(rec_id, f1(c), dcf(c), c, c.degenerate))
+        recordings.append(RecordingScore(rec_id, f1(c), dcf(c), c))
         pooled = pooled + c
     macro_f1 = float(np.mean([r.f1 for r in recordings]))
     macro_dcf = float(np.mean([r.dcf for r in recordings]))

@@ -12,6 +12,10 @@ other. Four variants are supported for component ablations:
                   fused as the mean of that one branch
   non_attention   all branches, uniform 1/n fusion
   full_attention  all branches, learned channel-attention fusion
+
+The attention variant also returns its per-frame branch weights,
+``ModelOutput.branch_weights``: the attention loss reads them in the
+graph, and ``predict --dump-attention`` writes their values.
 """
 
 from __future__ import annotations
@@ -64,14 +68,6 @@ class ModelConfig:
     @property
     def context_window(self) -> int:
         return 2 * self.context_radius + 1
-
-
-@dataclass
-class AttentionTrace:
-    """Per-frame branch weights: raw sigmoid outputs and normalized p."""
-
-    raw: np.ndarray
-    weights: np.ndarray
 
 
 @dataclass
@@ -241,13 +237,6 @@ def window_matrix(padded: np.ndarray, t_len: int, radius: int) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
-@dataclass
-class AttentionResult:
-    weights: Tensor
-    fused: Tensor
-    trace: AttentionTrace
-
-
 def normalize_branch_weights(a: Tensor, double_sigmoid: bool) -> Tensor:
     """Turn raw branch scores (last axis) into positive weights summing to one.
 
@@ -266,20 +255,17 @@ def fuse_branches(p: Tensor, q: Tensor) -> Tensor:
 
 def attention_forward(
     q: Tensor, attn: AttentionParams, double_sigmoid: bool = True
-) -> AttentionResult:
-    """Channel attention over branches.
+) -> tuple[Tensor, Tensor]:
+    """Channel attention over branches; returns ``(fused, weights)``.
 
-    ``q`` is (n_branches, gated_dim) for one frame or (T, n_branches,
-    gated_dim) for a sequence. Average- and max-pooled branch
-    descriptors go through a shared two-layer net (leaky_relu hidden);
-    the two outputs are summed before the sigmoid. The normalized
-    weights combine the branch vectors into a convex fusion.
+    ``q`` is the (T, n_branches, gated_dim) branch stack of a sequence.
+    Average- and max-pooled branch descriptors go through a shared
+    two-layer net (leaky_relu hidden); the two outputs are summed before
+    the sigmoid. The normalized (T, n_branches) weights combine the
+    branch vectors into a convex fusion of shape (T, gated_dim).
     """
-    single = q.ndim == 2
-    if single:
-        q = q.reshape((1,) + q.shape)
     if q.ndim != 3:
-        raise ShapeMismatch(f"attention input must be 2-D or 3-D, got {q.shape}")
+        raise ShapeMismatch(f"attention input must be (T, n_branches, gated_dim), got {q.shape}")
     d_avg = q.mean(axis=2)
     d_max = q.max(axis=2)
 
@@ -288,20 +274,15 @@ def attention_forward(
 
     a = ad.sigmoid(shared_net(d_avg) + shared_net(d_max))
     p = normalize_branch_weights(a, double_sigmoid)
-    fused = fuse_branches(p, q)
-    if single:
-        a_out, p_out, fused = a.reshape(a.shape[1]), p.reshape(p.shape[1]), fused.reshape(fused.shape[1])
-    else:
-        a_out, p_out = a, p
-    trace = AttentionTrace(raw=a_out.data.copy(), weights=p_out.data.copy())
-    return AttentionResult(weights=p_out, fused=fused, trace=trace)
+    return fuse_branches(p, q), p
 
 
 def non_attention_forward(q: Tensor) -> Tensor:
-    """Uniform 1/n fusion of branch outputs (ablation of the attention)."""
-    if q.ndim not in (2, 3):
-        raise ShapeMismatch(f"branch stack must be 2-D or 3-D, got {q.shape}")
-    return q.mean(axis=q.ndim - 2)
+    """Uniform 1/n fusion of a (T, n_branches, gated_dim) branch stack
+    (ablation of the attention)."""
+    if q.ndim != 3:
+        raise ShapeMismatch(f"branch stack must be (T, n_branches, gated_dim), got {q.shape}")
+    return q.mean(axis=1)
 
 
 def classifier_forward(m: Tensor, params: MlnetParams, lengths=None) -> Tensor:
@@ -325,22 +306,21 @@ def classifier_forward(m: Tensor, params: MlnetParams, lengths=None) -> Tensor:
 
 @dataclass
 class ModelOutput:
-    """``probs`` (and ``branch_weights`` and ``trace``, for the attention
-    variant) hold the frames of every utterance packed one after another;
-    ``lengths`` gives each utterance's frame count."""
+    """``probs`` (and ``branch_weights``, for the attention variant) hold
+    the frames of every utterance packed one after another; ``lengths``
+    gives each utterance's frame count. ``branch_weights`` is the one
+    record of the attention: the loss reads it as a Tensor and
+    ``predict --dump-attention`` reads its ``data``."""
 
     probs: Tensor
     lengths: np.ndarray
     branch_weights: Tensor | None = None
-    trace: AttentionTrace | None = None
 
 
-def _fused_sequence(
-    features, params: MlnetParams
-) -> tuple[Tensor, Tensor | None, AttentionTrace | None]:
+def _fused_sequence(features, params: MlnetParams) -> tuple[Tensor, Tensor | None]:
     """One utterance through the windows, the branches and the fusion:
-    the (T, gated_dim) fused rows, and for the attention variant the
-    branch weights and the trace."""
+    the (T, gated_dim) fused rows and, for the attention variant, the
+    (T, n_branches) branch weights."""
     cfg = params.config
     x = features.frames if isinstance(features, FeatureSequence) else np.asarray(features)
     if x.ndim != 2 or x.shape[1] != cfg.n_mels:
@@ -358,7 +338,7 @@ def _fused_sequence(
 
     if cfg.variant == "bilstm_base":
         m = ad.tanh(ad.affine(Tensor(windows), params.projection.w, params.projection.b))
-        return m, None, None
+        return m, None
     # gated_unit's one branch takes this path too: the mean of one branch is that branch
     f = cfg.n_mels
     inputs, weights = [], []
@@ -368,9 +348,8 @@ def _fused_sequence(
         weights.append((bp.w_f, bp.b_f, bp.w_g, bp.b_g))
     stack = ad.gated_units(inputs, weights)
     if cfg.variant == "full_attention":
-        result = attention_forward(stack, params.attention, cfg.double_sigmoid)
-        return result.fused, result.weights, result.trace
-    return non_attention_forward(stack), None, None
+        return attention_forward(stack, params.attention, cfg.double_sigmoid)
+    return non_attention_forward(stack), None
 
 
 def mlnet_forward(features, params: MlnetParams) -> ModelOutput:
@@ -383,8 +362,9 @@ def mlnet_forward(features, params: MlnetParams) -> ModelOutput:
     packed and the classifier runs the batch at once. Returns per-frame
     probabilities in (0, 1), packed in input order, with each
     utterance's length, plus, for the attention variant, the normalized
-    branch weights (kept in the graph for the attention loss) and a
-    numpy trace, packed the same way.
+    branch weights, packed the same way. For one sequence they stay in
+    the graph for the attention loss; ``predict --dump-attention`` writes
+    their ``data``.
 
     A graph covers one utterance: several sequences need ``no_grad``.
     """
@@ -394,17 +374,13 @@ def mlnet_forward(features, params: MlnetParams) -> ModelOutput:
     if len(seqs) > 1 and ad.grad_enabled():
         raise GraphError(f"a graph covers one utterance; run {len(seqs)} sequences under no_grad")
     fused = [_fused_sequence(x, params) for x in seqs]
-    lengths = np.array([m.shape[0] for m, _, _ in fused], dtype=np.int64)
+    lengths = np.array([m.shape[0] for m, _ in fused], dtype=np.int64)
     if len(fused) == 1:
-        m, branch_weights, trace = fused[0]
+        m, branch_weights = fused[0]
     else:
-        m = Tensor(np.concatenate([m.data for m, _, _ in fused]))
-        branch_weights = trace = None
+        m = Tensor(np.concatenate([m.data for m, _ in fused]))
+        branch_weights = None
         if params.config.variant == "full_attention":
-            branch_weights = Tensor(np.concatenate([bw.data for _, bw, _ in fused]))
-            trace = AttentionTrace(
-                raw=np.concatenate([t.raw for _, _, t in fused]),
-                weights=np.concatenate([t.weights for _, _, t in fused]),
-            )
+            branch_weights = Tensor(np.concatenate([bw.data for _, bw in fused]))
     probs = classifier_forward(m, params, lengths)
-    return ModelOutput(probs=probs, lengths=lengths, branch_weights=branch_weights, trace=trace)
+    return ModelOutput(probs=probs, lengths=lengths, branch_weights=branch_weights)

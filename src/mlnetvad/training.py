@@ -23,6 +23,9 @@ from .metrics import evaluate
 from .model import MlnetParams, ModelConfig, init_params, mlnet_forward
 
 PROB_CLAMP = 1e-7
+# Adam's elementwise gradient clamp and moment decay rates
+CLIP_LO, CLIP_HI = -1.0, 1.0
+BETA1, BETA2 = 0.9, 0.999
 
 
 @dataclass(frozen=True)
@@ -30,10 +33,6 @@ class TrainConfig:
     lr: float = 0.001
     batch_size: int = 32
     epochs: int = 150
-    clip_lo: float = -1.0
-    clip_hi: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
     eps: float = 1e-8
     attention_loss_weight: float = 1.0
     dev_fraction: float = 0.05
@@ -42,8 +41,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
-        if self.clip_lo >= self.clip_hi:
-            raise ConfigError("clip_lo must be below clip_hi")
         if self.attention_loss_weight < 0:
             raise ConfigError("attention_loss_weight must be >= 0")
         if self.batch_size < 1 or self.epochs < 1:
@@ -113,25 +110,25 @@ class AdamState:
 
 def adam_step(params: MlnetParams, state: AdamState, cfg: TrainConfig) -> None:
     """One Adam update; gradients are clamped elementwise to
-    [clip_lo, clip_hi] before the moment updates. Missing gradients are
+    [CLIP_LO, CLIP_HI] before the moment updates. Missing gradients are
     treated as zero (moments still decay)."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, tensor in params.named().items():
         grad = tensor.grad
         if grad is None:
             grad = np.zeros_like(tensor.data)
         elif not np.isfinite(grad).all():
             raise TrainingError(f"non-finite gradient in {name} at step {t}")
-        grad = np.clip(grad, cfg.clip_lo, cfg.clip_hi)
+        grad = np.clip(grad, CLIP_LO, CLIP_HI)
         m = state.m[name]
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * grad
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * grad * grad
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        v += (1.0 - BETA2) * grad * grad
         m_hat = m / bc1
         v_hat = v / bc2
         tensor.data -= (cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)).astype(

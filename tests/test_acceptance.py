@@ -110,14 +110,14 @@ def test_criterion_2_attention_invariants():
             if call % 100 == 0:
                 params = init_params(cfg, seed=call, dtype=np.float64)
             q = rng.normal(scale=rng.uniform(0.1, 3.0), size=(5, 16))
-            res = attention_forward(
-                Tensor(q), params.attention, double_sigmoid=bool(call % 2)
+            fused, weights = attention_forward(
+                Tensor(q[None]), params.attention, double_sigmoid=bool(call % 2)
             )
-            p = res.weights.data
+            p = weights.data[0]
             assert abs(p.sum() - 1.0) <= 1e-6
             assert (p > 0).all()
-            assert (res.fused.data >= q.min(axis=0) - 1e-9).all()
-            assert (res.fused.data <= q.max(axis=0) + 1e-9).all()
+            assert (fused.data[0] >= q.min(axis=0) - 1e-9).all()
+            assert (fused.data[0] <= q.max(axis=0) + 1e-9).all()
 
 
 def test_criterion_3_oracle_equivalence():
@@ -154,13 +154,12 @@ def test_criterion_3_oracle_equivalence():
         for call in range(200):
             q = rng.normal(size=(5, 16))
             double = bool(call % 2)
-            res = attention_forward(Tensor(q), at, double_sigmoid=double)
-            a, p, fused = scalar_attention_oracle(
+            fused, weights = attention_forward(Tensor(q[None]), at, double_sigmoid=double)
+            _, p, want = scalar_attention_oracle(
                 q, at.w0.data, at.b0.data, at.w1.data, at.b1.data, double
             )
-            np.testing.assert_allclose(res.trace.raw, a, atol=1e-6)
-            np.testing.assert_allclose(res.weights.data, p, atol=1e-6)
-            np.testing.assert_allclose(res.fused.data, fused, atol=1e-6)
+            np.testing.assert_allclose(weights.data[0], p, atol=1e-6)
+            np.testing.assert_allclose(fused.data[0], want, atol=1e-6)
 
 
 def test_criterion_4_snr_fidelity():

@@ -375,7 +375,7 @@ class TestPredictTsv:
     @pytest.mark.parametrize("dump", [False, True])
     def test_matches_per_row_formatter(self, long_prediction, tmp_path, capsys, dump, to_file):
         ckpt, wav, feats, out, theta = long_prediction
-        weights = out.trace.weights if dump else None
+        weights = out.branch_weights.data if dump else None
         expected = per_row_predict_tsv(feats.frame_times, out.probs.data, theta, weights)
         assert {row.split("\t")[2] for row in expected.splitlines()[2:]} == {"0", "1"}
         args = ["predict", "--wav", str(wav), "--checkpoint", str(ckpt), "--normalize",

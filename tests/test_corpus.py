@@ -272,6 +272,22 @@ class TestNoiseSurrogate:
         assert np.isfinite(out).all()
         assert abs(float(np.sqrt(np.mean(out**2))) - 0.1) < 1e-12
 
+    # at 16 kHz no bin of a length-m FFT lies in babble's 150-3500 Hz band
+    # for m <= 4; at 48 kHz none does for m = 12
+    @pytest.mark.parametrize(
+        "kind, n, sr",
+        [(kind, n, SR) for kind in NOISE_KINDS for n in range(7)] + [("babble", 12, 48000)],
+    )
+    def test_tiny_lengths_are_finite_or_rejected(self, kind, n, sr):
+        if n < 1 or (kind == "babble" and (n <= 4 or sr == 48000)):
+            with pytest.raises(CorpusError, match=rf"{kind} noise of n={n} samples at {sr} Hz"):
+                noise_surrogate(np.random.default_rng(n), sr, n, kind)
+            return
+        out = noise_surrogate(np.random.default_rng(n), sr, n, kind)
+        assert out.shape == (n,)
+        assert np.isfinite(out).all()
+        assert abs(float(np.sqrt(np.mean(out**2))) - 0.1) < 1e-12
+
     @pytest.mark.parametrize("n", NOISE_LENGTHS)
     def test_babble_keeps_its_band(self, n):
         out = noise_surrogate(np.random.default_rng(n), SR, n, "babble")

@@ -196,6 +196,12 @@ class TestGatedAffine:
         ]:
             with pytest.raises(ShapeMismatch):
                 ad.gated_units(inputs, weights)
+        # both fusions take only the (T, n_branches, gated_dim) stack the units make
+        for q in (Tensor(np.zeros((3, 8))), Tensor(np.zeros((2, 4, 3, 8)))):
+            with pytest.raises(ShapeMismatch, match=r"\(T, n_branches, gated_dim\)"):
+                attention_forward(q, params.attention)
+            with pytest.raises(ShapeMismatch, match=r"\(T, n_branches, gated_dim\)"):
+                non_attention_forward(q)
 
     def test_batched_path_matches_per_frame_op(self):
         # each branch's column slice of the widest window matrix, and its gated
@@ -269,10 +275,10 @@ class TestAttention:
         cfg = small_cfg()
         rng = np.random.default_rng(1)
         v = rng.normal(size=8)
-        q = Tensor(np.tile(v, (3, 1)))
-        res = attention_forward(q, symmetric_attention(cfg))
-        np.testing.assert_allclose(res.weights.data, 1.0 / 3.0, atol=1e-9)
-        np.testing.assert_allclose(res.fused.data, v, atol=1e-9)
+        q = Tensor(np.tile(v, (1, 3, 1)))
+        fused, weights = attention_forward(q, symmetric_attention(cfg))
+        np.testing.assert_allclose(weights.data, 1.0 / 3.0, atol=1e-9)
+        np.testing.assert_allclose(fused.data[0], v, atol=1e-9)
 
     def test_one_hot_weights_select_branch(self):
         rng = np.random.default_rng(2)
@@ -285,10 +291,10 @@ class TestAttention:
         cfg = small_cfg()
         params = init_params(cfg, seed=1, dtype=np.float64)
         for _ in range(50):
-            q = Tensor(rng.normal(size=(3, 8)))
-            res = attention_forward(q, params.attention)
-            assert abs(res.weights.data.sum() - 1.0) <= 1e-6
-            assert (res.weights.data > 0).all()
+            q = Tensor(rng.normal(size=(1, 3, 8)))
+            _, weights = attention_forward(q, params.attention)
+            assert abs(weights.data.sum() - 1.0) <= 1e-6
+            assert (weights.data > 0).all()
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_double_sigmoid_bounds_every_weight(self, n):
@@ -307,15 +313,19 @@ class TestAttention:
             for t in (at.w0, at.b0, at.w1, at.b1):
                 t.data[:] = rng.normal(scale=scale, size=t.shape)
             q = Tensor(rng.normal(size=(50, n, 8)))
-            seen.append(attention_forward(q, at).weights.data)
-        # saturating inputs: raw scores of exactly 0 and 1
+            seen.append(attention_forward(q, at)[1].data)
+        # saturating inputs: raw scores of exactly 0 and 1, whose weights
+        # are the second sigmoids s(0) and s(1) normalized
         at.w1.data[:] = 0.0
         for one_hot in np.eye(n):
             for raw in (one_hot, 1.0 - one_hot):
                 at.b1.data[:] = np.where(raw > 0, 800.0, -800.0)
-                res = attention_forward(Tensor(rng.normal(size=(4, n, 8))), at)
-                np.testing.assert_array_equal(res.trace.raw, np.broadcast_to(raw, (4, n)))
-                seen.append(res.weights.data)
+                _, weights = attention_forward(Tensor(rng.normal(size=(4, n, 8))), at)
+                num = np.where(raw > 0, s1, s0)
+                np.testing.assert_allclose(
+                    weights.data, np.broadcast_to(num / num.sum(), (4, n)), rtol=1e-15
+                )
+                seen.append(weights.data)
         p = np.concatenate([w.reshape(-1) for w in seen])
         assert p.min() >= lo - slack and p.max() <= hi + slack
         np.testing.assert_allclose([p.min(), p.max()], [lo, hi], rtol=1e-15)
@@ -330,22 +340,21 @@ class TestAttention:
         for double in (True, False):
             for _ in range(10):
                 q = rng.normal(size=(3, 8))
-                res = attention_forward(Tensor(q), at, double_sigmoid=double)
-                a, p, fused = scalar_attention_oracle(
+                fused, weights = attention_forward(Tensor(q[None]), at, double_sigmoid=double)
+                _, p, want = scalar_attention_oracle(
                     q, at.w0.data, at.b0.data, at.w1.data, at.b1.data, double
                 )
-                np.testing.assert_allclose(res.trace.raw, a, atol=1e-6)
-                np.testing.assert_allclose(res.weights.data, p, atol=1e-6)
-                np.testing.assert_allclose(res.fused.data, fused, atol=1e-6)
+                np.testing.assert_allclose(weights.data[0], p, atol=1e-6)
+                np.testing.assert_allclose(fused.data[0], want, atol=1e-6)
 
     def test_fusion_is_convex_combination(self):
         rng = np.random.default_rng(5)
         params = init_params(small_cfg(), seed=3, dtype=np.float64)
         q = rng.normal(size=(7, 3, 8))
-        res = attention_forward(Tensor(q), params.attention)
+        fused, _ = attention_forward(Tensor(q), params.attention)
         lo, hi = q.min(axis=1), q.max(axis=1)
-        assert (res.fused.data >= lo - 1e-9).all()
-        assert (res.fused.data <= hi + 1e-9).all()
+        assert (fused.data >= lo - 1e-9).all()
+        assert (fused.data <= hi + 1e-9).all()
 
     def test_argmax_stable_under_scaling_single_sigmoid(self):
         rng = np.random.default_rng(6)
@@ -359,13 +368,13 @@ class TestAttention:
 
     def test_non_attention_identity_on_equal_branches(self):
         v = np.arange(6.0)
-        q = Tensor(np.tile(v, (4, 1)))
-        np.testing.assert_allclose(non_attention_forward(q).data, v)
+        q = Tensor(np.tile(v, (1, 4, 1)))
+        np.testing.assert_allclose(non_attention_forward(q).data[0], v)
 
     def test_non_attention_two_branch_average(self):
         v = np.arange(6.0)
-        q = Tensor(np.stack([np.zeros(6), 2.0 * v]))
-        np.testing.assert_allclose(non_attention_forward(q).data, v)
+        q = Tensor(np.stack([np.zeros(6), 2.0 * v])[None])
+        np.testing.assert_allclose(non_attention_forward(q).data[0], v)
 
     def test_non_attention_equals_uniform_fusion(self):
         rng = np.random.default_rng(7)
@@ -449,21 +458,19 @@ class TestMlnetForward:
             batch.probs.data, np.concatenate([o.probs.data for o in singles]), rtol=0, atol=tol
         )
         if variant == "full_attention":
-            for field in ("raw", "weights"):
-                np.testing.assert_array_equal(
-                    getattr(batch.trace, field),
-                    np.concatenate([getattr(o.trace, field) for o in singles]),
-                )
-            np.testing.assert_array_equal(batch.branch_weights.data, batch.trace.weights)
+            np.testing.assert_array_equal(
+                batch.branch_weights.data,
+                np.concatenate([o.branch_weights.data for o in singles]),
+            )
         else:
-            assert batch.trace is None and batch.branch_weights is None
+            assert batch.branch_weights is None
 
     def test_batch_of_one_is_the_single_call(self):
         params = init_params(small_cfg(), seed=5)
         x = np.random.default_rng(17).normal(size=(12, 8))
         one, single = mlnet_forward([x], params), mlnet_forward(x, params)
         np.testing.assert_array_equal(one.probs.data, single.probs.data)
-        np.testing.assert_array_equal(one.trace.weights, single.trace.weights)
+        np.testing.assert_array_equal(one.branch_weights.data, single.branch_weights.data)
         np.testing.assert_array_equal(single.lengths, [12])
         assert one.branch_weights._backward is not None  # the graph is kept
 
@@ -472,14 +479,18 @@ class TestMlnetForward:
         with pytest.raises(GraphError, match="no_grad"):
             mlnet_forward([np.ones((3, 8)), np.ones((4, 8))], params)
 
-    def test_trace_present_only_for_attention_variant(self):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_branch_weights_only_for_attention_variant(self, variant):
         rng = np.random.default_rng(12)
+        params = init_params(small_cfg(variant=variant), seed=1)
         x = rng.normal(size=(4, 8))
-        full = mlnet_forward(x, init_params(small_cfg(), seed=1))
-        assert full.trace is not None and full.branch_weights is not None
-        assert full.trace.weights.shape == (4, 3)
-        plain = mlnet_forward(x, init_params(small_cfg(variant="non_attention"), seed=1))
-        assert plain.trace is None and plain.branch_weights is None
+        with ad.no_grad():
+            outs = [mlnet_forward(x, params), mlnet_forward([x, rng.normal(size=(7, 8))], params)]
+        for out, total in zip(outs, (4, 11)):
+            if variant == "full_attention":
+                assert out.branch_weights.shape == (total, 3)
+            else:
+                assert out.branch_weights is None
 
     def test_uniform_attention_equals_non_attention(self):
         cfg_full = small_cfg(variant="full_attention")

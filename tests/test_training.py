@@ -89,12 +89,12 @@ class TestAttentionLoss:
         cfg = tiny_model(n_mels=8, gated_dim=8, attn_hidden=8)
         params = init_params(cfg, seed=3, dtype=np.float64)
         q_np = np.random.default_rng(4).normal(size=(5, 2, 8))
-        base = attention_forward(Tensor(q_np), params.attention, cfg.double_sigmoid)
-        frozen_k = np.argmax(base.weights.data, axis=1)
+        _, base = attention_forward(Tensor(q_np), params.attention, cfg.double_sigmoid)
+        frozen_k = np.argmax(base.data, axis=1)
 
         def loss_fn() -> Tensor:
-            res = attention_forward(Tensor(q_np), params.attention, cfg.double_sigmoid)
-            return attention_loss(res.weights, k=frozen_k)
+            _, weights = attention_forward(Tensor(q_np), params.attention, cfg.double_sigmoid)
+            return attention_loss(weights, k=frozen_k)
 
         loss_fn().backward()
         tensors = [
@@ -280,7 +280,7 @@ class TestTrainLoop:
         def mean_max_weight(result) -> float:
             with ad.no_grad():
                 out = mlnet_forward(probe.features, result.params)
-            return float(out.trace.weights.max(axis=1).mean())
+            return float(out.branch_weights.data.max(axis=1).mean())
 
         sharp = train(
             corpus,
