@@ -14,6 +14,14 @@ are finite (activations, shape ops, clip, max) skip the check, except the
 bounded ``gated_units``, whose numpy inputs no ``Tensor`` has checked.
 Together the two groups guarantee all tensors stay finite.
 
+A Bi-LSTM layer is one node, ``bilstm_layer``: both directions of a
+packed batch advance in one time loop. Its step works gate-major, on
+(4, 2, B, H) blocks, so every elementwise operand is one contiguous
+(2, B, H) block. Each block of ``SCAN_BLOCK`` steps gathers its inputs
+in one pass per direction. The BPTT writes each step's four gate
+gradients into one contiguous block and copies it into the packed row
+that the recurrent matmul reads.
+
 Only the operations the network needs are implemented; there is no
 general broadcasting machinery beyond numpy's, and no GPU path.
 """
@@ -21,6 +29,7 @@ general broadcasting machinery beyond numpy's, and no GPU path.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -517,17 +526,29 @@ def bilstm_layer(
     steps advances both directions of every utterance as (2, B, H) states,
     with one (2, B, H) @ (2, H, 4H) recurrent matmul per step. The
     backward direction's step s is frame ``lengths[b] - 1 - s`` of
-    utterance b. The loop reads its inputs from time-major blocks of
-    ``SCAN_BLOCK`` steps, gathered from the packed rows once per block.
-    A shorter utterance's padded steps come after its real ones in both
-    directions, so they never feed a real frame; their zero incoming
-    gradient makes their share of the BPTT zero. The forward keeps the
-    gate activations, cell states and tanh(cell) only when a graph is
-    being built. The backward is a single BPTT loop over the same
-    (steps, 2, B, .) layout: every gate-derivative factor that does not
-    depend on the recursion is computed for all steps before it, and
-    both recurrent-weight gradients are one batched GEMM after it. All
-    outputs are bounded, so no finite check is needed.
+    utterance b. A shorter utterance's padded steps come after its real
+    ones in both directions, so they never feed a real frame; their zero
+    incoming gradient makes their share of the BPTT zero.
+
+    The step works gate-major, so that every elementwise operand is one
+    contiguous (2, B, H) block rather than a strided gate column of a
+    (2, B, 4H) row. The loop reads its inputs from (steps, 4, 2, B, H)
+    blocks of ``SCAN_BLOCK`` steps, each direction gathered from the
+    packed rows in one ``np.take``. One add reads the packed matmul
+    output through a gate-major view and writes the (4, 2, B, H)
+    pre-activations; the sigmoid runs over all four gates and the
+    candidate's tanh then replaces its slot. When a graph is being built,
+    each step writes its gate activations, cell state and tanh(cell)
+    straight into the buffers the backward keeps; without one, the same
+    loop writes them into per-step scratch.
+
+    The backward is a single BPTT loop over the same layout: every
+    gate-derivative factor that does not depend on the recursion is
+    computed gate-major for all steps before it, each step writes its four
+    gate gradients into one contiguous (4, 2, B, H) block and copies it
+    once into the packed (2, B, 4H) row that the recurrent matmul reads,
+    and both recurrent-weight gradients are one batched GEMM after the
+    loop. All outputs are bounded, so no finite check is needed.
     """
     h_dim = w_h_f.shape[0]
     if (
@@ -545,66 +566,70 @@ def bilstm_layer(
     lengths = _packed_lengths(lengths, rows)
     offsets = np.cumsum(lengths) - lengths
     n_utts, t_max = lengths.size, int(lengths.max())
-    xf, xb = xproj_f.data, xproj_b.data
     w = np.stack([w_h_f.data, w_h_b.data])  # (2, H, 4H): direction 0 forward, 1 backward
-    dtype = np.result_type(xf, xb, w)
+    dtype = np.result_type(xproj_f.data, xproj_b.data, w)
+    # each direction's input rows as (4, H) gate blocks
+    x_gates = [x.data.astype(dtype, copy=False).reshape(rows, 4, h_dim) for x in (xproj_f, xproj_b)]
     keep = _track_any(xproj_f, xproj_b, w_h_f, w_h_b)
     out = np.empty((rows, 2 * h_dim), dtype)
     block = min(SCAN_BLOCK, t_max)
-    xs = np.empty((block, 2, n_utts, 4 * h_dim), dtype)  # a block's inputs, by step and direction
+    xs = np.empty((block, 4, 2, n_utts, h_dim), dtype)  # a block's inputs, gate-major
     hs = np.empty((block, 2, n_utts, h_dim), dtype)  # a block's hidden states
-    # per-step state, (2, B, .): one row per direction and utterance
+    # per-step state and scratch, (2, B, .): one row per direction and utterance
     h = np.zeros((2, n_utts, h_dim), dtype)
-    c = np.zeros_like(h)
-    z = np.empty((2, n_utts, 4 * h_dim), dtype)
-    a = np.empty_like(z)  # the gates after their activations
-    ig = np.empty_like(c)
-    tc = np.empty_like(c)
-    gate_i, gate_f = a[..., :h_dim], a[..., h_dim : 2 * h_dim]
-    gate_g, gate_o = a[..., 2 * h_dim : 3 * h_dim], a[..., 3 * h_dim :]
-    z_g = z[..., 2 * h_dim : 3 * h_dim]
+    z_rows = np.empty((2, n_utts, 4 * h_dim), dtype)  # the recurrent product, gates packed
+    z_rows_gates = z_rows.reshape(2, n_utts, 4, h_dim).transpose(2, 0, 1, 3)
+    z = np.empty((4, 2, n_utts, h_dim), dtype)  # the pre-activations, gate-major
+    z_g = z[2]
+    ig = np.empty_like(h)
+    one = dtype.type(1.0)  # a typed scalar: a Python float is converted on every call
+    # ``steps`` yields, per step: the (4, 2, B, H) gate block, its four
+    # gates, the cell state before and after the step, and tanh(cell)
     if keep:  # indexed by step
-        acts = np.empty((t_max, 2, n_utts, 4 * h_dim), dtype)
+        acts = np.empty((t_max, 4, 2, n_utts, h_dim), dtype)  # the gates after their activations
         cs = np.zeros((t_max + 1, 2, n_utts, h_dim), dtype)  # cs[s] is the cell state before step s
         tcs = np.empty((t_max, 2, n_utts, h_dim), dtype)
+        steps = zip(acts, *acts.transpose(1, 0, 2, 3, 4), cs[:-1], cs[1:], tcs)
+    else:
+        a = np.empty_like(z)
+        c = np.zeros_like(h)
+        steps = zip(*map(itertools.repeat, (a, *a, c, c, np.empty_like(h))))
     # exp(-z) overflowing to inf gives the exact sigmoid limit 0.0
     with np.errstate(over="ignore"):
         for start in range(0, t_max, block):
-            stop = min(start + block, t_max)
-            fwd, bwd, real = _step_rows(offsets, lengths, start, stop)
-            xs[: stop - start, 0] = xf[fwd]
-            xs[: stop - start, 1] = xb[bwd]
-            for s in range(start, stop):
-                np.matmul(h, w, out=z)
-                z += xs[s - start]
+            n = min(block, t_max - start)
+            fwd, bwd, real = _step_rows(offsets, lengths, start, start + n)
+            for d, rows_of in enumerate((fwd, bwd)):
+                np.take(
+                    x_gates[d], rows_of, axis=0, mode="clip", out=xs[:n, :, d].transpose(0, 2, 1, 3)
+                )
+            for x_step, h_next, (a, gate_i, gate_f, gate_g, gate_o, c_prev, c, tc) in zip(
+                xs[:n], hs[:n], steps
+            ):
+                np.matmul(h, w, out=z_rows)
+                np.add(z_rows_gates, x_step, out=z)
                 np.negative(z, out=a)
                 np.exp(a, out=a)
-                a += 1.0
-                np.divide(1.0, a, out=a)
+                np.add(a, one, out=a)
+                np.reciprocal(a, out=a)  # 1 / a, rounded as the division rounds
                 np.tanh(z_g, out=gate_g)
-                c *= gate_f
+                np.multiply(c_prev, gate_f, out=c)
                 np.multiply(gate_i, gate_g, out=ig)
                 c += ig
                 np.tanh(c, out=tc)
-                h = hs[s - start]
+                h = h_next
                 np.multiply(gate_o, tc, out=h)
-                if keep:
-                    acts[s] = a
-                    cs[s + 1] = c
-                    tcs[s] = tc
-            out[fwd[real], :h_dim] = hs[: stop - start, 0][real]
-            out[bwd[real], h_dim:] = hs[: stop - start, 1][real]
+            out[fwd[real], :h_dim] = hs[:n, 0][real]
+            out[bwd[real], h_dim:] = hs[:n, 1][real]
     if not keep:
         return _raw(out, (), None)
 
     def backward_fn(grad):
         fwd, bwd, real = _step_rows(offsets, lengths, 0, t_max)
-        gates = acts.reshape(t_max, 2, n_utts, 4, h_dim)
-        i, f = gates[:, :, :, 0], gates[:, :, :, 1]
-        g_cand, o = gates[:, :, :, 2], gates[:, :, :, 3]
+        i, f, g_cand, o = acts.transpose(1, 0, 2, 3, 4)
         # the factors of dc and dh that do not depend on the recursion
         dc_factors = np.stack(
-            [g_cand * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g_cand * g_cand)], axis=3
+            [g_cand * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g_cand * g_cand)], axis=1
         )
         do_factor = tcs * o * (1.0 - o)
         dh_to_dc = o * (1.0 - tcs * tcs)
@@ -613,19 +638,24 @@ def bilstm_layer(
         grads[:, 1][real] = grad[bwd[real], h_dim:]
         w_t = np.ascontiguousarray(w.transpose(0, 2, 1))
         dz = np.empty((t_max, 2, n_utts, 4 * h_dim), dtype)
-        dz_gates = dz.reshape(t_max, 2, n_utts, 4, h_dim)
+        dz_gates = dz.reshape(t_max, 2, n_utts, 4, h_dim).transpose(0, 3, 1, 2, 4)
+        dz_step = np.empty((4, 2, n_utts, h_dim), dtype)  # a step's gate gradients, gate-major
+        dz_cell, dz_o = dz_step[:3], dz_step[3]
         dh = np.zeros((2, n_utts, h_dim), dtype)
         dc = np.zeros_like(dh)
         dc_next = np.zeros_like(dh)
-        dc_gates = dc[:, :, None]  # a view of dc that broadcasts over the three gates
-        for s in range(t_max - 1, -1, -1):
-            dh += grads[s]  # dh held the recurrent part, w_h @ dz of step s+1
-            np.multiply(dh, dh_to_dc[s], out=dc)
+        by_step = (grads, dh_to_dc, dc_factors, do_factor, f, dz, dz_gates)
+        for g, to_dc, dc_factor, o_factor, f_s, dz_row, dz_row_gates in zip(
+            *(a[::-1] for a in by_step)
+        ):
+            dh += g  # dh held the recurrent part, w_h @ dz of the next step
+            np.multiply(dh, to_dc, out=dc)
             dc += dc_next
-            np.multiply(dc_gates, dc_factors[s], out=dz_gates[s, :, :, :3])
-            np.multiply(dh, do_factor[s], out=dz_gates[s, :, :, 3])
-            np.multiply(dc, f[s], out=dc_next)
-            np.matmul(dz[s], w_t, out=dh)
+            np.multiply(dc, dc_factor, out=dz_cell)
+            np.multiply(dh, o_factor, out=dz_o)
+            np.multiply(dc, f_s, out=dc_next)
+            np.copyto(dz_row_gates, dz_step)
+            np.matmul(dz_row, w_t, out=dh)
         for x, rows_of, d in ((xproj_f, fwd, 0), (xproj_b, bwd, 1)):
             if _tracked(x):
                 dx = np.empty((rows, 4 * h_dim), dtype)

@@ -214,3 +214,83 @@ def numeric_grad(
             gf[i] = (f_plus - f_minus) / (2.0 * eps)
         grads.append(g)
     return grads
+
+
+def bilstm_reference(
+    xs: Sequence[np.ndarray], ws: Sequence[np.ndarray], lengths: Sequence[int], grad: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Plain-numpy Bi-LSTM layer and its BPTT, with no graph.
+
+    ``xs`` are the forward and backward directions' packed (ΣT, 4H) input
+    rows, ``ws`` their (H, 4H) recurrent weights, ``grad`` the (ΣT, 2H)
+    gradient of the output. Returns (out, dx_f, dx_b, dw_f, dw_b).
+
+    Each step works on (2, B, 4H) rows with the gates packed [input,
+    forget, candidate, output] along the last axis, and every sum and
+    product is the one ``autodiff.bilstm_layer`` must round the same way:
+    the (2, B, H) @ (2, H, 4H) recurrent matmul, a sigmoid over all four
+    gates as 1 / (1 + exp(-z)) with the candidate's tanh in its slot, the
+    BPTT factors in their operand order, the (2, B, 4H) @ (2, 4H, H)
+    recurrent gradient and one batched GEMM for both weight gradients. A
+    shorter utterance's padded steps reread its last real row and get a
+    zero gradient.
+    """
+    h_dim = ws[0].shape[0]
+    lengths = np.asarray(lengths)
+    n_utts, t_max = lengths.size, int(lengths.max())
+    steps = np.arange(t_max)[:, None]
+    offsets = np.cumsum(lengths) - lengths
+    last = lengths - 1
+    fwd = offsets + np.minimum(steps, last)
+    bwd = offsets + np.maximum(last - steps, 0)
+    real = steps < lengths
+    w = np.stack(ws)
+    dtype = w.dtype
+    gates = [slice(k * h_dim, (k + 1) * h_dim) for k in range(4)]
+
+    acts = np.empty((t_max, 2, n_utts, 4 * h_dim), dtype)
+    cs = np.zeros((t_max + 1, 2, n_utts, h_dim), dtype)
+    tcs = np.empty((t_max, 2, n_utts, h_dim), dtype)
+    hs = np.empty((t_max, 2, n_utts, h_dim), dtype)
+    h = np.zeros((2, n_utts, h_dim), dtype)
+    with np.errstate(over="ignore"):
+        for s in range(t_max):
+            z = h @ w
+            z += np.stack([xs[0][fwd[s]], xs[1][bwd[s]]])
+            a = 1.0 / (1.0 + np.exp(-z))
+            a[..., gates[2]] = np.tanh(z[..., gates[2]])
+            i, f, g, o = (a[..., k] for k in gates)
+            cs[s + 1] = cs[s] * f + i * g
+            tcs[s] = np.tanh(cs[s + 1])
+            h = hs[s] = o * tcs[s]
+            acts[s] = a
+    out = np.empty((lengths.sum(), 2 * h_dim), dtype)
+    out[fwd[real], :h_dim] = hs[:, 0][real]
+    out[bwd[real], h_dim:] = hs[:, 1][real]
+
+    i, f, g, o = (acts[..., k] for k in gates)
+    dc_factors = [g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g * g)]
+    do_factor = tcs * o * (1.0 - o)
+    dh_to_dc = o * (1.0 - tcs * tcs)
+    grads = np.zeros((t_max, 2, n_utts, h_dim), dtype)
+    grads[:, 0][real] = grad[fwd[real], :h_dim]
+    grads[:, 1][real] = grad[bwd[real], h_dim:]
+    w_t = np.ascontiguousarray(w.transpose(0, 2, 1))
+    dz = np.empty((t_max, 2, n_utts, 4 * h_dim), dtype)
+    dh = np.zeros((2, n_utts, h_dim), dtype)
+    dc_next = np.zeros_like(dh)
+    for s in range(t_max - 1, -1, -1):
+        dh += grads[s]
+        dc = dh * dh_to_dc[s] + dc_next
+        for k in range(3):
+            dz[s][..., gates[k]] = dc * dc_factors[k][s]
+        dz[s][..., gates[3]] = dh * do_factor[s]
+        dc_next = dc * f[s]
+        dh = dz[s] @ w_t
+    dx = [np.zeros((lengths.sum(), 4 * h_dim), dtype) for _ in range(2)]
+    dx[0][fwd[real]] = dz[:, 0][real]
+    dx[1][bwd[real]] = dz[:, 1][real]
+    h_prev = np.stack([out[fwd[:-1], :h_dim], out[bwd[:-1], h_dim:]])
+    dz_dirs = dz[1:].transpose(1, 0, 2, 3).reshape(2, -1, 4 * h_dim)
+    dw = h_prev.reshape(2, -1, h_dim).transpose(0, 2, 1) @ dz_dirs
+    return out, dx[0], dx[1], dw[0], dw[1]

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mlnetvad.autodiff as ad
-from helpers import numeric_grad, rel_error
+from helpers import bilstm_reference, numeric_grad, rel_error
 from mlnetvad.autodiff import Tensor
 from mlnetvad.errors import GraphError, NonFiniteError, ShapeMismatch
 
@@ -351,6 +351,31 @@ class TestBilstmLayer:
             np.testing.assert_allclose(packed[d].grad, np.concatenate(dx[d]), rtol=0, atol=1e-10)
             np.testing.assert_allclose(packed[2 + d].grad, w_single[d].grad, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("graph", [False, True])
+    @pytest.mark.parametrize("lengths", [[70], [9, 1, 100, 64]])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("h_dim", [5, 16, 64])
+    def test_matches_the_packed_gate_reference_bit_for_bit(self, h_dim, dtype, lengths, graph):
+        # float32 gradients equal bit for bit are what a retrained model's
+        # first step relies on; the longest utterance spans two scan blocks
+        rng = np.random.default_rng(h_dim)
+        xs = [rng.normal(size=(sum(lengths), 4 * h_dim)).astype(dtype) for _ in range(2)]
+        ws = [rng.normal(size=(h_dim, 4 * h_dim)).astype(dtype) / h_dim**0.5 for _ in range(2)]
+        coeffs = rng.normal(size=(sum(lengths), 2 * h_dim)).astype(dtype)
+        expected = bilstm_reference(xs, ws, lengths, coeffs)
+        args = [Tensor(a, requires_grad=True) for a in xs + ws]
+        if not graph:
+            with ad.no_grad():
+                out = ad.bilstm_layer(*args, lengths=lengths)
+            np.testing.assert_array_equal(out.data, expected[0])
+            return
+        out = ad.bilstm_layer(*args, lengths=lengths)
+        (out * Tensor(coeffs)).sum().backward()
+        assert out.dtype == dtype and all(a.grad.dtype == dtype for a in args)
+        np.testing.assert_array_equal(out.data, expected[0])
+        for a, grad in zip(args, expected[1:]):
+            np.testing.assert_array_equal(a.grad, grad)
+
     @pytest.mark.parametrize("lengths", [[2, 2], [4, 4], [3, 2, 0], [4, 3, -1], [3, 0, 4], []])
     def test_lengths_that_do_not_split_the_rows_rejected(self, lengths):
         args = [Tensor(np.zeros((7, 8))) for _ in range(2)] + [Tensor(np.zeros((2, 8))) for _ in range(2)]
@@ -372,3 +397,22 @@ class TestBilstmLayer:
         finally:
             tracemalloc.stop()
         assert peak < 2 * out.data.nbytes + 64 * 1024
+
+    def test_graph_memory_is_the_output_plus_kept_buffers(self):
+        # with a graph the op holds, per step and direction, seven H-wide
+        # rows: the output, the four gate activations, the cell state and
+        # its tanh; anything more per step shows here
+        rng = np.random.default_rng(5)
+        t_len, h_dim = 2000, 8
+        args = [Tensor(rng.normal(size=(t_len, 4 * h_dim)), requires_grad=True) for _ in range(2)]
+        args += [
+            Tensor(rng.normal(size=(h_dim, 4 * h_dim)) * 0.5, requires_grad=True) for _ in range(2)
+        ]
+        tracemalloc.start()
+        try:
+            out = ad.bilstm_layer(*args)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        row = 2 * h_dim * out.data.itemsize  # one H-wide row for each direction
+        assert held < 7 * t_len * row + 32 * 1024
