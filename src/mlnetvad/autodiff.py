@@ -7,15 +7,27 @@ order and frees each node's closure as it goes, so a graph serves one
 ``backward``. Gradients accumulate (+=) into leaves until ``zero_grads``
 is called, which is what batch-level gradient accumulation relies on.
 
-Non-finite detection: every op that can turn finite inputs into NaN or
-infinity (the arithmetic ops, ``affine``, log, and the reductions) checks
-its output and raises. Ops whose outputs are finite whenever their inputs
-are finite (activations, shape ops, clip, max) skip the check, except the
-bounded ``gated_units``, whose numpy inputs no ``Tensor`` has checked.
-Together the two groups guarantee all tensors stay finite.
+The ops: elementwise ``add``, ``sub``, ``mul`` and ``div`` with numpy
+broadcasting; the dense layers ``affine`` (``x @ w.T + b``) and
+``input_projection`` (``x @ w + b``, a Bi-LSTM direction's input
+projection); ``gated_units``, all gated branches in one node;
+``bilstm_layer``; the activations tanh, sigmoid and leaky ReLU; log and
+clip; sum, mean and max; reshape, slicing and ``take_rows``. The dense
+layers and the gated units allocate only their GEMM outputs and add
+their biases into them in place; an add that would widen the dtype (a
+float64 bias on a float32 product) makes a new array instead.
 
-A Bi-LSTM layer is one node, ``bilstm_layer``: both directions of a
-packed batch advance in one time loop. Its step works gate-major, on
+Non-finite detection: every op that can turn finite inputs into NaN or
+infinity (the arithmetic ops, ``affine``, ``input_projection``, log, and
+the reductions) checks its output and raises. Ops whose outputs are
+finite whenever their inputs are finite (activations, shape ops, clip,
+max, ``bilstm_layer``) skip the check, except the bounded
+``gated_units``, whose numpy inputs no ``Tensor`` has checked. Together
+the two groups guarantee all tensors stay finite.
+
+A Bi-LSTM layer is three nodes: one ``input_projection`` per direction
+and one ``bilstm_layer``, in which both directions of a packed batch
+advance in one time loop. Its step works gate-major, on
 (4, 2, B, H) blocks, so every elementwise operand is one contiguous
 (2, B, H) block. Each block of ``SCAN_BLOCK`` steps gathers its inputs
 in one pass per direction. The BPTT writes each step's four gate
@@ -43,8 +55,8 @@ __all__ = [
     "bilstm_layer",
     "gated_units",
     "grad_enabled",
+    "input_projection",
     "leaky_relu",
-    "matmul",
     "no_grad",
     "take_rows",
     "zero_grads",
@@ -144,9 +156,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return _getitem(self, key)
@@ -330,53 +339,59 @@ def div(a, b) -> Tensor:
     )
 
 
-# -- matmul and dense layers -------------------------------------------
+# -- dense layers ----------------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product of two 2-D operands."""
-    a, b = _coerce(a), _coerce(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeMismatch(f"matmul supports 2-D operands only, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    data = a.data @ b.data
-    if not _track_any(a, b):
-        return _make(data, "matmul", (), None)
+def _add_bias(data: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``data + b``, summed into ``data``'s own buffer unless the sum takes
+    a wider dtype (a float64 bias on a float32 product), where an in-place
+    add would round it down."""
+    if np.result_type(data, b) != data.dtype:
+        return data + b
+    data += b
+    return data
+
+
+def _dense(op: str, x: Tensor, w: Tensor, b: Tensor, transposed: bool) -> Tensor:
+    """``x @ w + b``, or ``x @ w.T + b`` when ``transposed``: one node whose
+    only new array is the GEMM output, which takes the bias in place."""
+    w_in_out = w.data.T if transposed else w.data
+    if x.ndim != 2 or w.ndim != 2 or (x.shape[1],) + b.shape != w_in_out.shape:
+        raise ShapeMismatch(f"{op}: x {x.shape} does not fit w {w.shape} and b {b.shape}")
+    data = _add_bias(x.data @ w_in_out, b.data)
+    if not _track_any(x, w, b):
+        return _make(data, op, (), None)
 
     def backward_fn(g):
-        if _tracked(a):
-            _accum(a, g @ b.data.T)
+        if _tracked(x):
+            _accum(x, g @ w_in_out.T)
+        if _tracked(w):
+            dw = x.data.T @ g
+            _accum(w, dw.T if transposed else dw)
         if _tracked(b):
-            _accum(b, a.data.T @ g)
+            _accum(b, g.sum(axis=0))
 
-    return _make(data, "matmul", (a, b), backward_fn)
+    return _make(data, op, (x, w, b), backward_fn)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """A dense layer, ``x @ w.T + b``: x is (T, in), w (out, in), b (out,)."""
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1] or b.shape != (w.shape[0],):
-        raise ShapeMismatch(f"affine: x {x.shape} does not fit w {w.shape} and b {b.shape}")
-    data = x.data @ w.data.T + b.data
-    if not _track_any(x, w, b):
-        return _make(data, "affine", (), None)
+    return _dense("affine", x, w, b, transposed=True)
 
-    def backward_fn(g):
-        if _tracked(x):
-            _accum(x, g @ w.data)
-        if _tracked(w):
-            _accum(w, (x.data.T @ g).T)
-        if _tracked(b):
-            _accum(b, g.sum(axis=0))
 
-    return _make(data, "affine", (x, w, b), backward_fn)
+def input_projection(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """A Bi-LSTM direction's input projection, ``x @ w + b``: x is (T, in),
+    w (in, 4H) as the checkpoint stores it, b (4H,)."""
+    return _dense("input_projection", x, w, b, transposed=False)
 
 
 def gated_units(inputs: Sequence[np.ndarray], weights: Sequence[tuple[Tensor, ...]]) -> Tensor:
     """The (T, n, d) stack of n gated affine units: unit i maps its (T, K_i)
     numpy input x_i to ``tanh(x_i @ w_f.T + b_f) * sigmoid(x_i @ w_g.T +
-    b_g)``, where ``weights[i] = (w_f, b_f, w_g, b_g)``. The inputs get no
-    gradient; the node keeps only each unit's tanh and sigmoid outputs."""
+    b_g)``, where ``weights[i] = (w_f, b_f, w_g, b_g)``. Each unit's tanh
+    and sigmoid run in place on their own GEMM outputs, and their product
+    is written straight into the stack. The inputs get no gradient; the
+    node keeps only each unit's tanh and sigmoid outputs."""
     d = weights[0][0].shape[:1] if weights else ()
     shapes = [[t.shape for t in unit] for unit in weights]
     if not inputs or len(inputs) != len(weights) or any(
@@ -384,10 +399,18 @@ def gated_units(inputs: Sequence[np.ndarray], weights: Sequence[tuple[Tensor, ..
         for x, unit in zip(inputs, shapes)
     ):
         raise ShapeMismatch(f"gated_units: inputs {[x.shape for x in inputs]} do not fit {shapes}")
-    ths = [np.tanh(x @ w_f.data.T + b_f.data) for x, (w_f, b_f, _, _) in zip(inputs, weights)]
-    sgs = [_stable_sigmoid(x @ w_g.data.T + b_g.data) for x, (_, _, w_g, b_g) in zip(inputs, weights)]
-    out = np.stack([th * sg for th, sg in zip(ths, sgs)], axis=1)
     params = tuple(t for unit in weights for t in unit)
+    out = np.empty(
+        (inputs[0].shape[0], len(inputs)) + d, np.result_type(*inputs, *(t.data for t in params))
+    )
+    ths, sgs = [], []
+    for i, (x, (w_f, b_f, w_g, b_g)) in enumerate(zip(inputs, weights)):
+        th = _add_bias(x @ w_f.data.T, b_f.data)
+        np.tanh(th, out=th)
+        sg = _sigmoid_in_place(_add_bias(x @ w_g.data.T, b_g.data))
+        np.multiply(th, sg, out=out[:, i])
+        ths.append(th)
+        sgs.append(sg)
     if not _track_any(*params):
         return _make(out, "gated_units", (), None)
 
@@ -419,16 +442,20 @@ def tanh(x: Tensor) -> Tensor:
     return _raw(data, (x,), backward_fn)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-x) overflowing to inf yields exactly 0.0, the correct limit,
+def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
+    """``1.0 / (1.0 + np.exp(-z))``, each step written back into ``z``."""
+    # exp(-z) overflowing to inf yields exactly 0.0, the correct limit,
     # so only the warning needs suppressing; no NaN can appear for
-    # finite x
+    # finite z
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        np.add(z, 1.0, out=z)
+        return np.divide(1.0, z, out=z)
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    data = _stable_sigmoid(x.data)
+    data = _sigmoid_in_place(x.data.copy())
     if not _track_any(x):
         return _raw(data, (), None)
 

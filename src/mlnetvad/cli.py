@@ -56,6 +56,15 @@ def _parse_fields(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+def _parse_theta(text: str) -> float:
+    """A decision threshold: a probability in [0, 1]; NaN and infinities
+    are rejected (a comparison with NaN labels every frame non-speech)."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"must lie in [0, 1], got {text}")
+    return value
+
+
 @dataclass
 class Flag:
     dest: str
@@ -161,7 +170,7 @@ def _add_train_flags(cmd: Command) -> None:
     cmd.add("--epochs", convert=int, default=d.epochs, metavar="N", help="training epochs")
     cmd.add("--attention-loss-weight", convert=float, default=d.attention_loss_weight, metavar="F",
             help="weight of the branch-sharpening loss term")
-    cmd.add("--theta", convert=float, default=0.5, metavar="F", help="decision threshold for dev metrics")
+    cmd.add("--theta", convert=_parse_theta, default=0.5, metavar="F", help="decision threshold for dev metrics")
 
 
 # the two config fields whose flag has another name
@@ -461,7 +470,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[Command, Ca
     ev = Command(sub, "eval", "score a checkpoint against a manifest split")
     ev.parser.add_argument("--manifest", required=True, metavar="FILE", help="corpus manifest")
     ev.parser.add_argument("--checkpoint", required=True, metavar="FILE", help="model checkpoint")
-    ev.add("--theta", convert=float, default=0.5, metavar="F", help="decision threshold")
+    ev.add("--theta", convert=_parse_theta, default=0.5, metavar="F", help="decision threshold")
     ev.add("--split", convert=str, default="dev", help="manifest split to score")
     ev.add("--variant", convert=str, default=None, help="require the checkpoint to have this variant")
     ev.add("--report-out", convert=str, default=None, metavar="PREFIX",
@@ -473,7 +482,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[Command, Ca
     pr.parser.add_argument("--wav", required=True, metavar="FILE", help="input WAV")
     pr.parser.add_argument("--checkpoint", required=True, metavar="FILE", help="model checkpoint")
     pr.add("--out", convert=str, default=None, metavar="FILE", help="output TSV (default: stdout)")
-    pr.add("--theta", convert=float, default=0.5, metavar="F", help="decision threshold")
+    pr.add("--theta", convert=_parse_theta, default=0.5, metavar="F", help="decision threshold")
     pr.add("--dump-attention", convert=_parse_bool, default=False,
            help="append per-branch attention weights to every row")
     _add_frontend_flags(pr)

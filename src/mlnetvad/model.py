@@ -292,12 +292,18 @@ def classifier_forward(m: Tensor, params: MlnetParams, lengths=None) -> Tensor:
     ``m`` is a packed batch: the (ΣT, gated_dim) fused rows of B
     utterances, one after another, with ``lengths`` their frame counts
     (None for one utterance). The probabilities (ΣT,) are packed the same
-    way. Every layer runs the whole batch as one ``bilstm_layer`` node.
+    way. Every layer runs the whole batch as three nodes: one
+    ``input_projection`` per direction, whose bias is added into its GEMM
+    output in place, and one ``bilstm_layer``.
     """
     seq = m
     for fwd, bwd in params.lstm:
         seq = ad.bilstm_layer(
-            seq @ fwd.w_x + fwd.b, seq @ bwd.w_x + bwd.b, fwd.w_h, bwd.w_h, lengths
+            ad.input_projection(seq, fwd.w_x, fwd.b),
+            ad.input_projection(seq, bwd.w_x, bwd.b),
+            fwd.w_h,
+            bwd.w_h,
+            lengths,
         )
     hidden = ad.leaky_relu(ad.affine(seq, params.head.w_hidden, params.head.b_hidden))
     logits = ad.affine(hidden, params.head.w_out, params.head.b_out)

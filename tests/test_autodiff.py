@@ -1,5 +1,6 @@
 """Compute-core tests: forward values, backward rules, graph semantics."""
 
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -28,17 +29,17 @@ class TestForwardValues:
         x = Tensor(np.array([-2.0, 3.0]))
         np.testing.assert_allclose(ad.leaky_relu(x).data, [-0.02, 3.0], rtol=1e-6)
 
-    def test_matmul_shapes(self):
-        a = Tensor(np.ones((3, 4)))
-        b = Tensor(np.ones((4, 2)))
-        assert (a @ b).shape == (3, 2)
-        assert (Tensor(np.ones((1, 4))) @ b).shape == (1, 2)
+    def test_input_projection_shapes(self):
+        w = Tensor(np.ones((4, 2)))
+        b = Tensor(np.ones(2))
+        assert ad.input_projection(Tensor(np.ones((3, 4))), w, b).shape == (3, 2)
+        assert ad.input_projection(Tensor(np.ones((1, 4))), w, b).shape == (1, 2)
 
     @pytest.mark.parametrize("shapes", [((4,), (4, 2)), ((3, 4), (4,)), ((4,), (4,)), ((2, 3, 4), (4, 2))])
-    def test_matmul_non_2d_operand_rejected(self, shapes):
-        a, b = (Tensor(np.ones(shape)) for shape in shapes)
-        with pytest.raises(ShapeMismatch, match="2-D operands only"):
-            a @ b
+    def test_input_projection_non_2d_operand_rejected(self, shapes):
+        x, w = (Tensor(np.ones(shape)) for shape in shapes)
+        with pytest.raises(ShapeMismatch, match="input_projection"):
+            ad.input_projection(x, w, Tensor(np.ones(shapes[1][-1])))
 
     def test_clip_values(self):
         x = Tensor(np.array([-1.0, 0.5, 2.0]))
@@ -54,9 +55,9 @@ class TestBackwardRules:
     def test_linear_loss_gradient_is_input(self):
         rng = np.random.default_rng(0)
         w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        x = Tensor(rng.normal(size=(4, 1)))
-        (w @ x).sum().backward()
-        np.testing.assert_allclose(w.grad, np.tile(x.data.T, (3, 1)), rtol=1e-6)
+        x = Tensor(rng.normal(size=(1, 4)))
+        ad.affine(x, w, Tensor(np.zeros(3))).sum().backward()
+        np.testing.assert_allclose(w.grad, np.tile(x.data, (3, 1)), rtol=1e-6)
 
     def test_fanout_accumulates(self):
         x = Tensor(2.0, requires_grad=True)
@@ -100,16 +101,18 @@ def _random_composite(rng):
     w1 = Tensor(rng.normal(size=(4, 6)) * 0.5, requires_grad=True)
     b1 = Tensor(rng.normal(size=4) * 0.1, requires_grad=True)
     w2 = Tensor(rng.normal(size=(4, 3)) * 0.5, requires_grad=True)
+    b2 = Tensor(rng.normal(size=3) * 0.1, requires_grad=True)
     w3 = Tensor(rng.normal(size=(2, 5)) * 0.5, requires_grad=True)
+    b3 = Tensor(rng.normal(size=2) * 0.1, requires_grad=True)
 
     def forward():
         h = ad.tanh(ad.affine(x, w1, b1))              # (5, 4)
-        g = ad.sigmoid(h @ w2)                         # (5, 3)
+        g = ad.sigmoid(ad.input_projection(h, w2, b2))  # (5, 3)
         pooled = g.mean(axis=1, keepdims=True) * g.max(axis=1, keepdims=True)  # (5, 1)
-        z = ad.leaky_relu(w3 @ pooled)                 # (2, 1)
+        z = ad.leaky_relu(ad.affine(pooled.reshape(1, 5), w3, b3))  # (1, 2)
         return (z * z).sum() + g.reshape(15)[2:9].sum()
 
-    return forward, [x, w1, b1, w2, w3]
+    return forward, [x, w1, b1, w2, b2, w3, b3]
 
 
 class TestGradientOracle:
@@ -145,10 +148,10 @@ class TestGraphSemantics:
             (x * 2.0).backward()
 
     def test_shape_mismatch_reports_shapes(self):
-        a = Tensor(np.ones((2, 3)))
-        b = Tensor(np.ones((4, 5)))
+        x = Tensor(np.ones((2, 3)))
+        w = Tensor(np.ones((4, 5)))
         with pytest.raises(ShapeMismatch, match=r"\(2, 3\)"):
-            a @ b
+            ad.input_projection(x, w, Tensor(np.ones(5)))
 
     def test_affine_shape_mismatch_rejected(self):
         for x, w, b in [
@@ -237,15 +240,104 @@ def test_reshape_roundtrip_preserves_gradient(n, m):
     np.testing.assert_allclose(x.grad, np.ones((n, m)))
 
 
+# float32, float64, and a float64 bias on float32 operands, whose sum the
+# nodes must keep in float64 as ``x @ w + b`` does
+DENSE_DTYPES = [
+    (np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64),
+]
+
+
+def _backward_with(out: Tensor, rng) -> np.ndarray:
+    """Run backward from ``sum(out * g)`` for a random ``g`` in out's dtype,
+    so that ``g`` is exactly the gradient the node receives; returns g."""
+    g = rng.normal(size=out.shape).astype(out.dtype)
+    (out * Tensor(g)).sum().backward()
+    return g
+
+
+class TestDenseNodesExact:
+    """The dense nodes against numpy in the op order they replaced: ``x @ w
+    + b`` and ``x @ w.T + b`` with their bias added in a new array, and the
+    gated units through ``np.tanh``, ``1 / (1 + exp(-z))`` and ``np.stack``.
+    Output, dtype and every gradient must match bit for bit."""
+
+    def _tensors(self, *arrays):
+        return [Tensor(a, requires_grad=True) for a in arrays]
+
+    def _assert_exact(self, tensors, out, expected, grads):
+        assert out.dtype == expected.dtype
+        np.testing.assert_array_equal(out.data, expected)
+        for t, grad in zip(tensors, grads, strict=True):
+            assert t.grad.dtype == grad.dtype
+            np.testing.assert_array_equal(t.grad, grad)
+
+    @pytest.mark.parametrize("dtype, b_dtype", DENSE_DTYPES)
+    def test_input_projection(self, dtype, b_dtype):
+        rng = np.random.default_rng(31)
+        x, w = rng.normal(size=(37, 12)).astype(dtype), rng.normal(size=(12, 20)).astype(dtype)
+        b = rng.normal(size=20).astype(b_dtype)
+        tensors = self._tensors(x, w, b)
+        out = ad.input_projection(*tensors)
+        g = _backward_with(out, rng)
+        self._assert_exact(tensors, out, x @ w + b, [g @ w.T, x.T @ g, g.sum(axis=0)])
+
+    @pytest.mark.parametrize("dtype, b_dtype", DENSE_DTYPES)
+    def test_affine(self, dtype, b_dtype):
+        rng = np.random.default_rng(32)
+        x, w = rng.normal(size=(37, 12)).astype(dtype), rng.normal(size=(20, 12)).astype(dtype)
+        b = rng.normal(size=20).astype(b_dtype)
+        tensors = self._tensors(x, w, b)
+        out = ad.affine(*tensors)
+        g = _backward_with(out, rng)
+        self._assert_exact(tensors, out, x @ w.T + b, [g @ w, (x.T @ g).T, g.sum(axis=0)])
+
+    @pytest.mark.parametrize("dtype, b_dtype", DENSE_DTYPES)
+    def test_gated_units(self, dtype, b_dtype):
+        rng = np.random.default_rng(33)
+        d, t_len = 7, 29
+        inputs = [rng.normal(size=(t_len, k)).astype(dtype) for k in (6, 10)]
+        inputs[1][3] *= 1000.0  # saturates a frame's gates: exp(-z) overflows
+        arrays = [
+            (rng.normal(size=(d, x.shape[1])).astype(dtype), rng.normal(size=d).astype(b_dtype))
+            for x in inputs for _ in range(2)
+        ]
+        units = [(*arrays[2 * i], *arrays[2 * i + 1]) for i in range(len(inputs))]
+        tensors = self._tensors(*(a for unit in units for a in unit))
+        out = ad.gated_units(inputs, [tuple(tensors[4 * i : 4 * i + 4]) for i in range(len(inputs))])
+        g = _backward_with(out, rng)
+        with np.errstate(over="ignore"):
+            ths = [np.tanh(x @ w_f.T + b_f) for x, (w_f, b_f, _, _) in zip(inputs, units)]
+            sgs = [1.0 / (1.0 + np.exp(-(x @ w_g.T + b_g))) for x, (_, _, w_g, b_g) in zip(inputs, units)]
+        expected = np.stack([th * sg for th, sg in zip(ths, sgs)], axis=1)
+        grads = []
+        for i, (x, th, sg) in enumerate(zip(inputs, ths, sgs)):
+            d_f = g[:, i] * sg * (1.0 - th * th)
+            d_g = g[:, i] * th * sg * (1.0 - sg)
+            grads += [(x.T @ d_f).T, d_f.sum(axis=0), (x.T @ d_g).T, d_g.sum(axis=0)]
+        assert (sgs[1] == 0.0).any()
+        self._assert_exact(tensors, out, expected, grads)
+
+
+@pytest.mark.parametrize("module", ["mlnetvad", "mlnetvad.autodiff"])
+def test_every_exported_name_resolves(module):
+    namespace: dict = {}
+    exec(f"from {module} import *", namespace)
+    mod = importlib.import_module(module)
+    for name in mod.__all__:
+        assert getattr(mod, name) is namespace[name]
+
+
 def _per_frame(xproj: Tensor, w_h: Tensor, reverse: bool) -> list[Tensor]:
     """One direction as a graph of elementary ops: its (1, H) hidden-state
-    rows in time order."""
+    rows in time order. The recurrent product ``h @ w_h`` is an
+    ``input_projection`` with a zero bias, which adds nothing."""
     t_len, h_dim = xproj.shape[0], w_h.shape[0]
     h = Tensor(np.zeros((1, h_dim)))
     c = Tensor(np.zeros((1, h_dim)))
+    no_bias = Tensor(np.zeros(4 * h_dim))
     rows = [None] * t_len
     for t in (range(t_len - 1, -1, -1) if reverse else range(t_len)):
-        gates = xproj[t : t + 1] + h @ w_h
+        gates = xproj[t : t + 1] + ad.input_projection(h, w_h, no_bias)
         i = ad.sigmoid(gates[:, 0:h_dim])
         f = ad.sigmoid(gates[:, h_dim : 2 * h_dim])
         g = ad.tanh(gates[:, 2 * h_dim : 3 * h_dim])
@@ -270,24 +362,26 @@ class TestLstmSequence:
         w_h = [
             Tensor(rng.normal(size=(h_dim, 4 * h_dim)) * 0.5, requires_grad=True) for _ in range(2)
         ]
+        b = [Tensor(rng.normal(size=4 * h_dim) * 0.1, requires_grad=True) for _ in range(2)]
         x = Tensor(rng.normal(size=(t_len, 3)))
         d = int(reverse)  # the direction under test; the other one gets no loss
         cols = slice(d * h_dim, (d + 1) * h_dim)
         coeffs = np.zeros((t_len, 2 * h_dim))
         coeffs[:, cols] = rng.normal(size=(t_len, h_dim))
 
-        out = ad.bilstm_layer(x @ w_x[0], x @ w_x[1], w_h[0], w_h[1])
+        xproj = [ad.input_projection(x, w_x[e], b[e]) for e in range(2)]
+        out = ad.bilstm_layer(*xproj, w_h[0], w_h[1])
         (out * Tensor(coeffs)).sum().backward()
-        rows = _per_frame(x @ w_x[d], w_h[d], reverse)
+        rows = _per_frame(ad.input_projection(x, w_x[d], b[d]), w_h[d], reverse)
         np.testing.assert_array_equal(out.data[:, cols], np.concatenate([r.data for r in rows]))
-        for p in (w_x[1 - d], w_h[1 - d]):
+        for p in (w_x[1 - d], w_h[1 - d], b[1 - d]):
             np.testing.assert_array_equal(p.grad, 0.0)
 
-        grads_op = (w_x[d].grad.copy(), w_h[d].grad.copy())
-        ad.zero_grads([w_x[d], w_h[d]])
+        grads_op = [p.grad.copy() for p in (w_x[d], w_h[d], b[d])]
+        ad.zero_grads([w_x[d], w_h[d], b[d]])
         sum((r * Tensor(c)).sum() for r, c in zip(rows, coeffs[:, None, cols])).backward()
-        np.testing.assert_allclose(grads_op[0], w_x[d].grad, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(grads_op[1], w_h[d].grad, rtol=0, atol=1e-12)
+        for grad_op, p in zip(grads_op, (w_x[d], w_h[d], b[d])):
+            np.testing.assert_allclose(grad_op, p.grad, rtol=0, atol=1e-12)
 
 
 class TestBilstmLayer:

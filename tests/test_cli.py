@@ -569,6 +569,42 @@ class TestTrainConfigMapping:
         assert capsys.readouterr().err == "error: lr must be positive\n"
 
 
+# every subcommand with --theta, with its required arguments; the paths
+# need not exist, since flags are checked before any input is read
+THETA_COMMANDS = {
+    "train": ["--manifest", "m.tsv", "--out-dir", "out"],
+    "eval": ["--manifest", "m.tsv", "--checkpoint", "m.mlnt"],
+    "predict": ["--wav", "in.wav", "--checkpoint", "m.mlnt"],
+    "ablate": ["--manifest", "m.tsv"],
+}
+BAD_THETAS = ["nan", "inf", "-inf", "-1", "2", "1.0000001"]
+
+
+class TestThetaRange:
+    """The decision threshold is a probability: NaN, infinities and values
+    outside [0, 1] are usage errors, from the flag and from a config file."""
+
+    @pytest.mark.parametrize("value", BAD_THETAS)
+    @pytest.mark.parametrize("command", THETA_COMMANDS)
+    def test_flag_outside_the_unit_interval_is_exit_2(self, command, value, capsys):
+        assert main([command, *THETA_COMMANDS[command], f"--theta={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: bad value for --theta: must lie in [0, 1], got {value}\n"
+
+    @pytest.mark.parametrize("value", BAD_THETAS)
+    @pytest.mark.parametrize("command", THETA_COMMANDS)
+    def test_config_value_outside_the_unit_interval_is_exit_2(self, command, value, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"theta={value}\n")
+        assert main([command, *THETA_COMMANDS[command], "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: bad config value for theta: must lie in [0, 1], got {value}\n"
+
+    @pytest.mark.parametrize("value", ["0", "0.0", "0.5", "1", "1.0"])
+    def test_bounds_are_valid(self, value):
+        assert cli._parse_theta(value) == float(value)
+
+
 class TestHelp:
     @pytest.mark.parametrize("sub", ["mix", "featurize", "train", "eval", "predict", "ablate"])
     def test_help_exits_zero(self, sub, capsys):

@@ -1,6 +1,7 @@
 """Training tests: losses, Adam with clipping, loop determinism and sanity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from helpers import numeric_grad, rel_error, toy_corpus
 from mlnetvad.autodiff import Tensor
 from mlnetvad.corpus import LabeledUtterance
 from mlnetvad.errors import ShapeMismatch, TrainingError
+from mlnetvad.frontend import FeatureSequence
 from mlnetvad.model import ModelConfig, attention_forward, init_params, mlnet_forward
 from mlnetvad.training import (
     AdamState,
@@ -118,6 +120,54 @@ class TestDtypes:
         assert loss.dtype == np.float32
         for name, t in params.named().items():
             assert t.grad is not None and t.grad.dtype == np.float32, name
+
+
+def _graph_tensors(loss: Tensor) -> int:
+    """The tensors reachable from ``loss`` through the graph, the loss and
+    the leaves included."""
+    seen = {id(loss)}
+    stack = [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+class TestGraphSize:
+    """The training graph of one default ``full_attention`` utterance of 575
+    frames: how many tensors it has and what it holds once the forward pass
+    is built. A node or a kept buffer more per layer shows here."""
+
+    T_LEN = 575
+
+    def _setup(self):
+        rng = np.random.default_rng(0)
+        frames = rng.normal(size=(self.T_LEN, 40))
+        feats = FeatureSequence(frames, np.arange(self.T_LEN) * 0.01)
+        utt = LabeledUtterance(feats, rng.random(self.T_LEN) > 0.5, "probe")
+        return utt, init_params(ModelConfig(), seed=0)
+
+    def test_graph_tensor_count(self):
+        # 46 parameters and constants; per Bi-LSTM layer one
+        # input_projection per direction and one bilstm_layer
+        utt, params = self._setup()
+        loss, _, _ = utterance_loss(utt, params, TrainConfig())
+        assert _graph_tensors(loss) == 89
+
+    def test_memory_held_after_the_forward_pass(self):
+        utt, params = self._setup()
+        utterance_loss(utt, params, TrainConfig())[0].backward()  # first-call allocations
+        params.zero_grads()
+        tracemalloc.start()
+        try:
+            loss, _, _ = utterance_loss(utt, params, TrainConfig())
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert loss.item() > 0.0
+        assert held < 22 * 1024 * self.T_LEN
 
 
 class TestAdam:
