@@ -7,23 +7,30 @@ order and frees each node's closure as it goes, so a graph serves one
 ``backward``. Gradients accumulate (+=) into leaves until ``zero_grads``
 is called, which is what batch-level gradient accumulation relies on.
 
-The ops: elementwise ``add``, ``sub``, ``mul`` and ``div`` with numpy
-broadcasting; the dense layers ``affine`` (``x @ w.T + b``) and
-``input_projection`` (``x @ w + b``, a Bi-LSTM direction's input
-projection); ``gated_units``, all gated branches in one node;
-``bilstm_layer``; the activations tanh, sigmoid and leaky ReLU; log and
-clip; sum, mean and max; reshape, slicing and ``take_rows``. The dense
-layers and the gated units allocate only their GEMM outputs and add
-their biases into them in place; an add that would widen the dtype (a
-float64 bias on a float32 product) makes a new array instead.
+The ops: elementwise ``add`` and ``mul`` with numpy broadcasting; the
+dense layers ``affine`` (``x @ w.T + b``) and ``input_projection``
+(``x @ w + b``, a Bi-LSTM direction's input projection); ``gated_units``,
+all gated branches in one node; the channel attention's
+``branch_weights`` and ``branch_fusion``; ``bilstm_layer``; tanh, sigmoid
+and leaky ReLU; sum, mean and reshape; and the losses ``cross_entropy``
+and ``selected_nll``. The dense layers and the gated units allocate only
+their GEMM outputs and add their biases into them in place; an add that
+would widen the dtype (a float64 bias on a float32 product) makes a new
+array instead. The attention and loss nodes round every value and
+gradient as the elementwise ops they replaced did, and a tensor those
+ops fed from several places takes each contribution in its own
+accumulation, in their order.
 
 Non-finite detection: every op that can turn finite inputs into NaN or
-infinity (the arithmetic ops, ``affine``, ``input_projection``, log, and
-the reductions) checks its output and raises. Ops whose outputs are
-finite whenever their inputs are finite (activations, shape ops, clip,
-max, ``bilstm_layer``) skip the check, except the bounded
-``gated_units``, whose numpy inputs no ``Tensor`` has checked. Together
-the two groups guarantee all tensors stay finite.
+infinity (the arithmetic ops, the dense layers, the reductions, the
+attention nodes and the losses) checks its output and raises;
+``branch_weights`` also checks its descriptors, scores and row sums.
+Its ratio and ``selected_nll``'s log run under ``np.errstate``, so that
+a row of zero scores or a zero weight raises ``NonFiniteError``, not a
+numpy warning. Ops whose outputs are finite whenever their inputs are
+finite (activations, reshape, ``bilstm_layer``) skip the check, except
+the bounded ``gated_units``, whose numpy inputs no ``Tensor`` has
+checked. Together the two groups guarantee all tensors stay finite.
 
 A Bi-LSTM layer is three nodes: one ``input_projection`` per direction
 and one ``bilstm_layer``, in which both directions of a packed batch
@@ -53,12 +60,15 @@ __all__ = [
     "affine",
     "backward",
     "bilstm_layer",
+    "branch_fusion",
+    "branch_weights",
+    "cross_entropy",
     "gated_units",
     "grad_enabled",
     "input_projection",
     "leaky_relu",
     "no_grad",
-    "take_rows",
+    "selected_nll",
     "zero_grads",
 ]
 
@@ -88,13 +98,15 @@ def _as_float_array(data) -> np.ndarray:
     return arr
 
 
-def _check_finite(data: np.ndarray, op: str) -> None:
+def _check_finite(data: np.ndarray, op: str) -> np.ndarray:
+    """``data``, once it is known to be finite."""
     # A float sum is non-finite iff some element is, as long as the finite
     # values cannot overflow the accumulator; everything flowing through
     # this engine is magnitude-bounded (features, activations, clipped
     # gradients), so the cheap reduction is a sound detector.
     if not np.isfinite(data.sum()):
         raise NonFiniteError(f"non-finite values produced by '{op}'")
+    return data
 
 
 class Tensor:
@@ -140,25 +152,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __getitem__(self, key):
-        return _getitem(self, key)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -170,21 +167,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_max(self, axis=axis, keepdims=keepdims)
-
-    def tanh(self) -> "Tensor":
-        return tanh(self)
-
-    def sigmoid(self) -> "Tensor":
-        return sigmoid(self)
-
-    def log(self) -> "Tensor":
-        return log(self)
-
-    def clip(self, lo: float, hi: float) -> "Tensor":
-        return clip(self, lo, hi)
 
     def backward(self) -> None:
         backward(self)
@@ -198,12 +180,8 @@ def _raw(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     out.data = data
     out.grad = None
     out.requires_grad = False
-    if backward_fn is not None:
-        out._parents = parents
-        out._backward = backward_fn
-    else:
-        out._parents = ()
-        out._backward = None
+    out._parents = parents
+    out._backward = backward_fn
     return out
 
 
@@ -217,7 +195,7 @@ def _coerce(x, like=None) -> Tensor:
         return x
     if isinstance(like, Tensor) and isinstance(x, (int, float)):
         # a Python number takes the other operand's dtype, as numpy's weak
-        # scalars do, so ``1.0 - y`` keeps a float32 ``y`` in float32
+        # scalars do, so ``0.5 * y`` keeps a float32 ``y`` in float32
         return Tensor(np.asarray(x, dtype=like.dtype))
     return Tensor(x)
 
@@ -300,7 +278,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _binary(op: str, fn, a, b, grad_a, grad_b) -> Tensor:
-    """``fn(a, b)`` with numpy broadcasting; ``grad_a(g, a, b, out)`` and
+    """``fn(a, b)`` with numpy broadcasting; ``grad_a(g, a, b)`` and
     ``grad_b`` give each operand's gradient before unbroadcasting."""
     a, b = _coerce(a, like=b), _coerce(b, like=a)
     try:
@@ -312,31 +290,19 @@ def _binary(op: str, fn, a, b, grad_a, grad_b) -> Tensor:
 
     def backward_fn(g):
         if _tracked(a):
-            _accum(a, _unbroadcast(grad_a(g, a.data, b.data, data), a.data.shape))
+            _accum(a, _unbroadcast(grad_a(g, a.data, b.data), a.data.shape))
         if _tracked(b):
-            _accum(b, _unbroadcast(grad_b(g, a.data, b.data, data), b.data.shape))
+            _accum(b, _unbroadcast(grad_b(g, a.data, b.data), b.data.shape))
 
     return _make(data, op, (a, b), backward_fn)
 
 
 def add(a, b) -> Tensor:
-    return _binary("add", np.add, a, b, lambda g, x, y, out: g, lambda g, x, y, out: g)
-
-
-def sub(a, b) -> Tensor:
-    return _binary("sub", np.subtract, a, b, lambda g, x, y, out: g, lambda g, x, y, out: -g)
+    return _binary("add", np.add, a, b, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def mul(a, b) -> Tensor:
-    return _binary(
-        "mul", np.multiply, a, b, lambda g, x, y, out: g * y, lambda g, x, y, out: g * x
-    )
-
-
-def div(a, b) -> Tensor:
-    return _binary(
-        "div", np.divide, a, b, lambda g, x, y, out: g / y, lambda g, x, y, out: -g * out / y
-    )
+    return _binary("mul", np.multiply, a, b, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 # -- dense layers ----------------------------------------------------------
@@ -352,6 +318,18 @@ def _add_bias(data: np.ndarray, b: np.ndarray) -> np.ndarray:
     return data
 
 
+def _dense_param_grads(
+    w: Tensor, b: Tensor, x: np.ndarray, dz: np.ndarray, transposed: bool = True
+) -> None:
+    """Accumulate the weight and bias gradients of ``x @ w.T + b``, or of
+    ``x @ w + b`` when not ``transposed``, for the output gradient dz."""
+    if _tracked(w):
+        dw = x.T @ dz
+        _accum(w, dw.T if transposed else dw)
+    if _tracked(b):
+        _accum(b, dz.sum(axis=0))
+
+
 def _dense(op: str, x: Tensor, w: Tensor, b: Tensor, transposed: bool) -> Tensor:
     """``x @ w + b``, or ``x @ w.T + b`` when ``transposed``: one node whose
     only new array is the GEMM output, which takes the bias in place."""
@@ -365,11 +343,7 @@ def _dense(op: str, x: Tensor, w: Tensor, b: Tensor, transposed: bool) -> Tensor
     def backward_fn(g):
         if _tracked(x):
             _accum(x, g @ w_in_out.T)
-        if _tracked(w):
-            dw = x.data.T @ g
-            _accum(w, dw.T if transposed else dw)
-        if _tracked(b):
-            _accum(b, g.sum(axis=0))
+        _dense_param_grads(w, b, x.data, g, transposed)
 
     return _make(data, op, (x, w, b), backward_fn)
 
@@ -416,13 +390,8 @@ def gated_units(inputs: Sequence[np.ndarray], weights: Sequence[tuple[Tensor, ..
 
     def backward_fn(g):
         for i, (x, (w_f, b_f, w_g, b_g), th, sg) in enumerate(zip(inputs, weights, ths, sgs)):
-            d_f = g[:, i] * sg * (1.0 - th * th)
-            d_g = g[:, i] * th * sg * (1.0 - sg)
-            for w, b, dz in ((w_f, b_f, d_f), (w_g, b_g, d_g)):
-                if _tracked(w):
-                    _accum(w, (x.T @ dz).T)
-                if _tracked(b):
-                    _accum(b, dz.sum(axis=0))
+            _dense_param_grads(w_f, b_f, x, g[:, i] * sg * (1.0 - th * th))
+            _dense_param_grads(w_g, b_g, x, g[:, i] * th * sg * (1.0 - sg))
 
     return _make(out, "gated_units", params, backward_fn)
 
@@ -465,7 +434,10 @@ def sigmoid(x: Tensor) -> Tensor:
     return _raw(data, (x,), backward_fn)
 
 
-def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
+LEAKY_SLOPE = 0.01
+
+
+def leaky_relu(x: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
     data = np.where(x.data > 0, x.data, slope * x.data)
     if not _track_any(x):
         return _raw(data, (), None)
@@ -476,29 +448,90 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     return _raw(data, (x,), backward_fn)
 
 
-def log(x: Tensor) -> Tensor:
+# -- channel attention ----------------------------------------------------
+
+
+def branch_weights(
+    stack: Tensor, w0: Tensor, b0: Tensor, w1: Tensor, b1: Tensor, double_sigmoid: bool = True
+) -> Tensor:
+    """The channel attention's (T, n) branch weights over a (T, n, d)
+    branch stack, one node.
+
+    Each branch's mean and max over its d values are two (T, n)
+    descriptors. A shared net, ``leaky_relu(x @ w0.T + b0) @ w1.T + b1``
+    with w0 (a, n) and w1 (n, a), scores both; the sigmoid of the two
+    scores' sum is each branch's raw score. ``double_sigmoid`` (the
+    default) applies a second sigmoid before each row is divided by its
+    sum; without it the raw scores are normalized directly, which leaves
+    the weights invariant to positive rescaling of the scores. The shared
+    net's weights and the stack receive the mean pass's gradient before
+    the max pass's, each in its own accumulation, as the elementwise ops
+    this node replaced summed them.
+    """
+    n, a = stack.shape[1:2], b0.shape
+    if stack.ndim != 3 or len(a) != 1 or (w0.shape, w1.shape, b1.shape) != (a + n, n + a, n):
+        raise ShapeMismatch(
+            f"branch_weights: stack {stack.shape} does not fit w0 {w0.shape}, b0 {b0.shape}, "
+            f"w1 {w1.shape} and b1 {b1.shape}"
+        )
+    q = stack.data
+    passes = []  # per descriptor: itself, the hidden pre-activation, its leaky ReLU, the scores
+    for d in (_check_finite(q.mean(axis=2), "branch_weights"), q.max(axis=2)):
+        h = _check_finite(_add_bias(d @ w0.data.T, b0.data), "branch_weights")
+        hidden = np.where(h > 0, h, LEAKY_SLOPE * h)
+        scores = _check_finite(_add_bias(hidden @ w1.data.T, b1.data), "branch_weights")
+        passes.append((d, h, hidden, scores))
+    raw = _sigmoid_in_place(_check_finite(passes[0][3] + passes[1][3], "branch_weights"))
+    num = _sigmoid_in_place(raw.copy()) if double_sigmoid else raw
+    den = _check_finite(num.sum(axis=-1, keepdims=True), "branch_weights")
     with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(x.data)
-    if not _track_any(x):
-        return _make(data, "log", (), None)
+        out = _check_finite(num / den, "branch_weights")
+    if not _track_any(stack, w0, b0, w1, b1):
+        return _raw(out, (), None)
 
     def backward_fn(g):
-        _accum(x, g / x.data)
+        # the ratio, then the sum that is its denominator
+        d_num = g / den
+        d_num += (-g * out / den).sum(axis=1, keepdims=True)
+        d_raw = d_num * num * (1.0 - num) if double_sigmoid else d_num
+        d_scores = d_raw * raw * (1.0 - raw)
+        d_pooled = []
+        for d, h, hidden, _ in passes:  # the mean pass, then the max pass
+            # the second dense layer, the leaky ReLU, the first dense layer
+            d_hidden = d_scores @ w1.data
+            _dense_param_grads(w1, b1, hidden, d_scores)
+            d_h = d_hidden * np.where(h > 0, 1.0, LEAKY_SLOPE).astype(h.dtype)
+            _dense_param_grads(w0, b0, d, d_h)
+            d_pooled.append(d_h @ w0.data)
+        if _tracked(stack):
+            d_mean, d_max = d_pooled
+            _accum(stack, _expand_reduced(d_mean / q.shape[2], q.shape, 2, False))
+            d_q = np.zeros_like(q)  # the max's gradient routes to the first maximal element
+            np.put_along_axis(d_q, np.argmax(q, axis=2)[:, :, None], d_max[:, :, None], 2)
+            _accum(stack, d_q)
 
-    return _make(data, "log", (x,), backward_fn)
+    return _raw(out, (stack, w0, b0, w1, b1), backward_fn)
 
 
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient passes only inside the range."""
-    data = np.clip(x.data, lo, hi)
-    if not _track_any(x):
-        return _raw(data, (), None)
+def branch_fusion(weights: Tensor, stack: Tensor) -> Tensor:
+    """The (T, d) convex mix ``sum_i weights[:, i] * stack[:, i]`` of a
+    (T, n, d) branch stack under its (T, n) branch weights, one node that
+    keeps no (T, n, d) product."""
+    if stack.ndim != 3 or weights.shape != stack.shape[:2]:
+        raise ShapeMismatch(f"branch_fusion: weights {weights.shape} do not fit stack {stack.shape}")
+    w = weights.data[:, :, None]
+    data = (w * stack.data).sum(axis=1)
+    if not _track_any(weights, stack):
+        return _make(data, "branch_fusion", (), None)
 
     def backward_fn(g):
-        mask = (x.data >= lo) & (x.data <= hi)
-        _accum(x, g * mask.astype(x.data.dtype))
+        g = g[:, None, :]
+        if _tracked(weights):
+            _accum(weights, (g * stack.data).sum(axis=2))
+        if _tracked(stack):
+            _accum(stack, g * w)
 
-    return _raw(data, (x,), backward_fn)
+    return _make(data, "branch_fusion", (weights, stack), backward_fn)
 
 
 # -- Bi-LSTM layer --------------------------------------------------------
@@ -704,9 +737,7 @@ def bilstm_layer(
 
 
 def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    if not keepdims:
+    if axis is not None and not keepdims:
         g = np.expand_dims(g, axis)
     return np.broadcast_to(g, shape)
 
@@ -734,25 +765,6 @@ def tensor_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(data, "mean", (x,), backward_fn)
 
 
-def tensor_max(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Max reduction; the gradient routes to the first maximal element."""
-    data = x.data.max(axis=axis, keepdims=keepdims)
-    if not _track_any(x):
-        return _raw(data, (), None)
-
-    def backward_fn(g):
-        gx = np.zeros_like(x.data)
-        if axis is None:
-            gx.flat[np.argmax(x.data)] = g if np.ndim(g) == 0 else g.item()
-        else:
-            idx = np.expand_dims(np.argmax(x.data, axis=axis), axis)
-            ge = g if keepdims else np.expand_dims(g, axis)
-            np.put_along_axis(gx, idx, ge, axis)
-        _accum(x, gx)
-
-    return _raw(data, (x,), backward_fn)
-
-
 # -- shape ops ------------------------------------------------------------
 
 
@@ -767,34 +779,49 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _raw(data, (x,), backward_fn)
 
 
-def _getitem(x: Tensor, key) -> Tensor:
-    data = x.data[key]
-    if not _track_any(x):
+# -- losses ---------------------------------------------------------------
+
+
+def cross_entropy(probs: Tensor, labels, clamp: float) -> Tensor:
+    """``-sum(y log p + (1 - y) log(1 - p))`` over per-frame labels y and
+    probabilities p clamped to [clamp, 1 - clamp], one node. A clamped
+    probability gets no gradient."""
+    labels = np.asarray(labels)
+    if probs.shape != labels.shape:
+        raise ShapeMismatch(f"probs shape {probs.shape} does not match labels shape {labels.shape}")
+    y = _check_finite(labels.astype(probs.dtype.type), "cross_entropy")
+    p = np.clip(probs.data, clamp, 1.0 - clamp)
+    not_y, not_p = 1.0 - y, 1.0 - p
+    data = _check_finite(-(y * np.log(p) + not_y * np.log(not_p)).sum(), "cross_entropy")
+    if not _track_any(probs):
         return _raw(data, (), None)
 
     def backward_fn(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[key] += g
+        g = np.broadcast_to(-g, p.shape)
+        d_p = g * y / p
+        d_p -= g * not_y / not_p
+        _accum(probs, d_p * ((probs.data >= clamp) & (probs.data <= 1.0 - clamp)).astype(probs.dtype))
 
-    return _raw(data, (x,), backward_fn)
+    return _raw(data, (probs,), backward_fn)
 
 
-def take_rows(x: Tensor, indices) -> Tensor:
-    """Per-row gather from a 2-D tensor: out[t] = x[t, indices[t]]."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if x.ndim != 2 or idx.shape != (x.shape[0],):
-        raise ShapeMismatch(
-            f"take_rows expects (T, n) tensor and T indices, got {x.shape} and {idx.shape}"
-        )
-    rows = np.arange(x.shape[0])
-    data = x.data[rows, idx]
-    if not _track_any(x):
+def selected_nll(weights: Tensor, k) -> Tensor:
+    """``-sum_t log weights[t, k[t]]`` for (T, n) weights and T integers k
+    in [0, n), one node."""
+    idx = np.asarray(k)
+    n = weights.shape[1] if weights.ndim == 2 else 0
+    if idx.shape != weights.shape[:1] or idx.dtype.kind not in "iu" or ((idx < 0) | (idx >= n)).any():
+        raise ShapeMismatch(f"selected_nll: k {idx.dtype} {idx.shape} does not index {weights.shape}")
+    rows = np.arange(idx.size)
+    picked = weights.data[rows, idx]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        data = _check_finite(-np.log(picked).sum(), "selected_nll")
+    if not _track_any(weights):
         return _raw(data, (), None)
 
     def backward_fn(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, (rows, idx), g)
+        if weights.grad is None:
+            weights.grad = np.zeros_like(weights.data)
+        np.add.at(weights.grad, (rows, idx), np.broadcast_to(-g, picked.shape) / picked)
 
-    return _raw(data, (x,), backward_fn)
+    return _raw(data, (weights,), backward_fn)

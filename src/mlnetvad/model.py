@@ -237,22 +237,6 @@ def window_matrix(padded: np.ndarray, t_len: int, radius: int) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
-def normalize_branch_weights(a: Tensor, double_sigmoid: bool) -> Tensor:
-    """Turn raw branch scores (last axis) into positive weights summing to one.
-
-    ``double_sigmoid`` (the default) applies a second sigmoid before the
-    ratio; without it the scores are normalized directly, which leaves
-    the weight vector invariant to positive rescaling of the scores.
-    """
-    num = ad.sigmoid(a) if double_sigmoid else a
-    return num / num.sum(axis=-1, keepdims=True)
-
-
-def fuse_branches(p: Tensor, q: Tensor) -> Tensor:
-    """Convex combination of branch vectors: sum_i p[..., i] * q[..., i, :]."""
-    return (p.reshape(p.shape + (1,)) * q).sum(axis=p.ndim - 1)
-
-
 def attention_forward(
     q: Tensor, attn: AttentionParams, double_sigmoid: bool = True
 ) -> tuple[Tensor, Tensor]:
@@ -262,19 +246,13 @@ def attention_forward(
     Average- and max-pooled branch descriptors go through a shared
     two-layer net (leaky_relu hidden); the two outputs are summed before
     the sigmoid. The normalized (T, n_branches) weights combine the
-    branch vectors into a convex fusion of shape (T, gated_dim).
+    branch vectors into a convex fusion of shape (T, gated_dim). Two
+    nodes: ``autodiff.branch_weights`` and ``autodiff.branch_fusion``.
     """
     if q.ndim != 3:
         raise ShapeMismatch(f"attention input must be (T, n_branches, gated_dim), got {q.shape}")
-    d_avg = q.mean(axis=2)
-    d_max = q.max(axis=2)
-
-    def shared_net(d: Tensor) -> Tensor:
-        return ad.affine(ad.leaky_relu(ad.affine(d, attn.w0, attn.b0)), attn.w1, attn.b1)
-
-    a = ad.sigmoid(shared_net(d_avg) + shared_net(d_max))
-    p = normalize_branch_weights(a, double_sigmoid)
-    return fuse_branches(p, q), p
+    weights = ad.branch_weights(q, attn.w0, attn.b0, attn.w1, attn.b1, double_sigmoid)
+    return ad.branch_fusion(weights, q), weights
 
 
 def non_attention_forward(q: Tensor) -> Tensor:

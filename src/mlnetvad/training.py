@@ -52,15 +52,7 @@ def cross_entropy_loss(probs: Tensor, labels: np.ndarray) -> Tensor:
 
     Probabilities are clamped to [1e-7, 1 - 1e-7] before the logs.
     """
-    labels = np.asarray(labels)
-    if probs.shape != labels.shape:
-        raise ShapeMismatch(
-            f"probs shape {probs.shape} does not match labels shape {labels.shape}"
-        )
-    y = Tensor(labels.astype(probs.dtype.type))
-    p = probs.clip(PROB_CLAMP, 1.0 - PROB_CLAMP)
-    term = y * p.log() + (1.0 - y) * (1.0 - p).log()
-    return -term.sum()
+    return ad.cross_entropy(probs, labels, PROB_CLAMP)
 
 
 def attention_loss(branch_weights: Tensor, k: np.ndarray | None = None) -> Tensor:
@@ -68,14 +60,16 @@ def attention_loss(branch_weights: Tensor, k: np.ndarray | None = None) -> Tenso
 
     ``k`` is the per-frame winning branch; by default the argmax of the
     current weights (first index on ties). The selection is treated as
-    a constant, so no gradient flows through the argmax itself.
+    a constant, so no gradient flows through the argmax itself. A ``k``
+    that is not one integer in [0, n_branches) per frame raises
+    ``ShapeMismatch``.
     """
     p = branch_weights
     if p.ndim != 2:
         raise ShapeMismatch(f"branch weights must be (T, n_branches), got {p.shape}")
     if k is None:
         k = np.argmax(p.data, axis=1)
-    return -ad.take_rows(p, k).log().sum()
+    return ad.selected_nll(p, k)
 
 
 def utterance_loss(

@@ -41,10 +41,6 @@ class TestForwardValues:
         with pytest.raises(ShapeMismatch, match="input_projection"):
             ad.input_projection(x, w, Tensor(np.ones(shapes[1][-1])))
 
-    def test_clip_values(self):
-        x = Tensor(np.array([-1.0, 0.5, 2.0]))
-        np.testing.assert_allclose(x.clip(0.0, 1.0).data, [0.0, 0.5, 1.0])
-
 
 class TestBackwardRules:
     def test_sigmoid_derivative_at_zero(self):
@@ -79,40 +75,33 @@ class TestBackwardRules:
         np.testing.assert_allclose(b.grad, [5.0, 5.0, 5.0])
         np.testing.assert_allclose(m.grad, np.ones((5, 3)))
 
-    def test_max_routes_to_first_argmax(self):
-        x = Tensor(np.array([[1.0, 3.0, 3.0], [2.0, 0.0, 2.0]]), requires_grad=True)
-        x.max(axis=1).sum().backward()
-        np.testing.assert_allclose(x.grad, [[0, 1, 0], [1, 0, 0]])
-
-    def test_slice_gradient_scatters(self):
-        x = Tensor(np.zeros(5), requires_grad=True)
-        (x[1:4].sum() * 2.0).backward()
-        np.testing.assert_allclose(x.grad, [0, 2, 2, 2, 0])
-
-    def test_clip_blocks_gradient_outside_range(self):
-        x = Tensor(np.array([-1.0, 0.5, 2.0]), requires_grad=True)
-        x.clip(0.0, 1.0).sum().backward()
-        np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
-
 
 def _random_composite(rng):
-    """A three-layer mix of the op set on small float64 tensors."""
+    """A three-layer mix of the op set on small float64 tensors: the dense
+    layers, the activations, the attention nodes, the reductions and both
+    losses."""
     x = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
     w1 = Tensor(rng.normal(size=(4, 6)) * 0.5, requires_grad=True)
     b1 = Tensor(rng.normal(size=4) * 0.1, requires_grad=True)
-    w2 = Tensor(rng.normal(size=(4, 3)) * 0.5, requires_grad=True)
-    b2 = Tensor(rng.normal(size=3) * 0.1, requires_grad=True)
-    w3 = Tensor(rng.normal(size=(2, 5)) * 0.5, requires_grad=True)
+    w2 = Tensor(rng.normal(size=(4, 6)) * 0.5, requires_grad=True)
+    b2 = Tensor(rng.normal(size=6) * 0.1, requires_grad=True)
+    attn = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in [(4, 3), (4,), (3, 4), (3,)]]
+    w3 = Tensor(rng.normal(size=(2, 10)) * 0.5, requires_grad=True)
     b3 = Tensor(rng.normal(size=2) * 0.1, requires_grad=True)
+    labels = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
+    k = np.array([0, 2, 1, 1, 0])
 
     def forward():
-        h = ad.tanh(ad.affine(x, w1, b1))              # (5, 4)
-        g = ad.sigmoid(ad.input_projection(h, w2, b2))  # (5, 3)
-        pooled = g.mean(axis=1, keepdims=True) * g.max(axis=1, keepdims=True)  # (5, 1)
-        z = ad.leaky_relu(ad.affine(pooled.reshape(1, 5), w3, b3))  # (1, 2)
-        return (z * z).sum() + g.reshape(15)[2:9].sum()
+        h = ad.tanh(ad.affine(x, w1, b1))  # (5, 4)
+        stack = ad.sigmoid(ad.input_projection(h, w2, b2)).reshape(5, 3, 2)
+        weights = ad.branch_weights(stack, *attn)  # (5, 3)
+        fused = ad.branch_fusion(weights, stack)  # (5, 2)
+        z = ad.leaky_relu(ad.affine(fused.reshape(1, 10), w3, b3))  # (1, 2)
+        probs = ad.sigmoid(fused.mean(axis=1) * 4.0)
+        nll = ad.selected_nll(weights, k) + ad.cross_entropy(probs, labels, 1e-7)
+        return (z * z).sum() + 0.5 * nll
 
-    return forward, [x, w1, b1, w2, b2, w3, b3]
+    return forward, [x, w1, b1, w2, b2, *attn, w3, b3]
 
 
 class TestGradientOracle:
@@ -125,20 +114,6 @@ class TestGradientOracle:
             numeric = numeric_grad(lambda: forward().item(), params)
         for p, n in zip(params, numeric):
             assert rel_error(p.grad, n) <= 1e-5
-
-    def test_division_gradients(self):
-        rng = np.random.default_rng(7)
-        a = Tensor(rng.uniform(0.5, 2.0, size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.uniform(0.5, 2.0, size=(3, 1)), requires_grad=True)
-
-        def forward():
-            return ((a / b) * (a / b)).sum()
-
-        forward().backward()
-        with ad.no_grad():
-            numeric = numeric_grad(lambda: forward().item(), [a, b])
-        assert rel_error(a.grad, numeric[0]) <= 1e-5
-        assert rel_error(b.grad, numeric[1]) <= 1e-5
 
 
 class TestGraphSemantics:
@@ -164,9 +139,9 @@ class TestGraphSemantics:
                 ad.affine(*(Tensor(np.ones(shape)) for shape in (x, w, b)))
 
     def test_non_finite_forward_trips(self):
-        x = Tensor(np.array([0.0, 1.0]))
+        weights = Tensor(np.array([[0.0, 1.0]]))
         with pytest.raises(NonFiniteError):
-            ad.log(x)
+            ad.selected_nll(weights, [0])  # log(0)
 
     def test_non_finite_constructor_trips(self):
         with pytest.raises(NonFiniteError):
@@ -227,7 +202,7 @@ class TestDtypes:
 
     def test_float64_is_preserved(self):
         x = Tensor(np.zeros(3, dtype=np.float64), requires_grad=True)
-        y = x.tanh() + 1.0
+        y = ad.tanh(x) + 1.0
         assert y.dtype == np.float64
         y.sum().backward()
         assert x.grad.dtype == np.float64
@@ -318,6 +293,198 @@ class TestDenseNodesExact:
         self._assert_exact(tensors, out, expected, grads)
 
 
+def _accumulate(total: dict, contributions: dict) -> None:
+    """Add each tensor's gradient contributions into ``total`` one at a
+    time and in order, the first one copied, as the graph accumulates."""
+    for name, parts in contributions.items():
+        for part in parts:
+            if name in total:
+                total[name] += part
+            else:
+                total[name] = part.copy()
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def _branch_weights_chain(q, w0, b0, w1, b1, double_sigmoid):
+    """The branch weights of the (T, n, d) stack q, and a function from
+    their gradient to each input's gradient contributions, in the op order
+    of the elementwise chain ``branch_weights`` replaced: mean, max, the
+    shared net on the mean, then on the max, an add, a sigmoid, a second
+    sigmoid if double, a row sum and a divide. That chain's backward ran
+    the divide, then the sum, then the mean pass, then the max pass."""
+    nets = []
+    for d in (q.mean(axis=2), q.max(axis=2)):
+        h = d @ w0.T + b0
+        hidden = np.where(h > 0, h, 0.01 * h)
+        nets.append((d, h, hidden, hidden @ w1.T + b1))
+    raw = _sigmoid(nets[0][3] + nets[1][3])
+    num = _sigmoid(raw) if double_sigmoid else raw
+    den = num.sum(axis=-1, keepdims=True)
+    p = num / den
+
+    def backward(g):
+        d_num = g / den + (-g * p / den).sum(axis=1, keepdims=True)
+        d_raw = d_num * num * (1.0 - num) if double_sigmoid else d_num
+        d_scores = d_raw * raw * (1.0 - raw)
+        grads = {"stack": [], "w0": [], "b0": [], "w1": [], "b1": []}
+        for (d, h, hidden, _), pooled in zip(nets, ("mean", "max")):
+            grads["w1"].append((hidden.T @ d_scores).T)
+            grads["b1"].append(d_scores.sum(axis=0))
+            d_h = (d_scores @ w1) * np.where(h > 0, 1.0, 0.01).astype(h.dtype)
+            grads["w0"].append((d.T @ d_h).T)
+            grads["b0"].append(d_h.sum(axis=0))
+            d_d = d_h @ w0
+            if pooled == "mean":
+                grads["stack"].append(np.broadcast_to(np.expand_dims(d_d / q.shape[2], 2), q.shape))
+            else:
+                d_q = np.zeros_like(q)
+                idx = np.expand_dims(np.argmax(q, axis=2), 2)
+                np.put_along_axis(d_q, idx, np.expand_dims(d_d, 2), 2)
+                grads["stack"].append(d_q)
+        return grads
+
+    return p, backward
+
+
+def _fusion_chain(p, q, g):
+    """The fusion ``(p.reshape(T, n, 1) * q).sum(axis=1)`` and the
+    gradients of p and q for its gradient g, as the reshape, the multiply
+    and the sum gave them."""
+    g_full = np.broadcast_to(g[:, None, :], q.shape).copy()  # what the sum passed back
+    d_p = (g_full * q).sum(axis=(2,), keepdims=True).reshape(p.shape)
+    return (p.reshape(p.shape + (1,)) * q).sum(axis=1), d_p, g_full * p[:, :, None]
+
+
+class TestAttentionAndLossNodesExact:
+    """The channel-attention and loss nodes against numpy in the op order
+    of the elementwise chains they replaced. Output, dtype and every
+    gradient must match bit for bit, also after a second ``backward``
+    accumulates into the same leaves: a tensor fed from several places
+    takes each contribution in its own accumulation, in the chain's
+    order."""
+
+    NAMES = ("stack", "w0", "b0", "w1", "b1")
+
+    def _attention_arrays(self, rng, dtype, t_len=23, n=5, d=7, a=6):
+        q = rng.normal(size=(t_len, n, d)).astype(dtype)
+        q[0, 1, [3, 5]] = 4.0  # a tie: the max pass's gradient goes to the first
+        shapes = [(a, n), (a,), (n, a), (n,)]
+        return [q] + [rng.normal(size=shape).astype(dtype) for shape in shapes]
+
+    def _assert_grads(self, tensors, names, expected):
+        for t, name in zip(tensors, names, strict=True):
+            assert t.grad.dtype == expected[name].dtype
+            np.testing.assert_array_equal(t.grad, expected[name])
+
+    @pytest.mark.parametrize("double", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_branch_weights(self, dtype, double):
+        rng = np.random.default_rng(34)
+        arrays = self._attention_arrays(rng, dtype)
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        expected = {}
+        for _ in range(2):
+            out = ad.branch_weights(*tensors, double_sigmoid=double)
+            g = _backward_with(out, rng)
+            p, chain_backward = _branch_weights_chain(*arrays, double)
+            assert out.dtype == p.dtype == dtype
+            np.testing.assert_array_equal(out.data, p)
+            grads = chain_backward(g)
+            assert grads["stack"][1][0, 1, 5] == 0.0 != grads["stack"][1][0, 1, 3]
+            _accumulate(expected, grads)
+        self._assert_grads(tensors, self.NAMES, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_branch_fusion(self, dtype):
+        rng = np.random.default_rng(35)
+        q = rng.normal(size=(19, 4, 6)).astype(dtype)
+        p = rng.random((19, 4)).astype(dtype)
+        tensors = [Tensor(p, requires_grad=True), Tensor(q, requires_grad=True)]
+        expected = {}
+        for _ in range(2):
+            out = ad.branch_fusion(*tensors)
+            g = _backward_with(out, rng)
+            fused, d_p, d_q = _fusion_chain(p, q, g)
+            assert out.dtype == dtype
+            np.testing.assert_array_equal(out.data, fused)
+            _accumulate(expected, {"weights": [d_p], "stack": [d_q]})
+        self._assert_grads(tensors, ("weights", "stack"), expected)
+
+    @pytest.mark.parametrize("double", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_layer_takes_contributions_in_the_chain_order(self, dtype, double):
+        # the stack feeds the fusion and both poolings, and the weights
+        # feed the fusion and the attention loss, as in a training graph
+        rng = np.random.default_rng(36)
+        arrays = self._attention_arrays(rng, dtype)
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        expected = {}
+        for _ in range(2):
+            weights = ad.branch_weights(*tensors, double_sigmoid=double)
+            fused = ad.branch_fusion(weights, tensors[0])
+            g = rng.normal(size=fused.shape).astype(dtype)
+            k = rng.integers(0, arrays[0].shape[1], fused.shape[0])
+            ((fused * Tensor(g)).sum() + ad.selected_nll(weights, k)).backward()
+
+            p, chain_backward = _branch_weights_chain(*arrays, double)
+            _, d_p, d_q = _fusion_chain(p, arrays[0], g)
+            rows = np.arange(k.size)
+            picked_grad = np.broadcast_to(np.asarray(-1.0, dtype), k.shape).copy() / p[rows, k]
+            np.add.at(d_p, (rows, k), picked_grad)
+            grads = chain_backward(d_p)
+            grads["stack"].insert(0, d_q)
+            _accumulate(expected, grads)
+        self._assert_grads(tensors, self.NAMES, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cross_entropy(self, dtype):
+        rng = np.random.default_rng(37)
+        probs = rng.random(41).astype(dtype)
+        probs[:4] = [0.0, 1.0, 1e-9, 1.0 - 1e-9]  # clamped: no gradient
+        labels = rng.integers(0, 2, 41)
+        tensor = Tensor(probs, requires_grad=True)
+        y = labels.astype(dtype)
+        pc = np.clip(probs, 1e-7, 1.0 - 1e-7)
+        inside = ((probs >= 1e-7) & (probs <= 1.0 - 1e-7)).astype(dtype)
+        neg = np.asarray(-1.0, dtype)
+        expected = {}
+        for _ in range(2):
+            out = ad.cross_entropy(tensor, labels, 1e-7)
+            g = _backward_with(out, rng)
+            loss = (y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).sum() * neg
+            assert out.dtype == dtype
+            np.testing.assert_array_equal(out.data, loss)
+            g_term = np.broadcast_to(g * neg, y.shape).copy()
+            d_pc = (g_term * y) / pc  # the log of p, then the log of 1 - p
+            d_pc += -((g_term * (1.0 - y)) / (1.0 - pc))
+            _accumulate(expected, {"probs": [d_pc * inside]})
+        np.testing.assert_array_equal(tensor.grad[:4], 0.0)
+        self._assert_grads([tensor], ("probs",), expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_selected_nll(self, dtype):
+        rng = np.random.default_rng(38)
+        weights = (rng.random((29, 5)) + 0.01).astype(dtype)
+        tensor = Tensor(weights, requires_grad=True)
+        rows = np.arange(29)
+        expected = np.zeros_like(weights)
+        for _ in range(2):
+            k = rng.integers(0, 5, 29)
+            out = ad.selected_nll(tensor, k)
+            g = _backward_with(out, rng)
+            picked = weights[rows, k]
+            assert out.dtype == dtype
+            np.testing.assert_array_equal(out.data, np.log(picked).sum() * np.asarray(-1.0, dtype))
+            g_picked = np.broadcast_to(g * np.asarray(-1.0, dtype), picked.shape).copy()
+            np.add.at(expected, (rows, k), g_picked / picked)
+        assert tensor.grad.dtype == dtype
+        np.testing.assert_array_equal(tensor.grad, expected)
+
+
 @pytest.mark.parametrize("module", ["mlnetvad", "mlnetvad.autodiff"])
 def test_every_exported_name_resolves(module):
     namespace: dict = {}
@@ -327,31 +494,28 @@ def test_every_exported_name_resolves(module):
         assert getattr(mod, name) is namespace[name]
 
 
-def _per_frame(xproj: Tensor, w_h: Tensor, reverse: bool) -> list[Tensor]:
-    """One direction as a graph of elementary ops: its (1, H) hidden-state
-    rows in time order. The recurrent product ``h @ w_h`` is an
-    ``input_projection`` with a zero bias, which adds nothing."""
+def _per_frame(xproj: np.ndarray, w_h: np.ndarray, reverse: bool) -> np.ndarray:
+    """One direction of a Bi-LSTM layer, one frame at a time in numpy: its
+    (T, H) hidden states in time order, from the (T, 4H) input rows."""
     t_len, h_dim = xproj.shape[0], w_h.shape[0]
-    h = Tensor(np.zeros((1, h_dim)))
-    c = Tensor(np.zeros((1, h_dim)))
-    no_bias = Tensor(np.zeros(4 * h_dim))
-    rows = [None] * t_len
+    h = np.zeros((1, h_dim))
+    c = np.zeros((1, h_dim))
+    rows = np.empty((t_len, h_dim))
     for t in (range(t_len - 1, -1, -1) if reverse else range(t_len)):
-        gates = xproj[t : t + 1] + ad.input_projection(h, w_h, no_bias)
-        i = ad.sigmoid(gates[:, 0:h_dim])
-        f = ad.sigmoid(gates[:, h_dim : 2 * h_dim])
-        g = ad.tanh(gates[:, 2 * h_dim : 3 * h_dim])
-        o = ad.sigmoid(gates[:, 3 * h_dim :])
+        z = xproj[t : t + 1] + h @ w_h
+        i, f, _, o = np.split(1.0 / (1.0 + np.exp(-z)), 4, axis=1)
+        g = np.tanh(z[:, 2 * h_dim : 3 * h_dim])
         c = f * c + i * g
-        h = o * ad.tanh(c)
-        rows[t] = h
+        h = o * np.tanh(c)
+        rows[t] = h[0]
     return rows
 
 
 class TestLstmSequence:
-    """Each direction of the layer op must be exactly the per-frame composite
-    of elementary ops: forward in time for the first half of its columns,
-    backward in time for the second."""
+    """Each direction of the layer op must give exactly the hidden states
+    of a per-frame numpy loop, forward in time for the first half of its
+    columns and backward in time for the second, and gradients that match
+    central differences of that loop."""
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("t_len", [1, 2, 7])
@@ -366,22 +530,23 @@ class TestLstmSequence:
         x = Tensor(rng.normal(size=(t_len, 3)))
         d = int(reverse)  # the direction under test; the other one gets no loss
         cols = slice(d * h_dim, (d + 1) * h_dim)
-        coeffs = np.zeros((t_len, 2 * h_dim))
-        coeffs[:, cols] = rng.normal(size=(t_len, h_dim))
+        coeffs = rng.normal(size=(t_len, h_dim))
+
+        def per_frame() -> np.ndarray:
+            return _per_frame(x.data @ w_x[d].data + b[d].data, w_h[d].data, reverse)
 
         xproj = [ad.input_projection(x, w_x[e], b[e]) for e in range(2)]
         out = ad.bilstm_layer(*xproj, w_h[0], w_h[1])
-        (out * Tensor(coeffs)).sum().backward()
-        rows = _per_frame(ad.input_projection(x, w_x[d], b[d]), w_h[d], reverse)
-        np.testing.assert_array_equal(out.data[:, cols], np.concatenate([r.data for r in rows]))
+        np.testing.assert_array_equal(out.data[:, cols], per_frame())
+        weighted = np.zeros((t_len, 2 * h_dim))
+        weighted[:, cols] = coeffs
+        (out * Tensor(weighted)).sum().backward()
         for p in (w_x[1 - d], w_h[1 - d], b[1 - d]):
             np.testing.assert_array_equal(p.grad, 0.0)
-
-        grads_op = [p.grad.copy() for p in (w_x[d], w_h[d], b[d])]
-        ad.zero_grads([w_x[d], w_h[d], b[d]])
-        sum((r * Tensor(c)).sum() for r, c in zip(rows, coeffs[:, None, cols])).backward()
-        for grad_op, p in zip(grads_op, (w_x[d], w_h[d], b[d])):
-            np.testing.assert_allclose(grad_op, p.grad, rtol=0, atol=1e-12)
+        params = [w_x[d], w_h[d], b[d]]
+        numeric = numeric_grad(lambda: float((per_frame() * coeffs).sum()), params)
+        for p, n in zip(params, numeric):
+            assert rel_error(p.grad, n) <= 1e-5
 
 
 class TestBilstmLayer:

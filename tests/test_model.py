@@ -14,11 +14,9 @@ from mlnetvad.model import (
     attention_forward,
     build_params,
     classifier_forward,
-    fuse_branches,
     init_params,
     mlnet_forward,
     non_attention_forward,
-    normalize_branch_weights,
     replicate_pad,
     window_matrix,
 )
@@ -282,9 +280,9 @@ class TestAttention:
 
     def test_one_hot_weights_select_branch(self):
         rng = np.random.default_rng(2)
-        q = Tensor(rng.normal(size=(4, 6)))
-        p = Tensor(np.array([0.0, 0.0, 1.0, 0.0]))
-        np.testing.assert_allclose(fuse_branches(p, q).data, q.data[2], atol=1e-12)
+        q = Tensor(rng.normal(size=(1, 4, 6)))
+        p = Tensor(np.array([[0.0, 0.0, 1.0, 0.0]]))
+        np.testing.assert_allclose(ad.branch_fusion(p, q).data[0], q.data[0, 2], atol=1e-12)
 
     def test_weights_sum_to_one_and_positive(self):
         rng = np.random.default_rng(3)
@@ -356,15 +354,25 @@ class TestAttention:
         assert (fused.data >= lo - 1e-9).all()
         assert (fused.data <= hi + 1e-9).all()
 
-    def test_argmax_stable_under_scaling_single_sigmoid(self):
+    def test_single_sigmoid_weights_are_the_normalized_raw_scores(self):
+        # without the second sigmoid the weights are the raw scores over
+        # their row sum: a positive rescaling of the raw scores moves no
+        # weight, and the winning branch is the highest-scoring one
         rng = np.random.default_rng(6)
+        cfg = small_cfg(receptive_fields=(0, 1, 2, 3, 4))
+        params = init_params(cfg, seed=6, dtype=np.float64)
+        at = params.attention
+        for t in (at.w0, at.b0, at.w1, at.b1):
+            t.data[:] = rng.normal(size=t.shape)
         for _ in range(20):
-            a = Tensor(rng.uniform(0.05, 0.95, size=(4, 5)))
-            p1 = normalize_branch_weights(a, double_sigmoid=False)
-            p2 = normalize_branch_weights(a * 3.7, double_sigmoid=False)
-            np.testing.assert_array_equal(
-                np.argmax(p1.data, axis=1), np.argmax(p2.data, axis=1)
-            )
+            q = rng.normal(size=(4, 5, 8))
+            _, weights = attention_forward(Tensor(q), at, double_sigmoid=False)
+            raw = np.array([
+                scalar_attention_oracle(v, at.w0.data, at.b0.data, at.w1.data, at.b1.data, False)[0]
+                for v in q
+            ])
+            np.testing.assert_allclose(weights.data, raw / raw.sum(axis=1, keepdims=True), rtol=1e-12)
+            np.testing.assert_array_equal(np.argmax(weights.data, axis=1), np.argmax(raw, axis=1))
 
     def test_non_attention_identity_on_equal_branches(self):
         v = np.arange(6.0)
@@ -381,7 +389,7 @@ class TestAttention:
         q = Tensor(rng.normal(size=(5, 3, 8)))
         p = Tensor(np.full((5, 3), 1.0 / 3.0))
         np.testing.assert_allclose(
-            non_attention_forward(q).data, fuse_branches(p, q).data, atol=1e-12
+            non_attention_forward(q).data, ad.branch_fusion(p, q).data, atol=1e-12
         )
 
 
@@ -597,7 +605,8 @@ class TestMlnetForward:
 
         def loss_tensor():
             probs = mlnet_forward(x, params).probs
-            return ((probs - Tensor(y)) * (probs - Tensor(y))).sum()
+            error = probs + Tensor(-y)
+            return (error * error).sum()
 
         loss_tensor().backward()
         tensors = params.tensors()

@@ -11,7 +11,7 @@ import mlnetvad.training
 from helpers import numeric_grad, rel_error, toy_corpus
 from mlnetvad.autodiff import Tensor
 from mlnetvad.corpus import LabeledUtterance
-from mlnetvad.errors import ShapeMismatch, TrainingError
+from mlnetvad.errors import NonFiniteError, ShapeMismatch, TrainingError
 from mlnetvad.frontend import FeatureSequence
 from mlnetvad.model import ModelConfig, attention_forward, init_params, mlnet_forward
 from mlnetvad.training import (
@@ -110,6 +110,54 @@ class TestAttentionLoss:
         for t, n in zip(tensors, numeric):
             assert rel_error(t.grad, n) <= 1e-5
 
+    @pytest.mark.parametrize(
+        "k",
+        [
+            pytest.param(np.full(4, -1), id="minus-one"),
+            pytest.param(np.full(4, 3), id="n"),
+            pytest.param(np.full(4, 1.9), id="non-integer"),
+            pytest.param(np.zeros(3, dtype=np.int64), id="short"),
+        ],
+    )
+    def test_k_that_picks_no_branch_rejected(self, k):
+        p = Tensor(np.full((4, 3), 1.0 / 3.0), requires_grad=True)
+        with pytest.raises(ShapeMismatch):
+            attention_loss(p, k=k)
+
+
+class TestNonFiniteAttention:
+    """Where the attention or its loss cannot stay finite, the only error
+    is NonFiniteError; the suite turns numpy's RuntimeWarnings into
+    errors, so a warning escaping first fails here."""
+
+    def _setup(self, dtype=np.float64):
+        cfg = tiny_model(receptive_fields=(1, 2, 3), n_mels=8, gated_dim=8)
+        params = init_params(cfg, seed=5, dtype=dtype)
+        q = np.random.default_rng(6).normal(size=(4, 3, 8)).astype(dtype)
+        return params.attention, Tensor(q, requires_grad=True)
+
+    def test_single_sigmoid_with_every_score_zero(self):
+        attn, q = self._setup()
+        attn.w1.data[:] = 0.0
+        attn.b1.data[:] = -800.0  # sigmoid(-1600) is 0: every row of scores sums to 0
+        with pytest.raises(NonFiniteError):
+            attention_forward(q, attn, double_sigmoid=False)
+
+    def test_overflowing_float32_scores(self):
+        attn, q = self._setup(np.float32)
+        attn.w1.data[:] = 3e38
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            attention_forward(q, attn)
+
+    def test_frozen_k_on_a_zero_weight(self):
+        attn, q = self._setup()
+        attn.w1.data[:] = 0.0
+        attn.b1.data[:] = [800.0, -800.0, 800.0]  # branch 1's raw score, and weight, is 0
+        _, weights = attention_forward(q, attn, double_sigmoid=False)
+        np.testing.assert_array_equal(weights.data[:, 1], 0.0)
+        with pytest.raises(NonFiniteError):
+            attention_loss(weights, k=np.ones(4, dtype=np.int64))
+
 
 class TestDtypes:
     @pytest.mark.parametrize("variant", ["full_attention", "bilstm_base"])
@@ -122,39 +170,55 @@ class TestDtypes:
             assert t.grad is not None and t.grad.dtype == np.float32, name
 
 
-def _graph_tensors(loss: Tensor) -> int:
+def _graph_tensors(loss: Tensor) -> tuple[int, int]:
     """The tensors reachable from ``loss`` through the graph, the loss and
-    the leaves included."""
-    seen = {id(loss)}
+    the leaves included, and how many of them are op nodes."""
+    seen = {id(loss): loss}
     stack = [loss]
     while stack:
         for parent in stack.pop()._parents:
             if id(parent) not in seen:
-                seen.add(id(parent))
+                seen[id(parent)] = parent
                 stack.append(parent)
-    return len(seen)
+    return len(seen), sum(t._backward is not None for t in seen.values())
 
 
 class TestGraphSize:
-    """The training graph of one default ``full_attention`` utterance of 575
-    frames: how many tensors it has and what it holds once the forward pass
-    is built. A node or a kept buffer more per layer shows here."""
+    """The training graph of one default-sized utterance of 575 frames: how
+    many tensors and op nodes it has, for each variant, and what the
+    ``full_attention`` graph holds once the forward pass is built. A node
+    or a kept buffer more per layer shows here."""
 
     T_LEN = 575
 
-    def _setup(self):
+    def _setup(self, variant="full_attention"):
         rng = np.random.default_rng(0)
         frames = rng.normal(size=(self.T_LEN, 40))
         feats = FeatureSequence(frames, np.arange(self.T_LEN) * 0.01)
         utt = LabeledUtterance(feats, rng.random(self.T_LEN) > 0.5, "probe")
-        return utt, init_params(ModelConfig(), seed=0)
+        return utt, init_params(ModelConfig(variant=variant), seed=0)
 
-    def test_graph_tensor_count(self):
-        # 46 parameters and constants; per Bi-LSTM layer one
-        # input_projection per direction and one bilstm_layer
-        utt, params = self._setup()
+    # (tensors, op nodes). Every variant has 12 op nodes in common: per
+    # Bi-LSTM layer one input_projection per direction and one
+    # bilstm_layer; the head's affine, leaky ReLU, affine, reshape and
+    # sigmoid; and cross_entropy. bilstm_base adds its projection's affine
+    # and tanh, gated_unit and non_attention their gated_units and mean,
+    # and full_attention its gated_units, branch_weights, branch_fusion,
+    # selected_nll and the weighted loss's mul and add. The other tensors
+    # are parameters and two constants: bilstm_base's windows and
+    # full_attention's loss weight.
+    GRAPH_SIZES = {
+        "bilstm_base": (33, 14),
+        "gated_unit": (34, 14),
+        "non_attention": (50, 14),
+        "full_attention": (59, 18),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(GRAPH_SIZES))
+    def test_graph_tensor_count(self, variant):
+        utt, params = self._setup(variant)
         loss, _, _ = utterance_loss(utt, params, TrainConfig())
-        assert _graph_tensors(loss) == 89
+        assert _graph_tensors(loss) == self.GRAPH_SIZES[variant]
 
     def test_memory_held_after_the_forward_pass(self):
         utt, params = self._setup()
