@@ -8,38 +8,39 @@ order and frees each node's closure as it goes, so a graph serves one
 is called, which is what batch-level gradient accumulation relies on.
 
 The ops: elementwise ``add`` and ``mul`` with numpy broadcasting; the
-dense layers ``affine`` (``x @ w.T + b``) and ``input_projection``
-(``x @ w + b``, a Bi-LSTM direction's input projection); ``gated_units``,
-all gated branches in one node; the channel attention's
-``branch_weights`` and ``branch_fusion``; ``bilstm_layer``; tanh, sigmoid
-and leaky ReLU; sum, mean and reshape; and the losses ``cross_entropy``
-and ``selected_nll``. The dense layers and the gated units allocate only
-their GEMM outputs and add their biases into them in place; an add that
-would widen the dtype (a float64 bias on a float32 product) makes a new
-array instead. The attention and loss nodes round every value and
-gradient as the elementwise ops they replaced did, and a tensor those
-ops fed from several places takes each contribution in its own
-accumulation, in their order.
+dense layer ``affine`` (``x @ w.T + b``); ``gated_units``, all gated
+branches in one node; the channel attention's ``branch_weights`` and
+``branch_fusion``; ``bilstm_layer``, one node per Bi-LSTM layer;
+``classifier_head``, the leaky-ReLU layer and the sigmoid unit in one
+node; tanh; sum and mean; and the losses ``cross_entropy`` and
+``selected_nll``. The dense layers, the gated units, the layer's input
+projections and the head allocate only their GEMM outputs and add their
+biases into them in place; an add that would widen the dtype (a float64
+bias on a float32 product) makes a new array instead. Each layer node
+rounds every value and gradient as the chain of elementwise ops it
+replaced did, and a tensor those ops fed from several places takes each
+contribution in its own accumulation, in their order.
 
 Non-finite detection: every op that can turn finite inputs into NaN or
-infinity (the arithmetic ops, the dense layers, the reductions, the
-attention nodes and the losses) checks its output and raises;
-``branch_weights`` also checks its descriptors, scores and row sums.
-Its ratio and ``selected_nll``'s log run under ``np.errstate``, so that
-a row of zero scores or a zero weight raises ``NonFiniteError``, not a
-numpy warning. Ops whose outputs are finite whenever their inputs are
-finite (activations, reshape, ``bilstm_layer``) skip the check, except
-the bounded ``gated_units``, whose numpy inputs no ``Tensor`` has
-checked. Together the two groups guarantee all tensors stay finite.
+infinity (the arithmetic ops, the dense layers and input projections,
+the reductions, the attention nodes and the losses) checks its output
+and raises; ``branch_weights`` also checks its descriptors, scores and
+row sums. Its ratio and ``selected_nll``'s log run under
+``np.errstate``, so that a row of zero scores or a zero weight raises
+``NonFiniteError``, not a numpy warning. Ops whose outputs are finite
+whenever their inputs are finite (tanh, the Bi-LSTM states, the head's
+sigmoid) skip the check, except the bounded ``gated_units``, whose numpy
+inputs no ``Tensor`` has checked. Together the two groups guarantee all
+tensors stay finite.
 
-A Bi-LSTM layer is three nodes: one ``input_projection`` per direction
-and one ``bilstm_layer``, in which both directions of a packed batch
-advance in one time loop. Its step works gate-major, on
+A Bi-LSTM layer is one ``bilstm_layer`` node, in which both directions
+of a packed batch advance in one time loop. The loop runs in blocks of
+``SCAN_BLOCK`` steps; each block projects the input rows it gathers,
+so no whole-utterance projection is kept. Its step works gate-major, on
 (4, 2, B, H) blocks, so every elementwise operand is one contiguous
-(2, B, H) block. Each block of ``SCAN_BLOCK`` steps gathers its inputs
-in one pass per direction. The BPTT writes each step's four gate
-gradients into one contiguous block and copies it into the packed row
-that the recurrent matmul reads.
+(2, B, H) block. The BPTT writes each step's four gate gradients into
+one contiguous block and copies it into the packed row that the
+recurrent matmul reads.
 
 Only the operations the network needs are implemented; there is no
 general broadcasting machinery beyond numpy's, and no GPU path.
@@ -62,11 +63,10 @@ __all__ = [
     "bilstm_layer",
     "branch_fusion",
     "branch_weights",
+    "classifier_head",
     "cross_entropy",
     "gated_units",
     "grad_enabled",
-    "input_projection",
-    "leaky_relu",
     "no_grad",
     "selected_nll",
     "zero_grads",
@@ -156,11 +156,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tensor_sum(self, axis=axis, keepdims=keepdims)
@@ -330,33 +325,22 @@ def _dense_param_grads(
         _accum(b, dz.sum(axis=0))
 
 
-def _dense(op: str, x: Tensor, w: Tensor, b: Tensor, transposed: bool) -> Tensor:
-    """``x @ w + b``, or ``x @ w.T + b`` when ``transposed``: one node whose
-    only new array is the GEMM output, which takes the bias in place."""
-    w_in_out = w.data.T if transposed else w.data
-    if x.ndim != 2 or w.ndim != 2 or (x.shape[1],) + b.shape != w_in_out.shape:
-        raise ShapeMismatch(f"{op}: x {x.shape} does not fit w {w.shape} and b {b.shape}")
-    data = _add_bias(x.data @ w_in_out, b.data)
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """A dense layer, ``x @ w.T + b``: x is (T, in), w (out, in), b (out,).
+    One node whose only new array is the GEMM output, which takes the
+    bias in place."""
+    if x.ndim != 2 or w.ndim != 2 or (x.shape[1],) + b.shape != w.shape[::-1]:
+        raise ShapeMismatch(f"affine: x {x.shape} does not fit w {w.shape} and b {b.shape}")
+    data = _add_bias(x.data @ w.data.T, b.data)
     if not _track_any(x, w, b):
-        return _make(data, op, (), None)
+        return _make(data, "affine", (), None)
 
     def backward_fn(g):
         if _tracked(x):
-            _accum(x, g @ w_in_out.T)
-        _dense_param_grads(w, b, x.data, g, transposed)
+            _accum(x, g @ w.data)
+        _dense_param_grads(w, b, x.data, g)
 
-    return _make(data, op, (x, w, b), backward_fn)
-
-
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """A dense layer, ``x @ w.T + b``: x is (T, in), w (out, in), b (out,)."""
-    return _dense("affine", x, w, b, transposed=True)
-
-
-def input_projection(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """A Bi-LSTM direction's input projection, ``x @ w + b``: x is (T, in),
-    w (in, 4H) as the checkpoint stores it, b (4H,)."""
-    return _dense("input_projection", x, w, b, transposed=False)
+    return _make(data, "affine", (x, w, b), backward_fn)
 
 
 def gated_units(inputs: Sequence[np.ndarray], weights: Sequence[tuple[Tensor, ...]]) -> Tensor:
@@ -423,29 +407,7 @@ def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
         return np.divide(1.0, z, out=z)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    data = _sigmoid_in_place(x.data.copy())
-    if not _track_any(x):
-        return _raw(data, (), None)
-
-    def backward_fn(g):
-        _accum(x, g * data * (1.0 - data))
-
-    return _raw(data, (x,), backward_fn)
-
-
 LEAKY_SLOPE = 0.01
-
-
-def leaky_relu(x: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
-    data = np.where(x.data > 0, x.data, slope * x.data)
-    if not _track_any(x):
-        return _raw(data, (), None)
-
-    def backward_fn(g):
-        _accum(x, g * np.where(x.data > 0, 1.0, slope).astype(x.data.dtype))
-
-    return _raw(data, (x,), backward_fn)
 
 
 # -- channel attention ----------------------------------------------------
@@ -568,17 +530,15 @@ def _step_rows(offsets: np.ndarray, lengths: np.ndarray, start: int, stop: int):
     return fwd, bwd, steps < lengths
 
 
-def bilstm_layer(
-    xproj_f: Tensor, xproj_b: Tensor, w_h_f: Tensor, w_h_b: Tensor, lengths=None
-) -> Tensor:
+def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], lengths=None) -> Tensor:
     """Both directions of a Bi-LSTM layer over a packed batch of B
     utterances, each direction of each utterance from a zero state.
 
-    ``xproj_f`` and ``xproj_b`` are packed (ΣT, 4H): the rows of utterance
-    b are ``lengths[b]`` consecutive frames, each frame's input projection
-    plus bias for one direction, gates packed [input, forget, candidate,
-    output]. ``lengths`` (positive, summing to ΣT) defaults to one
-    utterance of all rows. ``w_h_f`` and ``w_h_b`` are (H, 4H). Returns the
+    ``seq`` is the packed (ΣT, in) layer input: the rows of utterance b
+    are ``lengths[b]`` consecutive frames. ``lengths`` (positive, summing
+    to ΣT) defaults to one utterance of all rows. ``fwd`` and ``bwd`` are
+    each direction's ``(w_x, w_h, b)``: w_x (in, 4H), w_h (H, 4H) and
+    b (4H,), gates packed [input, forget, candidate, output]. Returns the
     packed (ΣT, 2H) hidden states, columns [forward | backward]. The
     candidate uses tanh, the other gates sigmoid.
 
@@ -590,17 +550,25 @@ def bilstm_layer(
     ones in both directions, so they never feed a real frame; their zero
     incoming gradient makes their share of the BPTT zero.
 
-    The step works gate-major, so that every elementwise operand is one
-    contiguous (2, B, H) block rather than a strided gate column of a
-    (2, B, 4H) row. The loop reads its inputs from (steps, 4, 2, B, H)
-    blocks of ``SCAN_BLOCK`` steps, each direction gathered from the
-    packed rows in one ``np.take``. One add reads the packed matmul
-    output through a gate-major view and writes the (4, 2, B, H)
-    pre-activations; the sigmoid runs over all four gates and the
-    candidate's tanh then replaces its slot. When a graph is being built,
-    each step writes its gate activations, cell state and tanh(cell)
-    straight into the buffers the backward keeps; without one, the same
-    loop writes them into per-step scratch.
+    The loop runs in blocks of ``SCAN_BLOCK`` steps. Each block gathers
+    its input rows with one ``np.take`` per direction and projects them
+    with one ``x @ w_x`` GEMM, whose bias is added in place, into a
+    (steps, 4, 2, B, H) gate-major buffer. Every block has the same
+    number of steps, the last one rereading clipped rows, so no
+    projection runs on a single row unless the whole batch is one. With
+    OpenBLAS each row then gets the bits of one GEMM over the whole input
+    whenever 4H is a multiple of 16 in float32 (8 in float64), as at the
+    default H of 64, or the input is narrow; at other widths an input of
+    16 or more columns can differ in the last bits. The step
+    works gate-major, so that every elementwise operand is one contiguous
+    (2, B, H) block rather than a strided gate column of a (2, B, 4H)
+    row. One add reads the packed matmul output through a gate-major
+    view and writes the (4, 2, B, H) pre-activations; the sigmoid runs
+    over all four gates and the candidate's tanh then replaces its slot.
+    When a graph is being built, each step writes its gate activations,
+    cell state and tanh(cell) straight into the buffers the backward
+    keeps; without one, the same loop writes them into per-step scratch.
+    The projections are never kept.
 
     The backward is a single BPTT loop over the same layout: every
     gate-derivative factor that does not depend on the recursion is
@@ -608,32 +576,31 @@ def bilstm_layer(
     gate gradients into one contiguous (4, 2, B, H) block and copies it
     once into the packed (2, B, 4H) row that the recurrent matmul reads,
     and both recurrent-weight gradients are one batched GEMM after the
-    loop. All outputs are bounded, so no finite check is needed.
+    loop. Each direction's input-projection gradients then come from its
+    whole (ΣT, 4H) gate gradient: ``seq`` takes the forward direction's
+    contribution before the backward's. Only the projections are checked
+    for finite values; every other output is bounded.
     """
-    h_dim = w_h_f.shape[0]
-    if (
-        xproj_f.ndim != 2
-        or xproj_f.shape[1] != 4 * h_dim
-        or xproj_b.shape != xproj_f.shape
-        or w_h_f.shape != (h_dim, 4 * h_dim)
-        or w_h_b.shape != w_h_f.shape
-    ):
+    fwd, bwd = tuple(fwd), tuple(bwd)
+    h_shape = fwd[1].shape[:1] if len(fwd) == 3 else ()  # (H,)
+    four_h = tuple(4 * n for n in h_shape)
+    want = [seq.shape[1:] + four_h, h_shape + four_h, four_h]
+    if seq.ndim != 2 or not h_shape or any([t.shape for t in d] != want for d in (fwd, bwd)):
         raise ShapeMismatch(
-            f"bilstm_layer: xproj {xproj_f.shape} and {xproj_b.shape} do not fit "
-            f"w_h {w_h_f.shape} and {w_h_b.shape}"
+            f"bilstm_layer: seq {seq.shape} does not fit (w_x, w_h, b) "
+            f"{[t.shape for t in fwd]} and {[t.shape for t in bwd]}"
         )
-    rows = xproj_f.shape[0]
+    h_dim, (rows, in_dim) = h_shape[0], seq.shape
     lengths = _packed_lengths(lengths, rows)
     offsets = np.cumsum(lengths) - lengths
     n_utts, t_max = lengths.size, int(lengths.max())
-    w = np.stack([w_h_f.data, w_h_b.data])  # (2, H, 4H): direction 0 forward, 1 backward
-    dtype = np.result_type(xproj_f.data, xproj_b.data, w)
-    # each direction's input rows as (4, H) gate blocks
-    x_gates = [x.data.astype(dtype, copy=False).reshape(rows, 4, h_dim) for x in (xproj_f, xproj_b)]
-    keep = _track_any(xproj_f, xproj_b, w_h_f, w_h_b)
+    w = np.stack([fwd[1].data, bwd[1].data])  # (2, H, 4H): direction 0 forward, 1 backward
+    dtype = np.result_type(seq.data, *(t.data for t in fwd + bwd))
+    keep = _track_any(seq, *fwd, *bwd)
     out = np.empty((rows, 2 * h_dim), dtype)
     block = min(SCAN_BLOCK, t_max)
-    xs = np.empty((block, 4, 2, n_utts, h_dim), dtype)  # a block's inputs, gate-major
+    x_in = np.empty((block, n_utts, in_dim), seq.dtype)  # a block's input rows for one direction
+    xs = np.empty((block, 4, 2, n_utts, h_dim), dtype)  # a block's projections, gate-major
     hs = np.empty((block, 2, n_utts, h_dim), dtype)  # a block's hidden states
     # per-step state and scratch, (2, B, .): one row per direction and utterance
     h = np.zeros((2, n_utts, h_dim), dtype)
@@ -657,14 +624,14 @@ def bilstm_layer(
     # exp(-z) overflowing to inf gives the exact sigmoid limit 0.0
     with np.errstate(over="ignore"):
         for start in range(0, t_max, block):
-            n = min(block, t_max - start)
-            fwd, bwd, real = _step_rows(offsets, lengths, start, start + n)
-            for d, rows_of in enumerate((fwd, bwd)):
-                np.take(
-                    x_gates[d], rows_of, axis=0, mode="clip", out=xs[:n, :, d].transpose(0, 2, 1, 3)
-                )
+            fwd_rows, bwd_rows, real = _step_rows(offsets, lengths, start, start + block)
+            for d, ((w_x, _, b), rows_of) in enumerate(zip((fwd, bwd), (fwd_rows, bwd_rows))):
+                np.take(seq.data, rows_of, axis=0, mode="clip", out=x_in)
+                proj = _add_bias(x_in.reshape(-1, in_dim) @ w_x.data, b.data)
+                _check_finite(proj, "bilstm_layer")
+                xs[:, :, d] = proj.reshape(block, n_utts, 4, h_dim).transpose(0, 2, 1, 3)
             for x_step, h_next, (a, gate_i, gate_f, gate_g, gate_o, c_prev, c, tc) in zip(
-                xs[:n], hs[:n], steps
+                xs[: t_max - start], hs, steps
             ):
                 np.matmul(h, w, out=z_rows)
                 np.add(z_rows_gates, x_step, out=z)
@@ -679,13 +646,14 @@ def bilstm_layer(
                 np.tanh(c, out=tc)
                 h = h_next
                 np.multiply(gate_o, tc, out=h)
-            out[fwd[real], :h_dim] = hs[:n, 0][real]
-            out[bwd[real], h_dim:] = hs[:n, 1][real]
+            # steps past max(lengths) are not real for any utterance
+            out[fwd_rows[real], :h_dim] = hs[:, 0][real]
+            out[bwd_rows[real], h_dim:] = hs[:, 1][real]
     if not keep:
         return _raw(out, (), None)
 
     def backward_fn(grad):
-        fwd, bwd, real = _step_rows(offsets, lengths, 0, t_max)
+        fwd_rows, bwd_rows, real = _step_rows(offsets, lengths, 0, t_max)
         i, f, g_cand, o = acts.transpose(1, 0, 2, 3, 4)
         # the factors of dc and dh that do not depend on the recursion
         dc_factors = np.stack(
@@ -694,8 +662,8 @@ def bilstm_layer(
         do_factor = tcs * o * (1.0 - o)
         dh_to_dc = o * (1.0 - tcs * tcs)
         grads = np.zeros((t_max, 2, n_utts, h_dim), dtype)  # padded steps get none
-        grads[:, 0][real] = grad[fwd[real], :h_dim]
-        grads[:, 1][real] = grad[bwd[real], h_dim:]
+        grads[:, 0][real] = grad[fwd_rows[real], :h_dim]
+        grads[:, 1][real] = grad[bwd_rows[real], h_dim:]
         w_t = np.ascontiguousarray(w.transpose(0, 2, 1))
         dz = np.empty((t_max, 2, n_utts, 4 * h_dim), dtype)
         dz_gates = dz.reshape(t_max, 2, n_utts, 4, h_dim).transpose(0, 3, 1, 2, 4)
@@ -716,21 +684,59 @@ def bilstm_layer(
             np.multiply(dc, f_s, out=dc_next)
             np.copyto(dz_row_gates, dz_step)
             np.matmul(dz_row, w_t, out=dh)
-        for x, rows_of, d in ((xproj_f, fwd, 0), (xproj_b, bwd, 1)):
-            if _tracked(x):
-                dx = np.empty((rows, 4 * h_dim), dtype)
-                dx[rows_of[real]] = dz[:, d][real]
-                _accum(x, dx)
+        w_h_f, w_h_b = fwd[1], bwd[1]
         if _tracked(w_h_f) or _tracked(w_h_b):
             # the state before step s, for s >= 1; a padded step's dz is zero
-            h_prev = np.stack([out[fwd[:-1], :h_dim], out[bwd[:-1], h_dim:]])  # (2, T-1, B, H)
+            h_prev = np.stack([out[fwd_rows[:-1], :h_dim], out[bwd_rows[:-1], h_dim:]])
             dz_dirs = dz[1:].transpose(1, 0, 2, 3).reshape(2, -1, 4 * h_dim)
             dw = h_prev.reshape(2, -1, h_dim).transpose(0, 2, 1) @ dz_dirs
             for w_h, dw_dir in ((w_h_f, dw[0]), (w_h_b, dw[1])):
                 if _tracked(w_h):
                     _accum(w_h, dw_dir)
+        for (w_x, _, b), rows_of, d in ((fwd, fwd_rows, 0), (bwd, bwd_rows, 1)):
+            if _tracked(seq) or _tracked(w_x) or _tracked(b):
+                dx = np.empty((rows, 4 * h_dim), dtype)  # the direction's (ΣT, 4H) gate gradient
+                dx[rows_of[real]] = dz[:, d][real]
+                if _tracked(seq):
+                    _accum(seq, dx @ w_x.data.T)
+                _dense_param_grads(w_x, b, seq.data, dx, transposed=False)
 
-    return _raw(out, (xproj_f, xproj_b, w_h_f, w_h_b), backward_fn)
+    return _raw(out, (seq, *fwd, *bwd), backward_fn)
+
+
+# -- classifier head ------------------------------------------------------
+
+
+def classifier_head(seq: Tensor, w_hidden: Tensor, b_hidden: Tensor, w_out: Tensor, b_out: Tensor) -> Tensor:
+    """Per-frame probabilities ``sigmoid(leaky_relu(seq @ w_hidden.T +
+    b_hidden) @ w_out.T + b_out)`` of the (T, in) rows ``seq``, one node:
+    w_hidden is (fc, in), b_hidden (fc,), w_out (1, fc) and b_out (1,).
+    Returns (T,). The node keeps only the leaky ReLU's output; where it is
+    positive, so was its input."""
+    fc = b_hidden.shape
+    if seq.ndim != 2 or (w_hidden.shape, w_out.shape, b_out.shape) != (fc + seq.shape[1:], (1,) + fc, (1,)):
+        raise ShapeMismatch(
+            f"classifier_head: seq {seq.shape} does not fit w_hidden {w_hidden.shape}, "
+            f"b_hidden {b_hidden.shape}, w_out {w_out.shape} and b_out {b_out.shape}"
+        )
+    z = _check_finite(_add_bias(seq.data @ w_hidden.data.T, b_hidden.data), "classifier_head")
+    hidden = np.where(z > 0, z, LEAKY_SLOPE * z)
+    logits = _check_finite(_add_bias(hidden @ w_out.data.T, b_out.data), "classifier_head")
+    probs = _sigmoid_in_place(logits.reshape(seq.shape[0]))
+    if not _track_any(seq, w_hidden, b_hidden, w_out, b_out):
+        return _raw(probs, (), None)
+
+    def backward_fn(g):
+        # the sigmoid, then the output layer, the leaky ReLU and the hidden layer
+        d_logits = (g * probs * (1.0 - probs)).reshape(logits.shape)
+        d_hidden = d_logits @ w_out.data
+        _dense_param_grads(w_out, b_out, hidden, d_logits)
+        d_z = d_hidden * np.where(hidden > 0, 1.0, LEAKY_SLOPE).astype(hidden.dtype)
+        if _tracked(seq):
+            _accum(seq, d_z @ w_hidden.data)
+        _dense_param_grads(w_hidden, b_hidden, seq.data, d_z)
+
+    return _raw(probs, (seq, w_hidden, b_hidden, w_out, b_out), backward_fn)
 
 
 # -- reductions ----------------------------------------------------------
@@ -763,20 +769,6 @@ def tensor_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         _accum(x, _expand_reduced(g / count, x.data.shape, axis, keepdims))
 
     return _make(data, "mean", (x,), backward_fn)
-
-
-# -- shape ops ------------------------------------------------------------
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    data = x.data.reshape(shape)
-    if not _track_any(x):
-        return _raw(data, (), None)
-
-    def backward_fn(g):
-        _accum(x, g.reshape(x.data.shape))
-
-    return _raw(data, (x,), backward_fn)
 
 
 # -- losses ---------------------------------------------------------------

@@ -10,6 +10,7 @@ rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import struct
 import sys
 import time
@@ -232,6 +233,8 @@ def cmd_mix(a: dict) -> int:
         raise UsageError(f"--n must be >= 1, got {a['n']}")
     if a["n_eval"] < 0:
         raise UsageError("--n-eval must be >= 0")
+    if a["sample_rate"] < 1:
+        raise UsageError(f"--sample-rate must be >= 1, got {a['sample_rate']}")
     out = Path(a["out"])
     if out.exists() and any(out.iterdir()) and not a["force"]:
         raise UsageError(f"{out} is not empty; pass --force to write into it")
@@ -275,10 +278,10 @@ def _require_manifest(path_str: str) -> Path:
 
 
 def cmd_train(a: dict) -> int:
-    manifest = _require_manifest(a["manifest"])
     frontend = _config(FrontendConfig, a)
     model_cfg = _config(ModelConfig, a)
     train_cfg = _config(TrainConfig, a)
+    manifest = _require_manifest(a["manifest"])
     print(
         "config\t"
         f"lr={train_cfg.lr}\tbatch_size={train_cfg.batch_size}\t"
@@ -303,11 +306,11 @@ def cmd_train(a: dict) -> int:
 
 def _load_model(a: dict) -> tuple[MlnetParams, FrontendConfig]:
     """The checkpoint's parameters and the frontend that feeds them."""
+    frontend = _config(FrontendConfig, a)
     ckpt = Path(a["checkpoint"])
     if not ckpt.exists():
         raise UsageError(f"checkpoint not found: {ckpt}")
     params = load_checkpoint(ckpt)
-    frontend = _config(FrontendConfig, a)
     if frontend.n_mels != params.config.n_mels:
         raise UsageError(
             f"frontend n_mels {frontend.n_mels} does not match checkpoint "
@@ -324,8 +327,8 @@ def _speed(audio_s: float, started: float) -> str:
 
 def cmd_eval(a: dict) -> int:
     started = time.perf_counter()
-    manifest = _require_manifest(a["manifest"])
     params, frontend = _load_model(a)
+    manifest = _require_manifest(a["manifest"])
     if a["variant"] is not None and a["variant"] != params.config.variant:
         raise UsageError(
             "checkpoint variant does not match --variant:\n"
@@ -383,9 +386,9 @@ def cmd_predict(a: dict) -> int:
 
 
 def cmd_ablate(a: dict) -> int:
-    manifest = _require_manifest(a["manifest"])
     frontend = _config(FrontendConfig, a)
     train_cfg = _config(TrainConfig, a)
+    manifest = _require_manifest(a["manifest"])
     train_utts = load_manifest_utterances(manifest, frontend, split="train")
     dev_utts = load_manifest_utterances(manifest, frontend, split="dev")
     eval_utts = load_manifest_utterances(manifest, frontend, split="eval")
@@ -431,7 +434,11 @@ def cmd_ablate(a: dict) -> int:
 # -- parser wiring -----------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple[Command, Callable]]]:
+    """The argument parser and the subcommand table, built once per process:
+    a command looks up what it calls at call time, so a patched
+    module attribute still takes effect."""
     parser = argparse.ArgumentParser(
         prog="mlnetvad",
         description="Multi-receptive-field gated-attention voice activity detection.",

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, CorpusError, FormatError
+from .errors import ConfigError, CorpusError, FormatError, require_finite
 from .frontend import FeatureSequence, FrontendConfig, Waveform, featurize, num_frames
 from .wavio import read_wav, write_wav
 
@@ -32,6 +32,7 @@ class MixSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self, "snr_db_min", "snr_db_max", "silence_pad_s")
         if self.snr_db_min > self.snr_db_max:
             raise ConfigError(
                 f"snr_db_min {self.snr_db_min} exceeds snr_db_max {self.snr_db_max}"

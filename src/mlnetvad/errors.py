@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-value check
+of the config dataclasses."""
+
+import math
 
 
 class MlnetVadError(Exception):
@@ -31,3 +34,12 @@ class FormatError(MlnetVadError, ValueError):
 
 class TrainingError(MlnetVadError, RuntimeError):
     """Training aborted (non-finite gradients, empty corpus, ...)."""
+
+
+def require_finite(config, *names: str) -> None:
+    """Raise ``ConfigError`` for the first of ``config``'s named fields that
+    is NaN or infinite; ordered comparisons let NaN through."""
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")

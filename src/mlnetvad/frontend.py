@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, ShapeMismatch
+from .errors import ConfigError, ShapeMismatch, require_finite
 
 DEFAULT_SAMPLE_RATE = 16000
 # frames per rFFT and mel GEMM in featurize; one FFT of the whole utterance peaks higher
@@ -64,6 +64,7 @@ class FrontendConfig:
     normalize: bool = False
 
     def __post_init__(self):
+        require_finite(self, "frame_len_ms", "hop_ms", "log_floor")
         if self.frame_len_ms <= 0 or self.hop_ms <= 0:
             raise ConfigError("frame_len_ms and hop_ms must be positive")
         if self.n_mels < 1:

@@ -270,22 +270,15 @@ def classifier_forward(m: Tensor, params: MlnetParams, lengths=None) -> Tensor:
     ``m`` is a packed batch: the (ΣT, gated_dim) fused rows of B
     utterances, one after another, with ``lengths`` their frame counts
     (None for one utterance). The probabilities (ΣT,) are packed the same
-    way. Every layer runs the whole batch as three nodes: one
-    ``input_projection`` per direction, whose bias is added into its GEMM
-    output in place, and one ``bilstm_layer``.
+    way. Each Bi-LSTM layer runs the whole batch as one
+    ``autodiff.bilstm_layer`` node, and the head is one
+    ``autodiff.classifier_head`` node.
     """
     seq = m
     for fwd, bwd in params.lstm:
-        seq = ad.bilstm_layer(
-            ad.input_projection(seq, fwd.w_x, fwd.b),
-            ad.input_projection(seq, bwd.w_x, bwd.b),
-            fwd.w_h,
-            bwd.w_h,
-            lengths,
-        )
-    hidden = ad.leaky_relu(ad.affine(seq, params.head.w_hidden, params.head.b_hidden))
-    logits = ad.affine(hidden, params.head.w_out, params.head.b_out)
-    return ad.sigmoid(logits.reshape(logits.shape[0]))
+        seq = ad.bilstm_layer(seq, (fwd.w_x, fwd.w_h, fwd.b), (bwd.w_x, bwd.w_h, bwd.b), lengths)
+    head = params.head
+    return ad.classifier_head(seq, head.w_hidden, head.b_hidden, head.w_out, head.b_out)
 
 
 @dataclass

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import save_checkpoint
 from .corpus import LabeledUtterance, split_train_dev
-from .errors import ConfigError, ShapeMismatch, TrainingError
+from .errors import ConfigError, ShapeMismatch, TrainingError, require_finite
 from .metrics import evaluate
 from .model import MlnetParams, ModelConfig, init_params, mlnet_forward
 
@@ -39,8 +39,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self, "lr", "eps", "attention_loss_weight")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
+        if self.eps <= 0:
+            raise ConfigError("eps must be positive")
         if self.attention_loss_weight < 0:
             raise ConfigError("attention_loss_weight must be >= 0")
         if self.batch_size < 1 or self.epochs < 1:

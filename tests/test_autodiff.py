@@ -5,8 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import mlnetvad.autodiff as ad
 from helpers import bilstm_reference, numeric_grad, rel_error
@@ -14,39 +12,65 @@ from mlnetvad.autodiff import Tensor
 from mlnetvad.errors import GraphError, NonFiniteError, ShapeMismatch
 
 
-class TestForwardValues:
-    def test_sigmoid_at_zero(self):
-        assert ad.sigmoid(Tensor(0.0)).item() == 0.5
+def _head_params(fc: int, in_dim: int, dtype=np.float64, scale: float = 0.0):
+    """(w_hidden, b_hidden, w_out, b_out) of a classifier head, all
+    ``scale`` times ones, tracked."""
+    shapes = [(fc, in_dim), (fc,), (1, fc), (1,)]
+    return [Tensor(np.full(shape, scale, dtype), requires_grad=True) for shape in shapes]
 
+
+class TestForwardValues:
     def test_tanh_at_zero(self):
         assert ad.tanh(Tensor(0.0)).item() == 0.0
 
-    def test_sigmoid_stable_at_extremes(self):
-        out = ad.sigmoid(Tensor(np.array([-500.0, 500.0], dtype=np.float64)))
-        np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
+    def test_zero_head_gives_one_half(self):
+        out = ad.classifier_head(Tensor(np.ones((3, 2))), *_head_params(4, 2))
+        assert out.shape == (3,)
+        np.testing.assert_array_equal(out.data, 0.5)
 
-    def test_leaky_relu_slope(self):
-        x = Tensor(np.array([-2.0, 3.0]))
-        np.testing.assert_allclose(ad.leaky_relu(x).data, [-0.02, 3.0], rtol=1e-6)
+    def _two_unit_head(self, w_out):
+        # hidden units x and -x, each through the leaky ReLU
+        w_hidden, b_hidden, w_out_t, b_out = _head_params(2, 1)
+        w_hidden.data[:] = [[1.0], [-1.0]]
+        w_out_t.data[:] = [w_out]
+        return w_hidden, b_hidden, w_out_t, b_out
 
-    def test_input_projection_shapes(self):
-        w = Tensor(np.ones((4, 2)))
-        b = Tensor(np.ones(2))
-        assert ad.input_projection(Tensor(np.ones((3, 4))), w, b).shape == (3, 2)
-        assert ad.input_projection(Tensor(np.ones((1, 4))), w, b).shape == (1, 2)
+    def test_head_leaky_slope(self):
+        out = ad.classifier_head(Tensor(np.array([[-2.0], [3.0]])), *self._two_unit_head([1.0, 0.0]))
+        np.testing.assert_allclose(out.data, 1.0 / (1.0 + np.exp([0.02, -3.0])), rtol=1e-15)
 
-    @pytest.mark.parametrize("shapes", [((4,), (4, 2)), ((3, 4), (4,)), ((4,), (4,)), ((2, 3, 4), (4, 2))])
-    def test_input_projection_non_2d_operand_rejected(self, shapes):
-        x, w = (Tensor(np.ones(shape)) for shape in shapes)
-        with pytest.raises(ShapeMismatch, match="input_projection"):
-            ad.input_projection(x, w, Tensor(np.ones(shapes[1][-1])))
+    def test_head_stable_at_extremes(self):
+        # logits of -808 and 808: exp(808) overflows to inf, which gives
+        # the exact limit 0 and no warning
+        out = ad.classifier_head(Tensor(np.array([[-800.0], [800.0]])), *self._two_unit_head([1.0, -1.0]))
+        np.testing.assert_array_equal(out.data, [0.0, 1.0])
+
+    def test_head_non_finite_layer_raises(self):
+        head = _head_params(2, 2, np.float32, scale=1e20)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="classifier_head"):
+            ad.classifier_head(Tensor(np.full((3, 2), 1e20, np.float32)), *head)
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [  # each case breaks one shape of seq (3, 4) and the head (5, 4), (5,), (1, 5), (1,)
+            ((4,), (5, 4), (5,), (1, 5), (1,)),  # seq not 2-D
+            ((3, 4), (5, 3), (5,), (1, 5), (1,)),  # w_hidden does not take seq's width
+            ((3, 4), (5, 4), (4,), (1, 5), (1,)),  # b_hidden does not match w_hidden
+            ((3, 4), (5, 4), (5,), (2, 5), (2,)),  # two outputs
+            ((3, 4), (5, 4), (5,), (1, 4), (1,)),  # w_out does not take the hidden width
+            ((3, 4), (5, 4), (5,), (1, 5), ()),  # b_out not (1,)
+        ],
+    )
+    def test_head_shape_mismatch_rejected(self, shapes):
+        with pytest.raises(ShapeMismatch, match="classifier_head"):
+            ad.classifier_head(*(Tensor(np.ones(shape)) for shape in shapes))
 
 
 class TestBackwardRules:
-    def test_sigmoid_derivative_at_zero(self):
-        x = Tensor(0.0, requires_grad=True)
-        ad.sigmoid(x).backward()
-        assert abs(x.grad.item() - 0.25) < 1e-7
+    def test_head_sigmoid_derivative_at_zero(self):
+        head = _head_params(2, 3)
+        ad.classifier_head(Tensor(np.ones((4, 3))), *head).sum().backward()
+        assert head[3].grad.item() == 4 * 0.25
 
     def test_linear_loss_gradient_is_input(self):
         rng = np.random.default_rng(0)
@@ -77,31 +101,34 @@ class TestBackwardRules:
 
 
 def _random_composite(rng):
-    """A three-layer mix of the op set on small float64 tensors: the dense
-    layers, the activations, the attention nodes, the reductions and both
-    losses."""
-    x = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
-    w1 = Tensor(rng.normal(size=(4, 6)) * 0.5, requires_grad=True)
-    b1 = Tensor(rng.normal(size=4) * 0.1, requires_grad=True)
-    w2 = Tensor(rng.normal(size=(4, 6)) * 0.5, requires_grad=True)
-    b2 = Tensor(rng.normal(size=6) * 0.1, requires_grad=True)
-    attn = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in [(4, 3), (4,), (3, 4), (3,)]]
-    w3 = Tensor(rng.normal(size=(2, 10)) * 0.5, requires_grad=True)
-    b3 = Tensor(rng.normal(size=2) * 0.1, requires_grad=True)
+    """The whole op set on small float64 tensors, wired as the model wires
+    it: two gated units, the attention nodes, a Bi-LSTM layer over a packed
+    batch of two, a dense layer and tanh, the head, the reductions and
+    both losses."""
+    x = rng.normal(size=(5, 6))
+
+    def tracked(*shapes, scale=0.5):
+        return tuple(Tensor(rng.normal(size=shape) * scale, requires_grad=True) for shape in shapes)
+
+    units = [tracked((3, k), (3,), (3, k), (3,)) for k in (4, 6)]
+    attn = tracked((4, 2), (4,), (2, 4), (2,), scale=1.0)
+    lstm = [tracked((3, 8), (2, 8), (8,)) for _ in range(2)]
+    w1, b1 = tracked((3, 4), (3,))
+    head = tracked((4, 3), (4,), (1, 4), (1,))
     labels = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
-    k = np.array([0, 2, 1, 1, 0])
+    k = np.array([0, 1, 1, 1, 0])
 
     def forward():
-        h = ad.tanh(ad.affine(x, w1, b1))  # (5, 4)
-        stack = ad.sigmoid(ad.input_projection(h, w2, b2)).reshape(5, 3, 2)
-        weights = ad.branch_weights(stack, *attn)  # (5, 3)
-        fused = ad.branch_fusion(weights, stack)  # (5, 2)
-        z = ad.leaky_relu(ad.affine(fused.reshape(1, 10), w3, b3))  # (1, 2)
-        probs = ad.sigmoid(fused.mean(axis=1) * 4.0)
+        stack = ad.gated_units([x[:, :4], x], units)  # (5, 2, 3)
+        weights = ad.branch_weights(stack, *attn)  # (5, 2)
+        fused = ad.branch_fusion(weights, stack)  # (5, 3)
+        seq = ad.bilstm_layer(fused, *lstm, lengths=[3, 2])  # (5, 4)
+        h = ad.tanh(ad.affine(seq, w1, b1))  # (5, 3)
+        probs = ad.classifier_head(h, *head)  # (5,)
         nll = ad.selected_nll(weights, k) + ad.cross_entropy(probs, labels, 1e-7)
-        return (z * z).sum() + 0.5 * nll
+        return (h * h).mean(axis=1).sum() + 0.5 * nll
 
-    return forward, [x, w1, b1, w2, b2, *attn, w3, b3]
+    return forward, [*(t for unit in units for t in unit), *attn, *lstm[0], *lstm[1], w1, b1, *head]
 
 
 class TestGradientOracle:
@@ -124,9 +151,9 @@ class TestGraphSemantics:
 
     def test_shape_mismatch_reports_shapes(self):
         x = Tensor(np.ones((2, 3)))
-        w = Tensor(np.ones((4, 5)))
+        w = Tensor(np.ones((5, 4)))
         with pytest.raises(ShapeMismatch, match=r"\(2, 3\)"):
-            ad.input_projection(x, w, Tensor(np.ones(5)))
+            ad.affine(x, w, Tensor(np.ones(5)))
 
     def test_affine_shape_mismatch_rejected(self):
         for x, w, b in [
@@ -208,13 +235,6 @@ class TestDtypes:
         assert x.grad.dtype == np.float64
 
 
-@given(st.integers(1, 40), st.integers(1, 8))
-def test_reshape_roundtrip_preserves_gradient(n, m):
-    x = Tensor(np.arange(float(n * m)).reshape(n, m), requires_grad=True)
-    x.reshape(m * n).reshape(n, m).sum().backward()
-    np.testing.assert_allclose(x.grad, np.ones((n, m)))
-
-
 # float32, float64, and a float64 bias on float32 operands, whose sum the
 # nodes must keep in float64 as ``x @ w + b`` does
 DENSE_DTYPES = [
@@ -231,10 +251,10 @@ def _backward_with(out: Tensor, rng) -> np.ndarray:
 
 
 class TestDenseNodesExact:
-    """The dense nodes against numpy in the op order they replaced: ``x @ w
-    + b`` and ``x @ w.T + b`` with their bias added in a new array, and the
-    gated units through ``np.tanh``, ``1 / (1 + exp(-z))`` and ``np.stack``.
-    Output, dtype and every gradient must match bit for bit."""
+    """The dense nodes against numpy in the op order they replaced: ``x @
+    w.T + b`` with its bias added in a new array, and the gated units
+    through ``np.tanh``, ``1 / (1 + exp(-z))`` and ``np.stack``. Output,
+    dtype and every gradient must match bit for bit."""
 
     def _tensors(self, *arrays):
         return [Tensor(a, requires_grad=True) for a in arrays]
@@ -245,16 +265,6 @@ class TestDenseNodesExact:
         for t, grad in zip(tensors, grads, strict=True):
             assert t.grad.dtype == grad.dtype
             np.testing.assert_array_equal(t.grad, grad)
-
-    @pytest.mark.parametrize("dtype, b_dtype", DENSE_DTYPES)
-    def test_input_projection(self, dtype, b_dtype):
-        rng = np.random.default_rng(31)
-        x, w = rng.normal(size=(37, 12)).astype(dtype), rng.normal(size=(12, 20)).astype(dtype)
-        b = rng.normal(size=20).astype(b_dtype)
-        tensors = self._tensors(x, w, b)
-        out = ad.input_projection(*tensors)
-        g = _backward_with(out, rng)
-        self._assert_exact(tensors, out, x @ w + b, [g @ w.T, x.T @ g, g.sum(axis=0)])
 
     @pytest.mark.parametrize("dtype, b_dtype", DENSE_DTYPES)
     def test_affine(self, dtype, b_dtype):
@@ -511,6 +521,17 @@ def _per_frame(xproj: np.ndarray, w_h: np.ndarray, reverse: bool) -> np.ndarray:
     return rows
 
 
+def _lstm_direction(rng, in_dim: int, h_dim: int, dtype=np.float64, w_x=None, b=None) -> tuple:
+    """A tracked (w_x, w_h, b) of one direction: random w_x and b unless
+    given, and a random w_h scaled by 1 / sqrt(H)."""
+    if w_x is None:
+        w_x = rng.normal(size=(in_dim, 4 * h_dim)) / in_dim**0.5
+    if b is None:
+        b = rng.normal(size=4 * h_dim) * 0.1
+    w_h = rng.normal(size=(h_dim, 4 * h_dim)) / h_dim**0.5
+    return tuple(Tensor(np.asarray(a, dtype), requires_grad=True) for a in (w_x, w_h, b))
+
+
 class TestLstmSequence:
     """Each direction of the layer op must give exactly the hidden states
     of a per-frame numpy loop, forward in time for the first half of its
@@ -522,93 +543,93 @@ class TestLstmSequence:
     def test_matches_per_frame_composite(self, t_len, reverse):
         rng = np.random.default_rng(100 * t_len + reverse)
         h_dim = 5
-        w_x = [Tensor(rng.normal(size=(3, 4 * h_dim)), requires_grad=True) for _ in range(2)]
-        w_h = [
-            Tensor(rng.normal(size=(h_dim, 4 * h_dim)) * 0.5, requires_grad=True) for _ in range(2)
-        ]
-        b = [Tensor(rng.normal(size=4 * h_dim) * 0.1, requires_grad=True) for _ in range(2)]
+        dirs = [_lstm_direction(rng, 3, h_dim) for _ in range(2)]
         x = Tensor(rng.normal(size=(t_len, 3)))
         d = int(reverse)  # the direction under test; the other one gets no loss
+        w_x, w_h, b = dirs[d]
         cols = slice(d * h_dim, (d + 1) * h_dim)
         coeffs = rng.normal(size=(t_len, h_dim))
 
         def per_frame() -> np.ndarray:
-            return _per_frame(x.data @ w_x[d].data + b[d].data, w_h[d].data, reverse)
+            return _per_frame(x.data @ w_x.data + b.data, w_h.data, reverse)
 
-        xproj = [ad.input_projection(x, w_x[e], b[e]) for e in range(2)]
-        out = ad.bilstm_layer(*xproj, w_h[0], w_h[1])
+        out = ad.bilstm_layer(x, *dirs)
         np.testing.assert_array_equal(out.data[:, cols], per_frame())
         weighted = np.zeros((t_len, 2 * h_dim))
         weighted[:, cols] = coeffs
         (out * Tensor(weighted)).sum().backward()
-        for p in (w_x[1 - d], w_h[1 - d], b[1 - d]):
+        for p in dirs[1 - d]:
             np.testing.assert_array_equal(p.grad, 0.0)
-        params = [w_x[d], w_h[d], b[d]]
-        numeric = numeric_grad(lambda: float((per_frame() * coeffs).sum()), params)
-        for p, n in zip(params, numeric):
+        numeric = numeric_grad(lambda: float((per_frame() * coeffs).sum()), dirs[d])
+        for p, n in zip(dirs[d], numeric):
             assert rel_error(p.grad, n) <= 1e-5
 
 
 class TestBilstmLayer:
     def test_no_grad_gives_the_same_states(self):
         rng = np.random.default_rng(4)
-        args = [Tensor(rng.normal(size=(6, 8)), requires_grad=True) for _ in range(2)]
-        args += [Tensor(rng.normal(size=(2, 8)), requires_grad=True) for _ in range(2)]
-        tracked = ad.bilstm_layer(*args)
+        seq = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        dirs = [_lstm_direction(rng, 3, 2) for _ in range(2)]
+        tracked = ad.bilstm_layer(seq, *dirs)
         with ad.no_grad():
-            untracked = ad.bilstm_layer(*args)
+            untracked = ad.bilstm_layer(seq, *dirs)
         assert untracked._backward is None
         np.testing.assert_array_equal(tracked.data, untracked.data)
 
-    def test_shape_mismatch_rejected(self):
-        for shapes in [
-            ((3, 12), (3, 12), (4, 16), (4, 16)),  # xproj narrower than 4H
-            ((3, 16), (2, 16), (4, 16), (4, 16)),  # directions of different lengths
-            ((3, 16), (3, 16), (4, 16), (3, 12)),  # directions of different widths
-        ]:
-            with pytest.raises(ShapeMismatch):
-                ad.bilstm_layer(*(Tensor(np.zeros(shape)) for shape in shapes))
+    @pytest.mark.parametrize(
+        "seq, fwd, bwd",
+        [  # each case breaks one shape of seq (3, 5) and (w_x, w_h, b) (5, 16), (4, 16), (16,)
+            ((15,), [(5, 16), (4, 16), (16,)], [(5, 16), (4, 16), (16,)]),  # seq not 2-D
+            ((3, 6), [(5, 16), (4, 16), (16,)], [(5, 16), (4, 16), (16,)]),  # w_x not seq's width
+            ((3, 5), [(5, 12), (4, 16), (16,)], [(5, 16), (4, 16), (16,)]),  # w_x narrower than 4H
+            ((3, 5), [(5, 16), (4, 16), (12,)], [(5, 16), (4, 16), (16,)]),  # b not 4H
+            ((3, 5), [(5, 16), (4, 16), (16,)], [(5, 12), (3, 12), (12,)]),  # directions of different widths
+            ((3, 5), [(5, 16), (4, 16), (16,)], [(5, 16), (4, 16)]),  # no bias
+            ((3, 5), [(5, 16), (), (16,)], [(5, 16), (4, 16), (16,)]),  # w_h not 2-D
+        ],
+    )
+    def test_shape_mismatch_rejected(self, seq, fwd, bwd):
+        def tensors(shapes):
+            return [Tensor(np.zeros(shape)) for shape in shapes]
+
+        with pytest.raises(ShapeMismatch, match="bilstm_layer"):
+            ad.bilstm_layer(Tensor(np.zeros(seq)), tensors(fwd), tensors(bwd))
 
     @pytest.mark.parametrize("lengths", [[5, 1, 9], [70, 1, 130, 64, 2]])
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_packed_batch_matches_single_calls(self, lengths, dtype, tol):
         # ragged lengths, one of 1 frame, some longer than one scan block
         rng = np.random.default_rng(len(lengths))
-        h_dim = 4
-        xs = [rng.normal(size=(sum(lengths), 4 * h_dim)).astype(dtype) for _ in range(2)]
-        ws = [(rng.normal(size=(h_dim, 4 * h_dim)) * 0.5).astype(dtype) for _ in range(2)]
+        seq = rng.normal(size=(sum(lengths), 6)).astype(dtype)
+        dirs = [_lstm_direction(rng, 6, 4, dtype) for _ in range(2)]
         with ad.no_grad():
-            packed = ad.bilstm_layer(*map(Tensor, xs + ws), lengths=lengths).data
-            bounds = np.cumsum(lengths)[:-1]
+            packed = ad.bilstm_layer(Tensor(seq), *dirs, lengths=lengths).data
             singles = [
-                ad.bilstm_layer(Tensor(xf), Tensor(xb), *map(Tensor, ws)).data
-                for xf, xb in zip(np.split(xs[0], bounds), np.split(xs[1], bounds))
+                ad.bilstm_layer(Tensor(x), *dirs).data for x in np.split(seq, np.cumsum(lengths)[:-1])
             ]
         assert packed.dtype == dtype
         np.testing.assert_allclose(packed, np.concatenate(singles), rtol=0, atol=tol)
 
     def test_packed_gradients_match_single_calls(self):
         rng = np.random.default_rng(9)
-        h_dim, lengths = 3, [6, 1, 70]
-        xs = [rng.normal(size=(sum(lengths), 4 * h_dim)) for _ in range(2)]
-        ws = [rng.normal(size=(h_dim, 4 * h_dim)) * 0.5 for _ in range(2)]
-        coeffs = rng.normal(size=(sum(lengths), 2 * h_dim))
-        packed = [Tensor(a, requires_grad=True) for a in xs + ws]
-        (ad.bilstm_layer(*packed, lengths=lengths) * Tensor(coeffs)).sum().backward()
+        lengths = [6, 1, 70]
+        seq = rng.normal(size=(sum(lengths), 5))
+        dirs = [_lstm_direction(rng, 5, 3) for _ in range(2)]
+        params = [t for d in dirs for t in d]
+        coeffs = rng.normal(size=(sum(lengths), 6))
+        packed = Tensor(seq, requires_grad=True)
+        (ad.bilstm_layer(packed, *dirs, lengths=lengths) * Tensor(coeffs)).sum().backward()
+        packed_grads = [t.grad for t in params]
+        ad.zero_grads(params)
 
-        w_single = [Tensor(w, requires_grad=True) for w in ws]
-        dx = [[], []]
-        lo = 0
-        for t_len in lengths:
-            rows = slice(lo, lo + t_len)
-            x_single = [Tensor(a[rows], requires_grad=True) for a in xs]
-            (ad.bilstm_layer(*x_single, *w_single) * Tensor(coeffs[rows])).sum().backward()
-            for d in range(2):
-                dx[d].append(x_single[d].grad)
-            lo += t_len
-        for d in range(2):
-            np.testing.assert_allclose(packed[d].grad, np.concatenate(dx[d]), rtol=0, atol=1e-10)
-            np.testing.assert_allclose(packed[2 + d].grad, w_single[d].grad, rtol=0, atol=1e-10)
+        d_seq = []
+        for rows in np.split(np.arange(sum(lengths)), np.cumsum(lengths)[:-1]):
+            single = Tensor(seq[rows], requires_grad=True)
+            (ad.bilstm_layer(single, *dirs) * Tensor(coeffs[rows])).sum().backward()
+            d_seq.append(single.grad)
+        np.testing.assert_allclose(packed.grad, np.concatenate(d_seq), rtol=0, atol=1e-10)
+        for t, grad in zip(params, packed_grads):
+            np.testing.assert_allclose(grad, t.grad, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("graph", [False, True])
     @pytest.mark.parametrize("lengths", [[70], [9, 1, 100, 64]])
@@ -616,42 +637,64 @@ class TestBilstmLayer:
     @pytest.mark.parametrize("h_dim", [5, 16, 64])
     def test_matches_the_packed_gate_reference_bit_for_bit(self, h_dim, dtype, lengths, graph):
         # float32 gradients equal bit for bit are what a retrained model's
-        # first step relies on; the longest utterance spans two scan blocks
+        # first step relies on; the longest utterance spans two scan blocks.
+        # The input is both directions' projections side by side, and each
+        # w_x picks its half: a product by an identity and zeros is exact
+        # under any GEMM kernel.
         rng = np.random.default_rng(h_dim)
-        xs = [rng.normal(size=(sum(lengths), 4 * h_dim)).astype(dtype) for _ in range(2)]
-        ws = [rng.normal(size=(h_dim, 4 * h_dim)).astype(dtype) / h_dim**0.5 for _ in range(2)]
-        coeffs = rng.normal(size=(sum(lengths), 2 * h_dim)).astype(dtype)
-        expected = bilstm_reference(xs, ws, lengths, coeffs)
-        args = [Tensor(a, requires_grad=True) for a in xs + ws]
+        rows, four_h = sum(lengths), 4 * h_dim
+        xs = [rng.normal(size=(rows, four_h)).astype(dtype) for _ in range(2)]
+        seq = np.hstack(xs)
+        picks = [np.eye(2 * four_h, four_h, k=-d * four_h) for d in range(2)]
+        dirs = [_lstm_direction(rng, 2 * four_h, h_dim, dtype, w_x=pick, b=np.zeros(four_h)) for pick in picks]
+        ws = [d[1].data for d in dirs]
+        coeffs = rng.normal(size=(rows, 2 * h_dim)).astype(dtype)
+        out_ref, dx_f, dx_b, dw_f, dw_b = bilstm_reference(xs, ws, lengths, coeffs)
+        seq_t = Tensor(seq, requires_grad=True)
         if not graph:
             with ad.no_grad():
-                out = ad.bilstm_layer(*args, lengths=lengths)
-            np.testing.assert_array_equal(out.data, expected[0])
+                out = ad.bilstm_layer(seq_t, *dirs, lengths=lengths)
+            np.testing.assert_array_equal(out.data, out_ref)
             return
-        out = ad.bilstm_layer(*args, lengths=lengths)
+        out = ad.bilstm_layer(seq_t, *dirs, lengths=lengths)
         (out * Tensor(coeffs)).sum().backward()
-        assert out.dtype == dtype and all(a.grad.dtype == dtype for a in args)
-        np.testing.assert_array_equal(out.data, expected[0])
-        for a, grad in zip(args, expected[1:]):
-            np.testing.assert_array_equal(a.grad, grad)
+        np.testing.assert_array_equal(out.data, out_ref)
+        d_seq = dx_f @ dirs[0][0].data.T
+        d_seq += dx_b @ dirs[1][0].data.T
+        expected = [d_seq]
+        for (w_x, _, _), dx, dw in zip(dirs, (dx_f, dx_b), (dw_f, dw_b)):
+            expected += [seq.T @ dx, dw, dx.sum(axis=0)]
+        tensors = [seq_t, *dirs[0], *dirs[1]]
+        assert out.dtype == dtype and all(t.grad.dtype == dtype for t in tensors)
+        for t, grad in zip(tensors, expected, strict=True):
+            np.testing.assert_array_equal(t.grad, grad)
+
+    @pytest.mark.parametrize("graph", [False, True])
+    def test_non_finite_projection_raises(self, graph):
+        # float32 products of 1e20 and 1e20 overflow to inf in the input projection
+        rng = np.random.default_rng(12)
+        seq = Tensor(np.full((70, 3), 1e20, np.float32), requires_grad=graph)
+        dirs = [_lstm_direction(rng, 3, 2, np.float32, w_x=np.full((3, 8), 1e20)) for _ in range(2)]
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="bilstm_layer"):
+            ad.bilstm_layer(seq, *dirs)
 
     @pytest.mark.parametrize("lengths", [[2, 2], [4, 4], [3, 2, 0], [4, 3, -1], [3, 0, 4], []])
     def test_lengths_that_do_not_split_the_rows_rejected(self, lengths):
-        args = [Tensor(np.zeros((7, 8))) for _ in range(2)] + [Tensor(np.zeros((2, 8))) for _ in range(2)]
+        dirs = [[Tensor(np.zeros(shape)) for shape in [(3, 8), (2, 8), (8,)]] for _ in range(2)]
         with pytest.raises(ShapeMismatch, match="lengths"):
-            ad.bilstm_layer(*args, lengths=lengths)
+            ad.bilstm_layer(Tensor(np.zeros((7, 3))), *dirs, lengths=lengths)
 
     def test_no_grad_memory_is_the_output_plus_scratch(self):
-        # without a graph the op keeps per-step scratch only: a stacked copy
-        # of the two inputs alone would be four times the output
+        # without a graph the op keeps per-block scratch only: the two
+        # directions' whole projections alone would be four times the output
         rng = np.random.default_rng(5)
         t_len, h_dim = 2000, 8
-        args = [Tensor(rng.normal(size=(t_len, 4 * h_dim))) for _ in range(2)]
-        args += [Tensor(rng.normal(size=(h_dim, 4 * h_dim)) * 0.5) for _ in range(2)]
+        seq = Tensor(rng.normal(size=(t_len, 4 * h_dim)))
+        dirs = [_lstm_direction(rng, 4 * h_dim, h_dim) for _ in range(2)]
         tracemalloc.start()
         try:
             with ad.no_grad():
-                out = ad.bilstm_layer(*args)
+                out = ad.bilstm_layer(seq, *dirs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -660,18 +703,110 @@ class TestBilstmLayer:
     def test_graph_memory_is_the_output_plus_kept_buffers(self):
         # with a graph the op holds, per step and direction, seven H-wide
         # rows: the output, the four gate activations, the cell state and
-        # its tanh; anything more per step shows here
+        # its tanh; anything more per step, such as a projection, shows here
         rng = np.random.default_rng(5)
         t_len, h_dim = 2000, 8
-        args = [Tensor(rng.normal(size=(t_len, 4 * h_dim)), requires_grad=True) for _ in range(2)]
-        args += [
-            Tensor(rng.normal(size=(h_dim, 4 * h_dim)) * 0.5, requires_grad=True) for _ in range(2)
-        ]
+        seq = Tensor(rng.normal(size=(t_len, 4 * h_dim)), requires_grad=True)
+        dirs = [_lstm_direction(rng, 4 * h_dim, h_dim) for _ in range(2)]
         tracemalloc.start()
         try:
-            out = ad.bilstm_layer(*args)
+            out = ad.bilstm_layer(seq, *dirs)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         row = 2 * h_dim * out.data.itemsize  # one H-wide row for each direction
         assert held < 7 * t_len * row + 32 * 1024
+
+
+def _head_chain(seq, w_hidden, b_hidden, w_out, b_out):
+    """The head's probabilities and a function from their gradient to each
+    input's gradient, in the op order of the chain ``classifier_head``
+    replaced: an affine layer, a leaky ReLU, an affine layer, a reshape and
+    a sigmoid, with their backward in reverse."""
+    z = seq @ w_hidden.T + b_hidden
+    hidden = np.where(z > 0, z, 0.01 * z)
+    logits = hidden @ w_out.T + b_out
+    probs = _sigmoid(logits.reshape(logits.shape[0]))
+
+    def backward(g):
+        d_logits = (g * probs * (1.0 - probs)).reshape(logits.shape)
+        d_z = (d_logits @ w_out) * np.where(z > 0, 1.0, 0.01).astype(z.dtype)
+        return {
+            "w_out": [(hidden.T @ d_logits).T], "b_out": [d_logits.sum(axis=0)],
+            "seq": [d_z @ w_hidden], "w_hidden": [(seq.T @ d_z).T], "b_hidden": [d_z.sum(axis=0)],
+        }
+
+    return probs, backward
+
+
+class TestClassifierNodesExact:
+    """The Bi-LSTM layer and the head against numpy in the op order of the
+    nodes they replaced: each direction's ``seq @ w_x + b`` over the whole
+    input, the packed-gate scan of ``bilstm_reference``, and the head's
+    chain. Output, dtype and every gradient must match bit for bit, also
+    after a second ``backward`` accumulates into the same leaves, where
+    ``seq`` takes the forward direction's contribution first. The layer's
+    per-block projections round as the whole-input one at these shapes
+    (H of 8 and 64) with OpenBLAS."""
+
+    LAYER_NAMES = ("seq", "w_x_f", "w_h_f", "b_f", "w_x_b", "w_h_b", "b_b")
+
+    @pytest.mark.parametrize(
+        "lengths",
+        # one utterance of one row, within one block, one step past a
+        # block, the default length, and past several blocks; a ragged
+        # batch whose last block has one row
+        [[1], [7], [65], [575], [577], [2998], [65, 1, 30, 64]],
+    )
+    @pytest.mark.parametrize("in_dim, h_dim", [(16, 8), (128, 64)])
+    @pytest.mark.parametrize("dtype, b_dtype", DENSE_DTYPES)
+    def test_bilstm_layer(self, dtype, b_dtype, in_dim, h_dim, lengths):
+        rng = np.random.default_rng(h_dim + len(lengths))
+        seq = rng.normal(size=(sum(lengths), in_dim)).astype(dtype)
+        seq_t = Tensor(seq, requires_grad=True)
+        dirs = [
+            (w_x, w_h, Tensor(b.data.astype(b_dtype), requires_grad=True))
+            for w_x, w_h, b in (_lstm_direction(rng, in_dim, h_dim, dtype) for _ in range(2))
+        ]
+        tensors = [seq_t, *dirs[0], *dirs[1]]
+        out_dtype = np.result_type(dtype, b_dtype)  # the scan runs in the projection's dtype
+        expected = {}
+        for _ in range(2):
+            out = ad.bilstm_layer(seq_t, *dirs, lengths=lengths)
+            g = _backward_with(out, rng)
+            xs = [seq @ w_x.data + b.data for w_x, _, b in dirs]
+            ws = [w_h.data.astype(out_dtype) for _, w_h, _ in dirs]
+            out_ref, dx_f, dx_b, dw_f, dw_b = bilstm_reference(xs, ws, lengths, g)
+            assert out.dtype == out_dtype
+            np.testing.assert_array_equal(out.data, out_ref)
+            grads = {"seq": [dx_f @ dirs[0][0].data.T, dx_b @ dirs[1][0].data.T]}
+            for tag, dx, dw in (("f", dx_f, dw_f), ("b", dx_b, dw_b)):
+                grads |= {f"w_x_{tag}": [seq.T @ dx], f"w_h_{tag}": [dw], f"b_{tag}": [dx.sum(axis=0)]}
+            _accumulate(expected, grads)
+        for t, name in zip(tensors, self.LAYER_NAMES, strict=True):
+            assert t.grad.dtype == out_dtype
+            np.testing.assert_array_equal(t.grad, expected[name], err_msg=name)
+
+    @pytest.mark.parametrize("dtype, b_dtype", DENSE_DTYPES)
+    def test_classifier_head(self, dtype, b_dtype):
+        rng = np.random.default_rng(39)
+        arrays = [
+            rng.normal(size=(37, 12)).astype(dtype),
+            rng.normal(size=(9, 12)).astype(dtype), rng.normal(size=9).astype(b_dtype),
+            rng.normal(size=(1, 9)).astype(dtype), rng.normal(size=1).astype(b_dtype),
+        ]
+        arrays[0][3] *= 1000.0  # a frame whose probability saturates
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        names = ("seq", "w_hidden", "b_hidden", "w_out", "b_out")
+        expected = {}
+        for _ in range(2):
+            out = ad.classifier_head(*tensors)
+            g = _backward_with(out, rng)
+            probs, chain_backward = _head_chain(*arrays)
+            assert out.dtype == probs.dtype == np.result_type(dtype, b_dtype)
+            np.testing.assert_array_equal(out.data, probs)
+            _accumulate(expected, chain_backward(g))
+        assert out.data[3] in (0.0, 1.0)
+        for t, name in zip(tensors, names, strict=True):
+            assert t.grad.dtype == expected[name].dtype
+            np.testing.assert_array_equal(t.grad, expected[name], err_msg=name)

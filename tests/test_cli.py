@@ -605,6 +605,66 @@ class TestThetaRange:
         assert cli._parse_theta(value) == float(value)
 
 
+# every subcommand with frontend flags, and those with training flags
+FRONTEND_COMMANDS = {"featurize": ["--wav", "in.wav", "--out", "f.bin"], **THETA_COMMANDS}
+TRAIN_COMMANDS = {name: THETA_COMMANDS[name] for name in ("train", "ablate")}
+MIX_COMMAND = {"mix": ["--out", "corpus", "--n", "2"]}
+# (commands, flag, value, error message): values that the ordered range
+# checks let through, and a sample rate that is not positive
+BAD_CONFIG_VALUES = [
+    (FRONTEND_COMMANDS, "frame-ms", "nan", "frame_len_ms must be finite, got nan"),
+    (FRONTEND_COMMANDS, "frame-ms", "inf", "frame_len_ms must be finite, got inf"),
+    (FRONTEND_COMMANDS, "hop-ms", "nan", "hop_ms must be finite, got nan"),
+    (FRONTEND_COMMANDS, "hop-ms", "inf", "hop_ms must be finite, got inf"),
+    (TRAIN_COMMANDS, "lr", "nan", "lr must be finite, got nan"),
+    (TRAIN_COMMANDS, "lr", "inf", "lr must be finite, got inf"),
+    (TRAIN_COMMANDS, "attention-loss-weight", "nan", "attention_loss_weight must be finite, got nan"),
+    (TRAIN_COMMANDS, "attention-loss-weight", "inf", "attention_loss_weight must be finite, got inf"),
+    (MIX_COMMAND, "snr-min", "nan", "snr_db_min must be finite, got nan"),
+    (MIX_COMMAND, "snr-min", "-inf", "snr_db_min must be finite, got -inf"),
+    (MIX_COMMAND, "snr-max", "nan", "snr_db_max must be finite, got nan"),
+    (MIX_COMMAND, "snr-max", "inf", "snr_db_max must be finite, got inf"),
+    (MIX_COMMAND, "pad-s", "nan", "silence_pad_s must be finite, got nan"),
+    (MIX_COMMAND, "pad-s", "inf", "silence_pad_s must be finite, got inf"),
+    (MIX_COMMAND, "sample-rate", "0", "--sample-rate must be >= 1, got 0"),
+    (MIX_COMMAND, "sample-rate", "-5", "--sample-rate must be >= 1, got -5"),
+]
+BAD_CONFIG_CASES = [
+    pytest.param(command, args, flag, value, message, id=f"{command}-{flag}={value}")
+    for commands, flag, value, message in BAD_CONFIG_VALUES
+    for command, args in commands.items()
+]
+
+
+class TestNonFiniteConfigValues:
+    """NaN, infinities and a sample rate below 1 are usage errors, from the
+    flag and from a config file, on every subcommand that takes the value:
+    one error line and exit code 2 before any input is read or output is
+    written."""
+
+    @pytest.fixture(autouse=True)
+    def _in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize("command, args, flag, value, message", BAD_CONFIG_CASES)
+    def test_flag_is_exit_2(self, command, args, flag, value, message, tmp_path, capsys):
+        assert main([command, *args, f"--{flag}={value}"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, args, flag, value, message", BAD_CONFIG_CASES)
+    def test_config_value_is_exit_2(self, command, args, flag, value, message, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{flag.replace('-', '_')}={value}\n")
+        assert main([command, *args, "--config", str(cfg_file)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [cfg_file]
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
 class TestHelp:
     @pytest.mark.parametrize("sub", ["mix", "featurize", "train", "eval", "predict", "ablate"])
     def test_help_exits_zero(self, sub, capsys):

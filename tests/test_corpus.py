@@ -40,6 +40,14 @@ def measured_snr_db(clean: np.ndarray, noise: np.ndarray, mask=None) -> float:
     return 10.0 * math.log10(np.mean(clean**2) / np.mean(noise**2))
 
 
+class TestMixSpec:
+    @pytest.mark.parametrize("field", ["snr_db_min", "snr_db_max", "silence_pad_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            MixSpec(**{field: value})
+
+
 class TestPadSilence:
     def test_one_second_speech_becomes_five(self):
         w = Waveform(0.3 * np.ones(SR))

@@ -255,6 +255,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             Waveform(np.zeros(10), sample_rate=0)
 
+    @pytest.mark.parametrize("field", ["frame_len_ms", "hop_ms", "log_floor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            FrontendConfig(**{field: value})
+
 
 class TestWavIO:
     def test_round_trip_within_quantization(self, tmp_path):

@@ -11,7 +11,7 @@ import mlnetvad.training
 from helpers import numeric_grad, rel_error, toy_corpus
 from mlnetvad.autodiff import Tensor
 from mlnetvad.corpus import LabeledUtterance
-from mlnetvad.errors import NonFiniteError, ShapeMismatch, TrainingError
+from mlnetvad.errors import ConfigError, NonFiniteError, ShapeMismatch, TrainingError
 from mlnetvad.frontend import FeatureSequence
 from mlnetvad.model import ModelConfig, attention_forward, init_params, mlnet_forward
 from mlnetvad.training import (
@@ -198,20 +198,19 @@ class TestGraphSize:
         utt = LabeledUtterance(feats, rng.random(self.T_LEN) > 0.5, "probe")
         return utt, init_params(ModelConfig(variant=variant), seed=0)
 
-    # (tensors, op nodes). Every variant has 12 op nodes in common: per
-    # Bi-LSTM layer one input_projection per direction and one
-    # bilstm_layer; the head's affine, leaky ReLU, affine, reshape and
-    # sigmoid; and cross_entropy. bilstm_base adds its projection's affine
-    # and tanh, gated_unit and non_attention their gated_units and mean,
-    # and full_attention its gated_units, branch_weights, branch_fusion,
+    # (tensors, op nodes). Every variant has 4 op nodes in common: one
+    # bilstm_layer per Bi-LSTM layer, the classifier_head and
+    # cross_entropy. bilstm_base adds its projection's affine and tanh,
+    # gated_unit and non_attention their gated_units and mean, and
+    # full_attention its gated_units, branch_weights, branch_fusion,
     # selected_nll and the weighted loss's mul and add. The other tensors
     # are parameters and two constants: bilstm_base's windows and
     # full_attention's loss weight.
     GRAPH_SIZES = {
-        "bilstm_base": (33, 14),
-        "gated_unit": (34, 14),
-        "non_attention": (50, 14),
-        "full_attention": (59, 18),
+        "bilstm_base": (25, 6),
+        "gated_unit": (26, 6),
+        "non_attention": (42, 6),
+        "full_attention": (51, 10),
     }
 
     @pytest.mark.parametrize("variant", sorted(GRAPH_SIZES))
@@ -231,7 +230,31 @@ class TestGraphSize:
         finally:
             tracemalloc.stop()
         assert loss.item() > 0.0
-        assert held < 22 * 1024 * self.T_LEN
+        assert held < 17 * 1024 * self.T_LEN
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("lr", math.nan, "lr must be finite"),
+            ("lr", math.inf, "lr must be finite"),
+            ("lr", 0.0, "lr must be positive"),
+            ("eps", math.nan, "eps must be finite"),
+            ("eps", math.inf, "eps must be finite"),
+            ("eps", 0.0, "eps must be positive"),  # Adam's 0 / 0 at a zero gradient
+            ("eps", -1e-8, "eps must be positive"),
+            ("attention_loss_weight", math.nan, "attention_loss_weight must be finite"),
+            ("attention_loss_weight", math.inf, "attention_loss_weight must be finite"),
+            ("attention_loss_weight", -1.0, "attention_loss_weight must be >= 0"),
+        ],
+    )
+    def test_value_outside_its_range_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**{field: value})
+
+    def test_zero_attention_loss_weight_is_valid(self):
+        assert TrainConfig(attention_loss_weight=0.0).attention_loss_weight == 0.0
 
 
 class TestAdam:
