@@ -7,19 +7,20 @@ order and frees each node's closure as it goes, so a graph serves one
 ``backward``. Gradients accumulate (+=) into leaves until ``zero_grads``
 is called, which is what batch-level gradient accumulation relies on.
 
-The ops: elementwise ``add`` and ``mul`` with numpy broadcasting; the
-dense layer ``affine`` (``x @ w.T + b``); ``gated_units``, all gated
+The ops: elementwise ``add`` and ``mul``; ``projection``, the
+``bilstm_base`` variant's tanh dense layer; ``gated_units``, all gated
 branches in one node; the channel attention's ``branch_weights`` and
 ``branch_fusion``; ``bilstm_layer``, one node per Bi-LSTM layer;
 ``classifier_head``, the leaky-ReLU layer and the sigmoid unit in one
-node; tanh; sum and mean; and the losses ``cross_entropy`` and
-``selected_nll``. The dense layers, the gated units, the layer's input
-projections and the head allocate only their GEMM outputs and add their
-biases into them in place; an add that would widen the dtype (a float64
-bias on a float32 product) makes a new array instead. Each layer node
-rounds every value and gradient as the chain of elementwise ops it
-replaced did, and a tensor those ops fed from several places takes each
-contribution in its own accumulation, in their order.
+node; the full sum and the mean over one axis; and the losses
+``cross_entropy`` and ``selected_nll``. Every op takes operands of one
+dtype, and ``add`` and ``mul`` operands of one shape; a Python number
+takes the other operand's dtype and shape. Any other operand raises
+``ShapeMismatch``. The dense layers allocate only their GEMM outputs and
+add their biases into them in place. Each layer node rounds every value
+and gradient as the chain of elementwise ops it replaced did, and a
+tensor those ops fed from several places takes each contribution in its
+own accumulation, in their order.
 
 Non-finite detection: every op that can turn finite inputs into NaN or
 infinity (the arithmetic ops, the dense layers and input projections,
@@ -28,10 +29,10 @@ and raises; ``branch_weights`` also checks its descriptors, scores and
 row sums. Its ratio and ``selected_nll``'s log run under
 ``np.errstate``, so that a row of zero scores or a zero weight raises
 ``NonFiniteError``, not a numpy warning. Ops whose outputs are finite
-whenever their inputs are finite (tanh, the Bi-LSTM states, the head's
-sigmoid) skip the check, except the bounded ``gated_units``, whose numpy
-inputs no ``Tensor`` has checked. Together the two groups guarantee all
-tensors stay finite.
+whenever their inputs are finite (the Bi-LSTM states, the head's
+sigmoid) skip the check, except the bounded ``projection`` and
+``gated_units``, whose numpy inputs no ``Tensor`` has checked. Together
+the two groups guarantee all tensors stay finite.
 
 A Bi-LSTM layer is one ``bilstm_layer`` node, in which both directions
 of a packed batch advance in one time loop. The loop runs in blocks of
@@ -43,7 +44,7 @@ one contiguous block and copies it into the packed row that the
 recurrent matmul reads.
 
 Only the operations the network needs are implemented; there is no
-general broadcasting machinery beyond numpy's, and no GPU path.
+broadcasting, no dtype promotion and no GPU path.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .errors import GraphError, NonFiniteError, ShapeMismatch
 
 __all__ = [
     "Tensor",
-    "affine",
     "backward",
     "bilstm_layer",
     "branch_fusion",
@@ -68,6 +68,7 @@ __all__ = [
     "gated_units",
     "grad_enabled",
     "no_grad",
+    "projection",
     "selected_nll",
     "zero_grads",
 ]
@@ -157,11 +158,11 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
+    def sum(self) -> "Tensor":
+        return tensor_sum(self)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
+    def mean(self, axis: int) -> "Tensor":
+        return tensor_mean(self, axis)
 
     def backward(self) -> None:
         backward(self)
@@ -189,10 +190,18 @@ def _coerce(x, like=None) -> Tensor:
     if isinstance(x, Tensor):
         return x
     if isinstance(like, Tensor) and isinstance(x, (int, float)):
-        # a Python number takes the other operand's dtype, as numpy's weak
-        # scalars do, so ``0.5 * y`` keeps a float32 ``y`` in float32
-        return Tensor(np.asarray(x, dtype=like.dtype))
+        # a Python number takes the other operand's dtype and shape, so
+        # ``0.5 * y`` keeps a float32 ``y`` in float32
+        return Tensor(np.full(like.shape, x, like.dtype))
     return Tensor(x)
+
+
+def _one_dtype(op: str, *operands) -> np.dtype:
+    """The dtype that all ``operands`` (tensors or arrays) share."""
+    dtypes = {x.dtype for x in operands}
+    if len(dtypes) != 1:
+        raise ShapeMismatch(f"{op}: operands mix dtypes {sorted(map(str, dtypes))}")
+    return dtypes.pop()
 
 
 def _tracked(t: Tensor) -> bool:
@@ -258,36 +267,25 @@ def backward(loss: Tensor) -> None:
             node._parents = ()
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``g`` down to ``shape``, undoing numpy broadcasting."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 # -- elementwise binary ops --------------------------------------------
 
 
 def _binary(op: str, fn, a, b, grad_a, grad_b) -> Tensor:
-    """``fn(a, b)`` with numpy broadcasting; ``grad_a(g, a, b)`` and
-    ``grad_b`` give each operand's gradient before unbroadcasting."""
+    """``fn(a, b)`` of two operands of one shape; ``grad_a(g, a, b)`` and
+    ``grad_b`` give each operand's gradient."""
     a, b = _coerce(a, like=b), _coerce(b, like=a)
-    try:
-        data = fn(a.data, b.data)
-    except ValueError:
-        raise ShapeMismatch(f"{op}: cannot broadcast {a.shape} with {b.shape}") from None
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"{op}: shapes {a.shape} and {b.shape} differ")
+    _one_dtype(op, a, b)
+    data = fn(a.data, b.data)
     if not _track_any(a, b):
         return _make(data, op, (), None)
 
     def backward_fn(g):
         if _tracked(a):
-            _accum(a, _unbroadcast(grad_a(g, a.data, b.data), a.data.shape))
+            _accum(a, grad_a(g, a.data, b.data))
         if _tracked(b):
-            _accum(b, _unbroadcast(grad_b(g, a.data, b.data), b.data.shape))
+            _accum(b, grad_b(g, a.data, b.data))
 
     return _make(data, op, (a, b), backward_fn)
 
@@ -304,11 +302,7 @@ def mul(a, b) -> Tensor:
 
 
 def _add_bias(data: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``data + b``, summed into ``data``'s own buffer unless the sum takes
-    a wider dtype (a float64 bias on a float32 product), where an in-place
-    add would round it down."""
-    if np.result_type(data, b) != data.dtype:
-        return data + b
+    """``data + b``, summed into ``data``'s own buffer."""
     data += b
     return data
 
@@ -325,22 +319,25 @@ def _dense_param_grads(
         _accum(b, dz.sum(axis=0))
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """A dense layer, ``x @ w.T + b``: x is (T, in), w (out, in), b (out,).
-    One node whose only new array is the GEMM output, which takes the
-    bias in place."""
-    if x.ndim != 2 or w.ndim != 2 or (x.shape[1],) + b.shape != w.shape[::-1]:
-        raise ShapeMismatch(f"affine: x {x.shape} does not fit w {w.shape} and b {b.shape}")
-    data = _add_bias(x.data @ w.data.T, b.data)
-    if not _track_any(x, w, b):
-        return _make(data, "affine", (), None)
+def projection(windows: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+    """The tanh dense layer ``tanh(windows @ w.T + b)`` of (T, in) numpy
+    windows: w is (out, in), b (out,). One node whose only array is its
+    GEMM output, which takes the bias and then the tanh in place. The
+    windows get no gradient."""
+    if windows.ndim != 2 or w.ndim != 2 or (windows.shape[1],) + b.shape != w.shape[::-1]:
+        raise ShapeMismatch(
+            f"projection: windows {windows.shape} do not fit w {w.shape} and b {b.shape}"
+        )
+    _one_dtype("projection", windows, w, b)
+    data = _check_finite(_add_bias(windows @ w.data.T, b.data), "projection")
+    np.tanh(data, out=data)
+    if not _track_any(w, b):
+        return _raw(data, (), None)
 
     def backward_fn(g):
-        if _tracked(x):
-            _accum(x, g @ w.data)
-        _dense_param_grads(w, b, x.data, g)
+        _dense_param_grads(w, b, windows, g * (1.0 - data * data))
 
-    return _make(data, "affine", (x, w, b), backward_fn)
+    return _raw(data, (w, b), backward_fn)
 
 
 def gated_units(inputs: Sequence[np.ndarray], weights: Sequence[tuple[Tensor, ...]]) -> Tensor:
@@ -358,9 +355,7 @@ def gated_units(inputs: Sequence[np.ndarray], weights: Sequence[tuple[Tensor, ..
     ):
         raise ShapeMismatch(f"gated_units: inputs {[x.shape for x in inputs]} do not fit {shapes}")
     params = tuple(t for unit in weights for t in unit)
-    out = np.empty(
-        (inputs[0].shape[0], len(inputs)) + d, np.result_type(*inputs, *(t.data for t in params))
-    )
+    out = np.empty((inputs[0].shape[0], len(inputs)) + d, _one_dtype("gated_units", *inputs, *params))
     ths, sgs = [], []
     for i, (x, (w_f, b_f, w_g, b_g)) in enumerate(zip(inputs, weights)):
         th = _add_bias(x @ w_f.data.T, b_f.data)
@@ -378,21 +373,6 @@ def gated_units(inputs: Sequence[np.ndarray], weights: Sequence[tuple[Tensor, ..
             _dense_param_grads(w_g, b_g, x, g[:, i] * th * sg * (1.0 - sg))
 
     return _make(out, "gated_units", params, backward_fn)
-
-
-# -- activations and pointwise functions --------------------------------
-# (bounded outputs: no finite check needed)
-
-
-def tanh(x: Tensor) -> Tensor:
-    data = np.tanh(x.data)
-    if not _track_any(x):
-        return _raw(data, (), None)
-
-    def backward_fn(g):
-        _accum(x, g * (1.0 - data * data))
-
-    return _raw(data, (x,), backward_fn)
 
 
 def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
@@ -436,6 +416,7 @@ def branch_weights(
             f"branch_weights: stack {stack.shape} does not fit w0 {w0.shape}, b0 {b0.shape}, "
             f"w1 {w1.shape} and b1 {b1.shape}"
         )
+    _one_dtype("branch_weights", stack, w0, b0, w1, b1)
     q = stack.data
     passes = []  # per descriptor: itself, the hidden pre-activation, its leaky ReLU, the scores
     for d in (_check_finite(q.mean(axis=2), "branch_weights"), q.max(axis=2)):
@@ -467,7 +448,7 @@ def branch_weights(
             d_pooled.append(d_h @ w0.data)
         if _tracked(stack):
             d_mean, d_max = d_pooled
-            _accum(stack, _expand_reduced(d_mean / q.shape[2], q.shape, 2, False))
+            _accum(stack, np.broadcast_to((d_mean / q.shape[2])[:, :, None], q.shape))
             d_q = np.zeros_like(q)  # the max's gradient routes to the first maximal element
             np.put_along_axis(d_q, np.argmax(q, axis=2)[:, :, None], d_max[:, :, None], 2)
             _accum(stack, d_q)
@@ -481,6 +462,7 @@ def branch_fusion(weights: Tensor, stack: Tensor) -> Tensor:
     keeps no (T, n, d) product."""
     if stack.ndim != 3 or weights.shape != stack.shape[:2]:
         raise ShapeMismatch(f"branch_fusion: weights {weights.shape} do not fit stack {stack.shape}")
+    _one_dtype("branch_fusion", weights, stack)
     w = weights.data[:, :, None]
     data = (w * stack.data).sum(axis=1)
     if not _track_any(weights, stack):
@@ -595,7 +577,7 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     offsets = np.cumsum(lengths) - lengths
     n_utts, t_max = lengths.size, int(lengths.max())
     w = np.stack([fwd[1].data, bwd[1].data])  # (2, H, 4H): direction 0 forward, 1 backward
-    dtype = np.result_type(seq.data, *(t.data for t in fwd + bwd))
+    dtype = _one_dtype("bilstm_layer", seq, *fwd, *bwd)
     keep = _track_any(seq, *fwd, *bwd)
     out = np.empty((rows, 2 * h_dim), dtype)
     block = min(SCAN_BLOCK, t_max)
@@ -719,6 +701,7 @@ def classifier_head(seq: Tensor, w_hidden: Tensor, b_hidden: Tensor, w_out: Tens
             f"classifier_head: seq {seq.shape} does not fit w_hidden {w_hidden.shape}, "
             f"b_hidden {b_hidden.shape}, w_out {w_out.shape} and b_out {b_out.shape}"
         )
+    _one_dtype("classifier_head", seq, w_hidden, b_hidden, w_out, b_out)
     z = _check_finite(_add_bias(seq.data @ w_hidden.data.T, b_hidden.data), "classifier_head")
     hidden = np.where(z > 0, z, LEAKY_SLOPE * z)
     logits = _check_finite(_add_bias(hidden @ w_out.data.T, b_out.data), "classifier_head")
@@ -742,31 +725,26 @@ def classifier_head(seq: Tensor, w_hidden: Tensor, b_hidden: Tensor, w_out: Tens
 # -- reductions ----------------------------------------------------------
 
 
-def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    if axis is not None and not keepdims:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, shape)
-
-
-def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+def tensor_sum(x: Tensor) -> Tensor:
+    """The sum of all of ``x``'s elements."""
+    data = x.data.sum()
     if not _track_any(x):
         return _make(data, "sum", (), None)
 
     def backward_fn(g):
-        _accum(x, _expand_reduced(g, x.data.shape, axis, keepdims))
+        _accum(x, np.broadcast_to(g, x.data.shape))
 
     return _make(data, "sum", (x,), backward_fn)
 
 
-def tensor_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = x.data.mean(axis=axis, keepdims=keepdims)
-    count = x.data.size if axis is None else x.data.shape[axis]
+def tensor_mean(x: Tensor, axis: int) -> Tensor:
+    """The mean of ``x`` over ``axis``, which the result drops."""
+    data = x.data.mean(axis=axis)
     if not _track_any(x):
         return _make(data, "mean", (), None)
 
     def backward_fn(g):
-        _accum(x, _expand_reduced(g / count, x.data.shape, axis, keepdims))
+        _accum(x, np.broadcast_to(np.expand_dims(g / x.data.shape[axis], axis), x.data.shape))
 
     return _make(data, "mean", (x,), backward_fn)
 

@@ -57,6 +57,8 @@ def _decode_config(blob: bytes) -> ModelConfig:
         if "=" not in line:
             raise FormatError(f"malformed config line {line!r}")
         key, _, value = line.partition("=")
+        if key in values:
+            raise FormatError(f"checkpoint config repeats field {key!r}")
         values[key] = value
     kinds = {f.name: type(f.default) for f in fields(ModelConfig)}
     missing = [k for k in kinds if k not in values]
@@ -128,6 +130,8 @@ def load_checkpoint(path) -> MlnetParams:
     loaded: dict[str, np.ndarray] = {}
     while not reader.exhausted:
         name = _utf8(reader.take(reader.u32()), "parameter name")
+        if name in loaded:
+            raise FormatError(f"{path}: checkpoint repeats parameter {name!r}")
         rank = reader.u32()
         dims = struct.unpack(f"<{rank}I", reader.take(4 * rank))
         values = np.frombuffer(reader.take(4 * math.prod(dims)), dtype="<f4").reshape(dims)

@@ -235,6 +235,8 @@ def cmd_mix(a: dict) -> int:
         raise UsageError("--n-eval must be >= 0")
     if a["sample_rate"] < 1:
         raise UsageError(f"--sample-rate must be >= 1, got {a['sample_rate']}")
+    if not 0.0 < a["dev_fraction"] < 1.0:
+        raise UsageError(f"--dev-fraction must be in (0, 1), got {a['dev_fraction']}")
     out = Path(a["out"])
     if out.exists() and any(out.iterdir()) and not a["force"]:
         raise UsageError(f"{out} is not empty; pass --force to write into it")
@@ -407,7 +409,7 @@ def cmd_ablate(a: dict) -> int:
             out_dir=ckpt_dir,
             theta=a["theta"],
         )
-        dev_report = evaluate(dev_utts or train_utts, result.best_params, theta=a["theta"])
+        best = result.history[result.best_epoch - 1]  # train's own dev scores of its best parameters
         if eval_utts:
             eval_report = evaluate(eval_utts, result.best_params, theta=a["theta"])
             eval_f1, eval_dcf = (
@@ -419,8 +421,8 @@ def cmd_ablate(a: dict) -> int:
         rows.append(
             (
                 variant,
-                f"{dev_report.macro_f1 * 100:.2f}",
-                f"{dev_report.macro_dcf * 100:.2f}",
+                f"{best.dev_f1 * 100:.2f}",
+                f"{best.dev_dcf * 100:.2f}",
                 eval_f1,
                 eval_dcf,
             )

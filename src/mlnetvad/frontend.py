@@ -64,7 +64,9 @@ class FrontendConfig:
     normalize: bool = False
 
     def __post_init__(self):
-        require_finite(self, "frame_len_ms", "hop_ms", "log_floor")
+        require_finite(self, "frame_len_ms", "hop_ms", "log_floor", "mel_fmin")
+        if self.mel_fmax is not None:
+            require_finite(self, "mel_fmax")
         if self.frame_len_ms <= 0 or self.hop_ms <= 0:
             raise ConfigError("frame_len_ms and hop_ms must be positive")
         if self.n_mels < 1:

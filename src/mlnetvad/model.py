@@ -314,8 +314,7 @@ def _fused_sequence(features, params: MlnetParams) -> tuple[Tensor, Tensor | Non
     windows = window_matrix(padded, t_len, radius)
 
     if cfg.variant == "bilstm_base":
-        m = ad.tanh(ad.affine(Tensor(windows), params.projection.w, params.projection.b))
-        return m, None
+        return ad.projection(windows, params.projection.w, params.projection.b), None
     # gated_unit's one branch takes this path too: the mean of one branch is that branch
     f = cfg.n_mels
     inputs, weights = [], []

@@ -1,7 +1,9 @@
 """Compute-core tests: forward values, backward rules, graph semantics."""
 
+import ast
 import importlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +22,6 @@ def _head_params(fc: int, in_dim: int, dtype=np.float64, scale: float = 0.0):
 
 
 class TestForwardValues:
-    def test_tanh_at_zero(self):
-        assert ad.tanh(Tensor(0.0)).item() == 0.0
-
     def test_zero_head_gives_one_half(self):
         out = ad.classifier_head(Tensor(np.ones((3, 2))), *_head_params(4, 2))
         assert out.shape == (3,)
@@ -73,11 +72,11 @@ class TestBackwardRules:
         assert head[3].grad.item() == 4 * 0.25
 
     def test_linear_loss_gradient_is_input(self):
-        rng = np.random.default_rng(0)
-        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        x = Tensor(rng.normal(size=(1, 4)))
-        ad.affine(x, w, Tensor(np.zeros(3))).sum().backward()
-        np.testing.assert_allclose(w.grad, np.tile(x.data, (3, 1)), rtol=1e-6)
+        # at zero weights the projection's tanh has slope exactly 1
+        x = np.random.default_rng(0).normal(size=(1, 4))
+        w = Tensor(np.zeros((3, 4)), requires_grad=True)
+        ad.projection(x, w, Tensor(np.zeros(3))).sum().backward()
+        np.testing.assert_array_equal(w.grad, np.tile(x, (3, 1)))
 
     def test_fanout_accumulates(self):
         x = Tensor(2.0, requires_grad=True)
@@ -92,19 +91,20 @@ class TestBackwardRules:
         ad.zero_grads([x])
         assert x.grad is None
 
-    def test_broadcast_add_bias(self):
-        m = Tensor(np.zeros((5, 3)), requires_grad=True)
-        b = Tensor(np.zeros(3), requires_grad=True)
-        (m + b).sum().backward()
-        np.testing.assert_allclose(b.grad, [5.0, 5.0, 5.0])
-        np.testing.assert_allclose(m.grad, np.ones((5, 3)))
+    def test_python_number_takes_the_operand_dtype_and_shape(self):
+        x = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        y = 0.5 * x + 1
+        assert y.dtype == np.float32 and y.shape == (2, 3)
+        y.sum().backward()
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, 0.5)
 
 
 def _random_composite(rng):
-    """The whole op set on small float64 tensors, wired as the model wires
-    it: two gated units, the attention nodes, a Bi-LSTM layer over a packed
-    batch of two, a dense layer and tanh, the head, the reductions and
-    both losses."""
+    """The whole op set on small float64 tensors, wired much as the model
+    wires it: two gated units, the attention nodes, the projection mixed
+    into the fused rows, a Bi-LSTM layer over a packed batch of two, the
+    head, the reductions and both losses."""
     x = rng.normal(size=(5, 6))
 
     def tracked(*shapes, scale=0.5):
@@ -112,23 +112,22 @@ def _random_composite(rng):
 
     units = [tracked((3, k), (3,), (3, k), (3,)) for k in (4, 6)]
     attn = tracked((4, 2), (4,), (2, 4), (2,), scale=1.0)
+    proj = tracked((3, 6), (3,))
     lstm = [tracked((3, 8), (2, 8), (8,)) for _ in range(2)]
-    w1, b1 = tracked((3, 4), (3,))
-    head = tracked((4, 3), (4,), (1, 4), (1,))
+    head = tracked((4, 4), (4,), (1, 4), (1,))
     labels = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
     k = np.array([0, 1, 1, 1, 0])
 
     def forward():
         stack = ad.gated_units([x[:, :4], x], units)  # (5, 2, 3)
         weights = ad.branch_weights(stack, *attn)  # (5, 2)
-        fused = ad.branch_fusion(weights, stack)  # (5, 3)
+        fused = ad.branch_fusion(weights, stack) * ad.projection(x, *proj)  # (5, 3)
         seq = ad.bilstm_layer(fused, *lstm, lengths=[3, 2])  # (5, 4)
-        h = ad.tanh(ad.affine(seq, w1, b1))  # (5, 3)
-        probs = ad.classifier_head(h, *head)  # (5,)
+        probs = ad.classifier_head(seq, *head)  # (5,)
         nll = ad.selected_nll(weights, k) + ad.cross_entropy(probs, labels, 1e-7)
-        return (h * h).mean(axis=1).sum() + 0.5 * nll
+        return (seq * seq).mean(axis=1).sum() + 0.5 * nll
 
-    return forward, [*(t for unit in units for t in unit), *attn, *lstm[0], *lstm[1], w1, b1, *head]
+    return forward, [*(t for unit in units for t in unit), *attn, *proj, *lstm[0], *lstm[1], *head]
 
 
 class TestGradientOracle:
@@ -150,20 +149,27 @@ class TestGraphSemantics:
             (x * 2.0).backward()
 
     def test_shape_mismatch_reports_shapes(self):
-        x = Tensor(np.ones((2, 3)))
         w = Tensor(np.ones((5, 4)))
         with pytest.raises(ShapeMismatch, match=r"\(2, 3\)"):
-            ad.affine(x, w, Tensor(np.ones(5)))
+            ad.projection(np.ones((2, 3)), w, Tensor(np.ones(5)))
 
-    def test_affine_shape_mismatch_rejected(self):
+    def test_projection_shape_mismatch_rejected(self):
         for x, w, b in [
-            ((4, 3), (2, 5), (2,)),  # x width differs from w's
+            ((4, 3), (2, 5), (2,)),  # windows' width differs from w's
             ((4, 3), (2, 3), (3,)),  # bias does not match the output width
-            ((3,), (2, 3), (2,)),  # x not 2-D
+            ((3,), (2, 3), (2,)),  # windows not 2-D
             ((4, 3), (3,), (3,)),  # w not 2-D
         ]:
-            with pytest.raises(ShapeMismatch, match="affine"):
-                ad.affine(*(Tensor(np.ones(shape)) for shape in (x, w, b)))
+            with pytest.raises(ShapeMismatch, match="projection"):
+                ad.projection(np.ones(x), Tensor(np.ones(w)), Tensor(np.ones(b)))
+
+    @pytest.mark.parametrize("op", ["add", "mul"])
+    @pytest.mark.parametrize("a, b", [((5, 3), (3,)), ((5, 1), (5, 3)), ((3,), ()), ((2, 3), (3, 2))])
+    def test_unequal_shapes_rejected(self, op, a, b):
+        x, y = Tensor(np.ones(a), requires_grad=True), Tensor(np.ones(b), requires_grad=True)
+        for args in ((x, y), (y, x)):
+            with pytest.raises(ShapeMismatch, match=f"{op}: shapes"):
+                getattr(ad, op)(*args)
 
     def test_non_finite_forward_trips(self):
         weights = Tensor(np.array([[0.0, 1.0]]))
@@ -229,17 +235,52 @@ class TestDtypes:
 
     def test_float64_is_preserved(self):
         x = Tensor(np.zeros(3, dtype=np.float64), requires_grad=True)
-        y = ad.tanh(x) + 1.0
+        y = x * x + 1.0
         assert y.dtype == np.float64
         y.sum().backward()
         assert x.grad.dtype == np.float64
 
 
-# float32, float64, and a float64 bias on float32 operands, whose sum the
-# nodes must keep in float64 as ``x @ w + b`` does
-DENSE_DTYPES = [
-    (np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64),
-]
+
+# per op: its operands' shapes, and a call of the op on numpy arrays of
+# those shapes; gated_units' and projection's first operand stays numpy
+MIXED_DTYPE_OPS = {
+    "add": ([(3, 2), (3, 2)], lambda a, b: Tensor(a) + Tensor(b)),
+    "mul": ([(3, 2), (3, 2)], lambda a, b: Tensor(a) * Tensor(b)),
+    "projection": ([(4, 6), (5, 6), (5,)], lambda x, w, b: ad.projection(x, Tensor(w), Tensor(b))),
+    "gated_units": (
+        [(4, 6), (5, 6), (5,), (5, 6), (5,)],
+        lambda x, *unit: ad.gated_units([x], [tuple(map(Tensor, unit))]),
+    ),
+    "branch_weights": (
+        [(4, 3, 5), (2, 3), (2,), (3, 2), (3,)], lambda *a: ad.branch_weights(*map(Tensor, a))
+    ),
+    "branch_fusion": ([(4, 3), (4, 3, 5)], lambda *a: ad.branch_fusion(*map(Tensor, a))),
+    "bilstm_layer": (
+        [(4, 3), (3, 8), (2, 8), (8,), (3, 8), (2, 8), (8,)],
+        lambda x, *w: ad.bilstm_layer(Tensor(x), tuple(map(Tensor, w[:3])), tuple(map(Tensor, w[3:]))),
+    ),
+    "classifier_head": (
+        [(4, 3), (2, 3), (2,), (1, 2), (1,)], lambda *a: ad.classifier_head(*map(Tensor, a))
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "op, wide",
+    [(op, i) for op, (shapes, _) in MIXED_DTYPE_OPS.items() for i in range(len(shapes))],
+)
+def test_one_float64_operand_among_float32_rejected(op, wide):
+    shapes, call = MIXED_DTYPE_OPS[op]
+    arrays = [np.full(shape, 0.5, np.float32) for shape in shapes]
+    assert call(*arrays).dtype == np.float32
+    arrays[wide] = arrays[wide].astype(np.float64)
+    with pytest.raises(ShapeMismatch, match=rf"{op}: operands mix dtypes \['float32', 'float64'\]"):
+        call(*arrays)
+
+
+# each dtype for every operand, bias included
+DENSE_DTYPES = [(np.float32, np.float32), (np.float64, np.float64)]
 
 
 def _backward_with(out: Tensor, rng) -> np.ndarray:
@@ -251,10 +292,11 @@ def _backward_with(out: Tensor, rng) -> np.ndarray:
 
 
 class TestDenseNodesExact:
-    """The dense nodes against numpy in the op order they replaced: ``x @
-    w.T + b`` with its bias added in a new array, and the gated units
-    through ``np.tanh``, ``1 / (1 + exp(-z))`` and ``np.stack``. Output,
-    dtype and every gradient must match bit for bit."""
+    """The dense nodes against numpy in the op order they replaced: the
+    projection through ``np.tanh(x @ w.T + b)`` with its bias added in a
+    new array, and the gated units through ``np.tanh``, ``1 / (1 +
+    exp(-z))`` and ``np.stack``. Output, dtype and every gradient must
+    match bit for bit."""
 
     def _tensors(self, *arrays):
         return [Tensor(a, requires_grad=True) for a in arrays]
@@ -266,15 +308,22 @@ class TestDenseNodesExact:
             assert t.grad.dtype == grad.dtype
             np.testing.assert_array_equal(t.grad, grad)
 
+    @pytest.mark.parametrize("t_len", [1, 7, 575])
     @pytest.mark.parametrize("dtype, b_dtype", DENSE_DTYPES)
-    def test_affine(self, dtype, b_dtype):
+    def test_projection(self, dtype, b_dtype, t_len):
+        # against the affine node and the tanh node it replaced: the
+        # tanh's backward, then the affine's weight and bias gradients
         rng = np.random.default_rng(32)
-        x, w = rng.normal(size=(37, 12)).astype(dtype), rng.normal(size=(20, 12)).astype(dtype)
+        x, w = rng.normal(size=(t_len, 12)).astype(dtype), rng.normal(size=(20, 12)).astype(dtype)
+        x[0] *= 100.0  # a frame whose tanh saturates at exactly 1
         b = rng.normal(size=20).astype(b_dtype)
-        tensors = self._tensors(x, w, b)
-        out = ad.affine(*tensors)
+        tensors = self._tensors(w, b)
+        out = ad.projection(x, *tensors)
         g = _backward_with(out, rng)
-        self._assert_exact(tensors, out, x @ w.T + b, [g @ w, (x.T @ g).T, g.sum(axis=0)])
+        expected = np.tanh(x @ w.T + b)
+        d_z = g * (1.0 - expected * expected)
+        assert (np.abs(expected[0]) == 1.0).any()
+        self._assert_exact(tensors, out, expected, [(x.T @ d_z).T, d_z.sum(axis=0)])
 
     @pytest.mark.parametrize("dtype, b_dtype", DENSE_DTYPES)
     def test_gated_units(self, dtype, b_dtype):
@@ -502,6 +551,26 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     for name in mod.__all__:
         assert getattr(mod, name) is namespace[name]
+
+
+def _autodiff_names_used(path) -> set[str]:
+    """The names a module takes from ``autodiff``: ``ad.name`` or
+    ``autodiff.name``, and ``from ...autodiff import name``."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in ("ad", "autodiff"):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("autodiff"):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_exported_op_has_a_caller():
+    # an op that loses its last caller in the package or the benchmark fails here
+    root = Path(__file__).resolve().parents[1]
+    modules = [p for p in (root / "src" / "mlnetvad").glob("*.py") if p.name != "autodiff.py"]
+    used = set().union(*map(_autodiff_names_used, modules + sorted((root / "vadbench").glob("*.py"))))
+    assert sorted(set(ad.__all__) - used) == []
 
 
 def _per_frame(xproj: np.ndarray, w_h: np.ndarray, reverse: bool) -> np.ndarray:
@@ -769,22 +838,21 @@ class TestClassifierNodesExact:
             for w_x, w_h, b in (_lstm_direction(rng, in_dim, h_dim, dtype) for _ in range(2))
         ]
         tensors = [seq_t, *dirs[0], *dirs[1]]
-        out_dtype = np.result_type(dtype, b_dtype)  # the scan runs in the projection's dtype
         expected = {}
         for _ in range(2):
             out = ad.bilstm_layer(seq_t, *dirs, lengths=lengths)
             g = _backward_with(out, rng)
             xs = [seq @ w_x.data + b.data for w_x, _, b in dirs]
-            ws = [w_h.data.astype(out_dtype) for _, w_h, _ in dirs]
+            ws = [w_h.data for _, w_h, _ in dirs]
             out_ref, dx_f, dx_b, dw_f, dw_b = bilstm_reference(xs, ws, lengths, g)
-            assert out.dtype == out_dtype
+            assert out.dtype == dtype
             np.testing.assert_array_equal(out.data, out_ref)
             grads = {"seq": [dx_f @ dirs[0][0].data.T, dx_b @ dirs[1][0].data.T]}
             for tag, dx, dw in (("f", dx_f, dw_f), ("b", dx_b, dw_b)):
                 grads |= {f"w_x_{tag}": [seq.T @ dx], f"w_h_{tag}": [dw], f"b_{tag}": [dx.sum(axis=0)]}
             _accumulate(expected, grads)
         for t, name in zip(tensors, self.LAYER_NAMES, strict=True):
-            assert t.grad.dtype == out_dtype
+            assert t.grad.dtype == dtype
             np.testing.assert_array_equal(t.grad, expected[name], err_msg=name)
 
     @pytest.mark.parametrize("dtype, b_dtype", DENSE_DTYPES)
@@ -803,7 +871,7 @@ class TestClassifierNodesExact:
             out = ad.classifier_head(*tensors)
             g = _backward_with(out, rng)
             probs, chain_backward = _head_chain(*arrays)
-            assert out.dtype == probs.dtype == np.result_type(dtype, b_dtype)
+            assert out.dtype == probs.dtype == dtype
             np.testing.assert_array_equal(out.data, probs)
             _accumulate(expected, chain_backward(g))
         assert out.data[3] in (0.0, 1.0)

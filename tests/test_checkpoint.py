@@ -92,6 +92,16 @@ class TestValidation:
         with pytest.raises(FormatError, match="missing parameter"):
             load_checkpoint(path)
 
+    def test_repeated_parameter_rejected(self, tmp_path):
+        path = tmp_path / "m.mlnt"
+        save_checkpoint(path, init_params(CFG, seed=1))
+        # a second head.b_out record, which a reader keeping the last copy would load as 7.0
+        name = b"head.b_out"
+        record = struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 1) + struct.pack("<f", 7.0)
+        path.write_bytes(path.read_bytes() + record)
+        with pytest.raises(FormatError, match="repeats parameter 'head.b_out'"):
+            load_checkpoint(path)
+
 
 def hand_written_config_block(cfg: ModelConfig) -> bytes:
     """The config block as the format defines it, field by field."""
@@ -148,6 +158,7 @@ class TestConfigBlock:
             (lambda lines: [b"receptive_fields=1,x"] + lines[1:], "invalid"),
             (lambda lines: lines[:7] + [b"variant=bigger"] + lines[8:], "invalid"),
             (lambda lines: lines + [b"no equals sign"], "malformed config line"),
+            (lambda lines: lines[:1] + [b"n_mels=40"] * 2 + lines[2:], "repeats field 'n_mels'"),
         ],
     )
     def test_bad_config_block_rejected(self, tmp_path, edit, pattern):

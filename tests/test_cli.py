@@ -14,13 +14,15 @@ from mlnetvad.cli import PREDICT_HEADER, TSV_BLOCK_ROWS, main, read_features
 from mlnetvad.corpus import (
     ManifestEntry,
     MixSpec,
+    load_manifest_utterances,
     pad_silence,
     read_manifest,
     write_manifest,
     write_mask,
 )
 from mlnetvad.frontend import FrontendConfig, Waveform, featurize
-from mlnetvad.model import ModelConfig, init_params, mlnet_forward
+from mlnetvad.metrics import evaluate
+from mlnetvad.model import VARIANTS, ModelConfig, init_params, mlnet_forward
 from mlnetvad.training import TrainConfig
 from mlnetvad.wavio import read_wav, write_wav
 
@@ -427,6 +429,54 @@ class TestAblate:
             assert 0.0 <= float(cells[1]) <= 100.0
             assert 0.0 <= float(cells[2]) <= 100.0
 
+    def _ablate(self, manifest, monkeypatch, capsys):
+        """ablate's variant rows, what ``train`` returned for each variant,
+        and the utterance lists ablate itself scored."""
+        results, scored = [], []
+        real_train, real_evaluate = cli.train, cli.evaluate
+
+        def recording_train(*args, **kwargs):
+            results.append(real_train(*args, **kwargs))
+            return results[-1]
+
+        def recording_evaluate(utts, *args, **kwargs):
+            scored.append(utts)
+            return real_evaluate(utts, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+        code = main(
+            ["ablate", "--manifest", str(manifest), "--epochs", "2", "--batch-size", "4",
+             "--seed", "2", "--normalize", *SMALL_MODEL]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-5] == "variant\tdev_f1\tdev_dcf\teval_f1\teval_dcf"
+        rows = [line.split("\t") for line in lines[-4:]]
+        assert [row[0] for row in rows] == list(VARIANTS)
+        return rows, results, scored
+
+    def test_dev_columns_with_a_dev_split_are_the_best_parameters_scored_on_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        manifest = make_corpus(tmp_path, n=6)
+        rows, results, scored = self._ablate(manifest, monkeypatch, capsys)
+        assert scored == []  # train's dev scores are read, not recomputed
+        dev = load_manifest_utterances(manifest, FrontendConfig(normalize=True), split="dev")
+        for row, result in zip(rows, results, strict=True):
+            report = evaluate(dev, result.best_params)
+            assert row[1:3] == [f"{report.macro_f1 * 100:.2f}", f"{report.macro_dcf * 100:.2f}"]
+
+    def test_dev_columns_without_a_dev_split_score_the_held_out_part(self, tmp_path, monkeypatch, capsys):
+        manifest = make_corpus(tmp_path, n=8)
+        entries = read_manifest(manifest)
+        write_manifest(manifest, [ManifestEntry(**{**vars(e), "split": "train"}) for e in entries])
+        rows, results, scored = self._ablate(manifest, monkeypatch, capsys)
+        assert scored == []
+        for row, result in zip(rows, results, strict=True):
+            best = result.history[result.best_epoch - 1]
+            assert row[1:3] == [f"{best.dev_f1 * 100:.2f}", f"{best.dev_dcf * 100:.2f}"]
+
 
 class TestConfigFile:
     def test_config_used_and_flags_win(self, tmp_path, capsys):
@@ -610,12 +660,17 @@ FRONTEND_COMMANDS = {"featurize": ["--wav", "in.wav", "--out", "f.bin"], **THETA
 TRAIN_COMMANDS = {name: THETA_COMMANDS[name] for name in ("train", "ablate")}
 MIX_COMMAND = {"mix": ["--out", "corpus", "--n", "2"]}
 # (commands, flag, value, error message): values that the ordered range
-# checks let through, and a sample rate that is not positive
+# checks let through, a sample rate that is not positive, and a dev
+# fraction that mix would check only after synthesizing the corpus
 BAD_CONFIG_VALUES = [
     (FRONTEND_COMMANDS, "frame-ms", "nan", "frame_len_ms must be finite, got nan"),
     (FRONTEND_COMMANDS, "frame-ms", "inf", "frame_len_ms must be finite, got inf"),
     (FRONTEND_COMMANDS, "hop-ms", "nan", "hop_ms must be finite, got nan"),
     (FRONTEND_COMMANDS, "hop-ms", "inf", "hop_ms must be finite, got inf"),
+    (FRONTEND_COMMANDS, "mel-fmin", "nan", "mel_fmin must be finite, got nan"),
+    (FRONTEND_COMMANDS, "mel-fmin", "-inf", "mel_fmin must be finite, got -inf"),
+    (FRONTEND_COMMANDS, "mel-fmax", "nan", "mel_fmax must be finite, got nan"),
+    (FRONTEND_COMMANDS, "mel-fmax", "inf", "mel_fmax must be finite, got inf"),
     (TRAIN_COMMANDS, "lr", "nan", "lr must be finite, got nan"),
     (TRAIN_COMMANDS, "lr", "inf", "lr must be finite, got inf"),
     (TRAIN_COMMANDS, "attention-loss-weight", "nan", "attention_loss_weight must be finite, got nan"),
@@ -628,6 +683,8 @@ BAD_CONFIG_VALUES = [
     (MIX_COMMAND, "pad-s", "inf", "silence_pad_s must be finite, got inf"),
     (MIX_COMMAND, "sample-rate", "0", "--sample-rate must be >= 1, got 0"),
     (MIX_COMMAND, "sample-rate", "-5", "--sample-rate must be >= 1, got -5"),
+    (MIX_COMMAND, "dev-fraction", "1.5", "--dev-fraction must be in (0, 1), got 1.5"),
+    (MIX_COMMAND, "dev-fraction", "nan", "--dev-fraction must be in (0, 1), got nan"),
 ]
 BAD_CONFIG_CASES = [
     pytest.param(command, args, flag, value, message, id=f"{command}-{flag}={value}")
@@ -637,10 +694,10 @@ BAD_CONFIG_CASES = [
 
 
 class TestNonFiniteConfigValues:
-    """NaN, infinities and a sample rate below 1 are usage errors, from the
-    flag and from a config file, on every subcommand that takes the value:
-    one error line and exit code 2 before any input is read or output is
-    written."""
+    """NaN, infinities, a sample rate below 1 and a dev fraction outside
+    (0, 1) are usage errors, from the flag and from a config file, on every
+    subcommand that takes the value: one error line and exit code 2 before
+    any input is read or output is written."""
 
     @pytest.fixture(autouse=True)
     def _in_tmp_path(self, tmp_path, monkeypatch):

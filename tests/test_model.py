@@ -161,7 +161,7 @@ class TestGatedAffine:
         bp = params.branches[0]
         for t in units(bp):
             t.data[:] = 0.0
-        windows = np.random.default_rng(0).normal(size=(4, 7 * 8))
+        windows = np.random.default_rng(0).normal(size=(4, 7 * 8)).astype(np.float32)
         out = ad.gated_units([windows], [units(bp)])
         np.testing.assert_allclose(out.data, 0.0)
 
@@ -179,17 +179,18 @@ class TestGatedAffine:
     def test_output_size_constant_across_receptive_fields(self, r):
         cfg = ModelConfig(receptive_fields=(r,), variant="gated_unit")
         params = init_params(cfg, seed=2)
-        windows = np.random.default_rng(1).normal(size=(5, (2 * r + 1) * 40))
+        windows = np.random.default_rng(1).normal(size=(5, (2 * r + 1) * 40)).astype(np.float32)
         assert ad.gated_units([windows], [units(params.branches[0])]).shape == (5, 1, 64)
 
     def test_wrong_window_size_rejected(self):
         params = init_params(small_cfg(), seed=0)
         one = units(params.branches[0])  # radius 1: 3 frames of 8 bands
+        f32 = np.float32
         for inputs, weights in [
-            ([np.zeros((4, 5 * 8))], [one]),  # window wider than the unit
-            ([np.zeros((4, 3 * 8)), np.zeros((5, 5 * 8))], [one, units(params.branches[1])]),
-            ([np.zeros((4, 3 * 8))], [one, one]),  # one input for two units
-            ([np.zeros(3 * 8)], [one]),  # not 2-D
+            ([np.zeros((4, 5 * 8), f32)], [one]),  # window wider than the unit
+            ([np.zeros((4, 3 * 8), f32), np.zeros((5, 5 * 8), f32)], [one, units(params.branches[1])]),
+            ([np.zeros((4, 3 * 8), f32)], [one, one]),  # one input for two units
+            ([np.zeros(3 * 8, f32)], [one]),  # not 2-D
             ([], []),
         ]:
             with pytest.raises(ShapeMismatch):

@@ -200,14 +200,13 @@ class TestGraphSize:
 
     # (tensors, op nodes). Every variant has 4 op nodes in common: one
     # bilstm_layer per Bi-LSTM layer, the classifier_head and
-    # cross_entropy. bilstm_base adds its projection's affine and tanh,
-    # gated_unit and non_attention their gated_units and mean, and
-    # full_attention its gated_units, branch_weights, branch_fusion,
-    # selected_nll and the weighted loss's mul and add. The other tensors
-    # are parameters and two constants: bilstm_base's windows and
-    # full_attention's loss weight.
+    # cross_entropy. bilstm_base adds its projection, gated_unit and
+    # non_attention their gated_units and mean, and full_attention its
+    # gated_units, branch_weights, branch_fusion, selected_nll and the
+    # weighted loss's mul and add. The other tensors are parameters and
+    # full_attention's loss weight, a constant.
     GRAPH_SIZES = {
-        "bilstm_base": (25, 6),
+        "bilstm_base": (23, 5),
         "gated_unit": (26, 6),
         "non_attention": (42, 6),
         "full_attention": (51, 10),
