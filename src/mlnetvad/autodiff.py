@@ -8,15 +8,17 @@ order and frees each node's closure as it goes, so a graph serves one
 is called, which is what batch-level gradient accumulation relies on.
 
 The ops: elementwise ``add`` and ``mul``; ``projection``, the
-``bilstm_base`` variant's tanh dense layer; ``gated_units``, all gated
-branches in one node; the channel attention's ``branch_weights`` and
+``bilstm_base`` variant's tanh dense layer, and ``gated_units``, all
+gated branches in one node, both over padded frames whose windows they
+build themselves; the channel attention's ``branch_weights`` and
 ``branch_fusion``; ``bilstm_layer``, one node per Bi-LSTM layer;
 ``classifier_head``, the leaky-ReLU layer and the sigmoid unit in one
-node; the full sum and the mean over one axis; and the losses
-``cross_entropy`` and ``selected_nll``. Every op takes operands of one
-dtype, and ``add`` and ``mul`` operands of one shape; a Python number
-takes the other operand's dtype and shape. Any other operand raises
-``ShapeMismatch``. The dense layers allocate only their GEMM outputs and
+node; ``concat_rows`` and ``split_rows``, which pack utterances' rows
+into one tensor and unpack them; the full sum and the mean over one
+axis; and the losses ``cross_entropy`` and ``selected_nll``. Every op
+takes operands of one dtype, and ``add`` and ``mul`` operands of one
+shape; a Python number takes the other operand's dtype and shape. Any
+other operand raises ``ShapeMismatch``. The dense layers allocate only their GEMM outputs and
 add their biases into them in place. Each layer node rounds every value
 and gradient as the chain of elementwise ops it replaced did, and a
 tensor those ops fed from several places takes each contribution in its
@@ -38,10 +40,15 @@ A Bi-LSTM layer is one ``bilstm_layer`` node, in which both directions
 of a packed batch advance in one time loop. The loop runs in blocks of
 ``SCAN_BLOCK`` steps; each block projects the input rows it gathers,
 so no whole-utterance projection is kept. Its step works gate-major, on
-(4, 2, B, H) blocks, so every elementwise operand is one contiguous
-(2, B, H) block. The BPTT writes each step's four gate gradients into
-one contiguous block and copies it into the packed row that the
-recurrent matmul reads.
+(4, 2, B, H) blocks, so every elementwise operand is one (2, B, H)
+block. Without a graph the utterances are packed rows of one scan. With
+one they are lanes: each lane's recurrent step is a 1-row matmul of its
+own, and its projections and gradient GEMMs run over its own rows, so
+every lane, and ``classifier_head``'s too, gets exactly the bits of a
+call on that utterance alone, and parameters take the lanes'
+contributions in order. The BPTT runs in blocks too and writes each
+step's four gate gradients into one contiguous block, which it copies
+into the row that the recurrent matmul reads.
 
 Only the operations the network needs are implemented; there is no
 broadcasting, no dtype promotion and no GPU path.
@@ -50,7 +57,6 @@ broadcasting, no dtype promotion and no GPU path.
 from __future__ import annotations
 
 import contextlib
-import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -64,12 +70,14 @@ __all__ = [
     "branch_fusion",
     "branch_weights",
     "classifier_head",
+    "concat_rows",
     "cross_entropy",
     "gated_units",
     "grad_enabled",
     "no_grad",
     "projection",
     "selected_nll",
+    "split_rows",
     "zero_grads",
 ]
 
@@ -214,9 +222,11 @@ def _track_any(*ts: Tensor) -> bool:
     return any(_tracked(t) for t in ts)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` into ``t``'s gradient; a ``fresh`` g, which nothing else
+    holds, becomes the gradient without a copy."""
     if t.grad is None:
-        t.grad = g.copy()
+        t.grad = g if fresh else g.copy()
     else:
         t.grad += g
 
@@ -319,45 +329,75 @@ def _dense_param_grads(
         _accum(b, dz.sum(axis=0))
 
 
-def projection(windows: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
-    """The tanh dense layer ``tanh(windows @ w.T + b)`` of (T, in) numpy
-    windows: w is (out, in), b (out,). One node whose only array is its
-    GEMM output, which takes the bias and then the tanh in place. The
-    windows get no gradient."""
-    if windows.ndim != 2 or w.ndim != 2 or (windows.shape[1],) + b.shape != w.shape[::-1]:
-        raise ShapeMismatch(
-            f"projection: windows {windows.shape} do not fit w {w.shape} and b {b.shape}"
-        )
-    _one_dtype("projection", windows, w, b)
-    data = _check_finite(_add_bias(windows @ w.data.T, b.data), "projection")
+def window_matrix(padded: np.ndarray, radius: int) -> np.ndarray:
+    """The (T, (2 * radius + 1) * F) windows of (T + 2 * radius, F) padded
+    rows, time-major: row t holds padded rows t to t + 2 * radius, so a
+    narrower window is a column slice of a wider one."""
+    t_len = padded.shape[0] - 2 * radius
+    return np.concatenate([padded[k : k + t_len] for k in range(2 * radius + 1)], axis=1)
+
+
+def _radius(op: str, padded: np.ndarray, width: int) -> int:
+    """The window radius r of a (2r + 1)-row window ``width`` columns wide
+    over ``padded``'s rows; ShapeMismatch when there is none."""
+    span, rest = divmod(width, padded.shape[1]) if padded.ndim == 2 and padded.shape[1] else (0, 1)
+    if rest or span % 2 == 0:
+        raise ShapeMismatch(f"{op}: a weight of width {width} takes no window of {padded.shape} rows")
+    return span // 2
+
+
+def projection(padded: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+    """The tanh dense layer ``tanh(windows @ w.T + b)`` over the windows
+    of numpy rows: w is (out, (2r + 1) F) and b (out,), and ``padded``
+    holds the T frames of F values padded by r rows at each end (r = 0:
+    the frames themselves). Row t of the windows is padded rows t to
+    t + 2r. One node whose only array is its GEMM output, which takes the
+    bias and then the tanh in place; the backward rebuilds the windows
+    from ``padded``. The rows get no gradient."""
+    radius = _radius("projection", padded, w.shape[1]) if w.ndim == 2 else -1
+    if radius < 0 or padded.shape[0] <= 2 * radius or b.shape != w.shape[:1]:
+        raise ShapeMismatch(f"projection: rows {padded.shape} do not fit w {w.shape} and b {b.shape}")
+    _one_dtype("projection", padded, w, b)
+    data = _check_finite(_add_bias(window_matrix(padded, radius) @ w.data.T, b.data), "projection")
     np.tanh(data, out=data)
     if not _track_any(w, b):
         return _raw(data, (), None)
 
     def backward_fn(g):
-        _dense_param_grads(w, b, windows, g * (1.0 - data * data))
+        _dense_param_grads(w, b, window_matrix(padded, radius), g * (1.0 - data * data))
 
     return _raw(data, (w, b), backward_fn)
 
 
-def gated_units(inputs: Sequence[np.ndarray], weights: Sequence[tuple[Tensor, ...]]) -> Tensor:
-    """The (T, n, d) stack of n gated affine units: unit i maps its (T, K_i)
-    numpy input x_i to ``tanh(x_i @ w_f.T + b_f) * sigmoid(x_i @ w_g.T +
-    b_g)``, where ``weights[i] = (w_f, b_f, w_g, b_g)``. Each unit's tanh
-    and sigmoid run in place on their own GEMM outputs, and their product
-    is written straight into the stack. The inputs get no gradient; the
-    node keeps only each unit's tanh and sigmoid outputs."""
+def gated_units(padded: np.ndarray, weights: Sequence[tuple[Tensor, ...]]) -> Tensor:
+    """The (T, n, d) stack of n gated affine units over windows of numpy
+    rows: unit i maps its (T, (2r_i + 1) F) windows x_i to ``tanh(x_i @
+    w_f.T + b_f) * sigmoid(x_i @ w_g.T + b_g)``, where ``weights[i] =
+    (w_f, b_f, w_g, b_g)`` and ``padded`` holds the T frames of F values
+    padded by R = max(r_i) rows at each end. Row t of unit i's windows is
+    padded rows t + R - r_i to t + R + r_i: a column slice of the widest
+    windows, which are built once for the forward pass and again for the
+    backward. Each unit's tanh and sigmoid run in place on their own GEMM
+    outputs, and their product is written straight into the stack. The
+    rows get no gradient; the node keeps only each unit's tanh and
+    sigmoid outputs."""
     d = weights[0][0].shape[:1] if weights else ()
     shapes = [[t.shape for t in unit] for unit in weights]
-    if not inputs or len(inputs) != len(weights) or any(
-        x.ndim != 2 or x.shape[0] != inputs[0].shape[0] or unit != [d + x.shape[1:], d] * 2
-        for x, unit in zip(inputs, shapes)
-    ):
-        raise ShapeMismatch(f"gated_units: inputs {[x.shape for x in inputs]} do not fit {shapes}")
+    widths = [unit[0][1:] if unit else () for unit in shapes]  # (K,) for a 2-D w_f
+    if not weights or any(len(k) != 1 or unit != [d + k, d] * 2 for unit, k in zip(shapes, widths)):
+        raise ShapeMismatch(f"gated_units: rows {padded.shape} do not fit {shapes}")
+    radii = [_radius("gated_units", padded, k[0]) for k in widths]
+    radius = max(radii)
+    if padded.shape[0] <= 2 * radius:
+        raise ShapeMismatch(f"gated_units: rows {padded.shape} do not fit {shapes}")
+    f = padded.shape[1]
+    cols = [slice((radius - r) * f, (radius + r + 1) * f) for r in radii]
     params = tuple(t for unit in weights for t in unit)
-    out = np.empty((inputs[0].shape[0], len(inputs)) + d, _one_dtype("gated_units", *inputs, *params))
+    windows = window_matrix(padded, radius)
+    out = np.empty((windows.shape[0], len(weights)) + d, _one_dtype("gated_units", padded, *params))
     ths, sgs = [], []
-    for i, (x, (w_f, b_f, w_g, b_g)) in enumerate(zip(inputs, weights)):
+    for i, (col, (w_f, b_f, w_g, b_g)) in enumerate(zip(cols, weights)):
+        x = windows[:, col]
         th = _add_bias(x @ w_f.data.T, b_f.data)
         np.tanh(th, out=th)
         sg = _sigmoid_in_place(_add_bias(x @ w_g.data.T, b_g.data))
@@ -368,9 +408,10 @@ def gated_units(inputs: Sequence[np.ndarray], weights: Sequence[tuple[Tensor, ..
         return _make(out, "gated_units", (), None)
 
     def backward_fn(g):
-        for i, (x, (w_f, b_f, w_g, b_g), th, sg) in enumerate(zip(inputs, weights, ths, sgs)):
-            _dense_param_grads(w_f, b_f, x, g[:, i] * sg * (1.0 - th * th))
-            _dense_param_grads(w_g, b_g, x, g[:, i] * th * sg * (1.0 - sg))
+        windows = window_matrix(padded, radius)
+        for i, (col, (w_f, b_f, w_g, b_g), th, sg) in enumerate(zip(cols, weights, ths, sgs)):
+            _dense_param_grads(w_f, b_f, windows[:, col], g[:, i] * sg * (1.0 - th * th))
+            _dense_param_grads(w_g, b_g, windows[:, col], g[:, i] * th * sg * (1.0 - sg))
 
     return _make(out, "gated_units", params, backward_fn)
 
@@ -418,13 +459,13 @@ def branch_weights(
         )
     _one_dtype("branch_weights", stack, w0, b0, w1, b1)
     q = stack.data
-    passes = []  # per descriptor: itself, the hidden pre-activation, its leaky ReLU, the scores
+    passes, scores = [], []  # per descriptor: itself and the leaky ReLU of the hidden layer
     for d in (_check_finite(q.mean(axis=2), "branch_weights"), q.max(axis=2)):
         h = _check_finite(_add_bias(d @ w0.data.T, b0.data), "branch_weights")
-        hidden = np.where(h > 0, h, LEAKY_SLOPE * h)
-        scores = _check_finite(_add_bias(hidden @ w1.data.T, b1.data), "branch_weights")
-        passes.append((d, h, hidden, scores))
-    raw = _sigmoid_in_place(_check_finite(passes[0][3] + passes[1][3], "branch_weights"))
+        hidden = np.where(h > 0, h, LEAKY_SLOPE * h)  # positive where h is
+        scores.append(_check_finite(_add_bias(hidden @ w1.data.T, b1.data), "branch_weights"))
+        passes.append((d, hidden))
+    raw = _sigmoid_in_place(_check_finite(scores[0] + scores[1], "branch_weights"))
     num = _sigmoid_in_place(raw.copy()) if double_sigmoid else raw
     den = _check_finite(num.sum(axis=-1, keepdims=True), "branch_weights")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -439,11 +480,11 @@ def branch_weights(
         d_raw = d_num * num * (1.0 - num) if double_sigmoid else d_num
         d_scores = d_raw * raw * (1.0 - raw)
         d_pooled = []
-        for d, h, hidden, _ in passes:  # the mean pass, then the max pass
+        for d, hidden in passes:  # the mean pass, then the max pass
             # the second dense layer, the leaky ReLU, the first dense layer
             d_hidden = d_scores @ w1.data
             _dense_param_grads(w1, b1, hidden, d_scores)
-            d_h = d_hidden * np.where(h > 0, 1.0, LEAKY_SLOPE).astype(h.dtype)
+            d_h = d_hidden * np.where(hidden > 0, 1.0, LEAKY_SLOPE).astype(hidden.dtype)
             _dense_param_grads(w0, b0, d, d_h)
             d_pooled.append(d_h @ w0.data)
         if _tracked(stack):
@@ -512,6 +553,12 @@ def _step_rows(offsets: np.ndarray, lengths: np.ndarray, start: int, stop: int):
     return fwd, bwd, steps < lengths
 
 
+def _spans(lengths: np.ndarray) -> list[tuple[int, int]]:
+    """The (first, last + 1) packed row of each utterance."""
+    ends = np.cumsum(lengths)
+    return list(zip((ends - lengths).tolist(), ends.tolist()))
+
+
 def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], lengths=None) -> Tensor:
     """Both directions of a Bi-LSTM layer over a packed batch of B
     utterances, each direction of each utterance from a zero state.
@@ -525,43 +572,56 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     candidate uses tanh, the other gates sigmoid.
 
     One node covers the whole layer: a single time loop of max(lengths)
-    steps advances both directions of every utterance as (2, B, H) states,
-    with one (2, B, H) @ (2, H, 4H) recurrent matmul per step. The
-    backward direction's step s is frame ``lengths[b] - 1 - s`` of
-    utterance b. A shorter utterance's padded steps come after its real
-    ones in both directions, so they never feed a real frame; their zero
-    incoming gradient makes their share of the BPTT zero.
+    steps advances both directions of every utterance as (2, B, H)
+    states. The backward direction's step s is frame ``lengths[b] - 1 -
+    s`` of utterance b. The loop runs in blocks of ``SCAN_BLOCK`` steps;
+    each block gathers its input rows with ``np.take`` and projects them
+    with ``x @ w_x`` GEMMs, whose bias is added in place, into a (steps,
+    4, 2, B, H) gate-major buffer. The step works gate-major, so that
+    every elementwise operand is one (2, B, H) block rather than a
+    strided gate column of a (2, B, 4H) row: one add reads the recurrent
+    product through a gate-major view and writes the (4, 2, B, H)
+    pre-activations, the sigmoid runs over all four gates, and the
+    candidate's tanh then replaces its slot. The projections are never
+    kept.
 
-    The loop runs in blocks of ``SCAN_BLOCK`` steps. Each block gathers
-    its input rows with one ``np.take`` per direction and projects them
-    with one ``x @ w_x`` GEMM, whose bias is added in place, into a
-    (steps, 4, 2, B, H) gate-major buffer. Every block has the same
-    number of steps, the last one rereading clipped rows, so no
-    projection runs on a single row unless the whole batch is one. With
-    OpenBLAS each row then gets the bits of one GEMM over the whole input
-    whenever 4H is a multiple of 16 in float32 (8 in float64), as at the
-    default H of 64, or the input is narrow; at other widths an input of
-    16 or more columns can differ in the last bits. The step
-    works gate-major, so that every elementwise operand is one contiguous
-    (2, B, H) block rather than a strided gate column of a (2, B, 4H)
-    row. One add reads the packed matmul output through a gate-major
-    view and writes the (4, 2, B, H) pre-activations; the sigmoid runs
-    over all four gates and the candidate's tanh then replaces its slot.
-    When a graph is being built, each step writes its gate activations,
-    cell state and tanh(cell) straight into the buffers the backward
-    keeps; without one, the same loop writes them into per-step scratch.
-    The projections are never kept.
+    How the utterances share the loop depends on whether a graph is
+    being built:
 
-    The backward is a single BPTT loop over the same layout: every
-    gate-derivative factor that does not depend on the recursion is
-    computed gate-major for all steps before it, each step writes its four
-    gate gradients into one contiguous (4, 2, B, H) block and copies it
-    once into the packed (2, B, 4H) row that the recurrent matmul reads,
-    and both recurrent-weight gradients are one batched GEMM after the
-    loop. Each direction's input-projection gradients then come from its
-    whole (ΣT, 4H) gate gradient: ``seq`` takes the forward direction's
-    contribution before the backward's. Only the projections are checked
-    for finite values; every other output is bounded.
+    - Without one (scoring), they are packed rows: one (2, B, H) @ (2, H,
+      4H) recurrent matmul per step and one projection GEMM per block and
+      direction over all utterances. Every block has the same number of
+      steps, and a shorter utterance's padded steps reread clipped rows
+      after its real ones. Rows of a GEMM over many rows can round
+      differently from the same rows of a GEMM over one utterance.
+    - With one (training), each utterance is a lane that gets exactly the
+      bits it gets alone. The recurrent step is one broadcast
+      (2, B, 1, H) @ (2, 1, H, 4H) matmul, a 1-row product per lane and
+      direction. Each lane projects blocks of ``min(SCAN_BLOCK, T)`` of
+      its own rows, and its weight and input gradients are GEMMs over its
+      own rows, as in a call on that utterance alone. The elementwise
+      calls of a step serve every lane; a lane whose utterance has
+      ended keeps stepping on stale inputs, which reach no output.
+
+    With OpenBLAS a block projection gives each row the bits of one GEMM
+    over the whole input whenever 4H is a multiple of 16 in float32 (8 in
+    float64), as at the default H of 64, or the input is narrow; at other
+    widths an input of 16 or more columns can differ in the last bits.
+
+    With a graph, each step writes its gate activations and cell state
+    straight into the buffers the backward keeps. The backward is a BPTT
+    loop over the same layout, in blocks of ``SCAN_BLOCK`` steps from the
+    last: each block gathers its output gradients and computes its
+    gate-derivative factors that do not depend on the recursion (and
+    tanh(cell), which gives the forward's bits again), each step writes its four gate gradients into one
+    contiguous (4, 2, B, H) block and copies it once into the lane's
+    (2, 4H) row that the recurrent matmul reads. After the loop, each
+    lane's recurrent-weight gradients are one batched GEMM over its
+    steps, and each direction's input-projection gradients come from its
+    (T, 4H) gate gradient. Every parameter takes the lanes' contributions
+    in lane order, and ``seq`` the forward direction's before the
+    backward's. Only the projections are checked for finite values;
+    every other output is bounded.
     """
     fwd, bwd = tuple(fwd), tuple(bwd)
     h_shape = fwd[1].shape[:1] if len(fwd) == 3 else ()  # (H,)
@@ -572,49 +632,45 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
             f"bilstm_layer: seq {seq.shape} does not fit (w_x, w_h, b) "
             f"{[t.shape for t in fwd]} and {[t.shape for t in bwd]}"
         )
-    h_dim, (rows, in_dim) = h_shape[0], seq.shape
-    lengths = _packed_lengths(lengths, rows)
+    lengths = _packed_lengths(lengths, seq.shape[0])
+    _one_dtype("bilstm_layer", seq, *fwd, *bwd)
+    w = np.stack([fwd[1].data, bwd[1].data])  # (2, H, 4H): direction 0 forward, 1 backward
+    if _track_any(seq, *fwd, *bwd):
+        return _lane_scan(seq, fwd, bwd, lengths, w)
+    return _raw(_packed_scan(seq.data, fwd, bwd, lengths, w), (), None)
+
+
+def _packed_scan(seq: np.ndarray, fwd, bwd, lengths: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``bilstm_layer``'s output without a graph: the utterances as packed
+    rows of one scan."""
+    (rows, in_dim), (_, h_dim, _) = seq.shape, w.shape
     offsets = np.cumsum(lengths) - lengths
     n_utts, t_max = lengths.size, int(lengths.max())
-    w = np.stack([fwd[1].data, bwd[1].data])  # (2, H, 4H): direction 0 forward, 1 backward
-    dtype = _one_dtype("bilstm_layer", seq, *fwd, *bwd)
-    keep = _track_any(seq, *fwd, *bwd)
-    out = np.empty((rows, 2 * h_dim), dtype)
+    out = np.empty((rows, 2 * h_dim), w.dtype)
     block = min(SCAN_BLOCK, t_max)
-    x_in = np.empty((block, n_utts, in_dim), seq.dtype)  # a block's input rows for one direction
-    xs = np.empty((block, 4, 2, n_utts, h_dim), dtype)  # a block's projections, gate-major
-    hs = np.empty((block, 2, n_utts, h_dim), dtype)  # a block's hidden states
+    x_in = np.empty((block, n_utts, in_dim), w.dtype)  # a block's input rows for one direction
+    xs = np.empty((block, 4, 2, n_utts, h_dim), w.dtype)  # a block's projections, gate-major
+    hs = np.empty((block, 2, n_utts, h_dim), w.dtype)  # a block's hidden states
     # per-step state and scratch, (2, B, .): one row per direction and utterance
-    h = np.zeros((2, n_utts, h_dim), dtype)
-    z_rows = np.empty((2, n_utts, 4 * h_dim), dtype)  # the recurrent product, gates packed
+    h = np.zeros((2, n_utts, h_dim), w.dtype)
+    z_rows = np.empty((2, n_utts, 4 * h_dim), w.dtype)  # the recurrent product, gates packed
     z_rows_gates = z_rows.reshape(2, n_utts, 4, h_dim).transpose(2, 0, 1, 3)
-    z = np.empty((4, 2, n_utts, h_dim), dtype)  # the pre-activations, gate-major
+    z = np.empty((4, 2, n_utts, h_dim), w.dtype)  # the pre-activations, gate-major
     z_g = z[2]
-    ig = np.empty_like(h)
-    one = dtype.type(1.0)  # a typed scalar: a Python float is converted on every call
-    # ``steps`` yields, per step: the (4, 2, B, H) gate block, its four
-    # gates, the cell state before and after the step, and tanh(cell)
-    if keep:  # indexed by step
-        acts = np.empty((t_max, 4, 2, n_utts, h_dim), dtype)  # the gates after their activations
-        cs = np.zeros((t_max + 1, 2, n_utts, h_dim), dtype)  # cs[s] is the cell state before step s
-        tcs = np.empty((t_max, 2, n_utts, h_dim), dtype)
-        steps = zip(acts, *acts.transpose(1, 0, 2, 3, 4), cs[:-1], cs[1:], tcs)
-    else:
-        a = np.empty_like(z)
-        c = np.zeros_like(h)
-        steps = zip(*map(itertools.repeat, (a, *a, c, c, np.empty_like(h))))
+    a = np.empty_like(z)  # the gates after their activations
+    gate_i, gate_f, gate_g, gate_o = a
+    c, ig, tc = np.zeros_like(h), np.empty_like(h), np.empty_like(h)
+    one = w.dtype.type(1.0)  # a typed scalar: a Python float is converted on every call
     # exp(-z) overflowing to inf gives the exact sigmoid limit 0.0
     with np.errstate(over="ignore"):
         for start in range(0, t_max, block):
             fwd_rows, bwd_rows, real = _step_rows(offsets, lengths, start, start + block)
             for d, ((w_x, _, b), rows_of) in enumerate(zip((fwd, bwd), (fwd_rows, bwd_rows))):
-                np.take(seq.data, rows_of, axis=0, mode="clip", out=x_in)
+                np.take(seq, rows_of, axis=0, mode="clip", out=x_in)
                 proj = _add_bias(x_in.reshape(-1, in_dim) @ w_x.data, b.data)
                 _check_finite(proj, "bilstm_layer")
                 xs[:, :, d] = proj.reshape(block, n_utts, 4, h_dim).transpose(0, 2, 1, 3)
-            for x_step, h_next, (a, gate_i, gate_f, gate_g, gate_o, c_prev, c, tc) in zip(
-                xs[: t_max - start], hs, steps
-            ):
+            for x_step, h_next in zip(xs[: t_max - start], hs):
                 np.matmul(h, w, out=z_rows)
                 np.add(z_rows_gates, x_step, out=z)
                 np.negative(z, out=a)
@@ -622,7 +678,7 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
                 np.add(a, one, out=a)
                 np.reciprocal(a, out=a)  # 1 / a, rounded as the division rounds
                 np.tanh(z_g, out=gate_g)
-                np.multiply(c_prev, gate_f, out=c)
+                np.multiply(c, gate_f, out=c)
                 np.multiply(gate_i, gate_g, out=ig)
                 c += ig
                 np.tanh(c, out=tc)
@@ -631,57 +687,138 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
             # steps past max(lengths) are not real for any utterance
             out[fwd_rows[real], :h_dim] = hs[:, 0][real]
             out[bwd_rows[real], h_dim:] = hs[:, 1][real]
-    if not keep:
-        return _raw(out, (), None)
+    return out
+
+
+def _lane_scan(seq: Tensor, fwd, bwd, lengths: np.ndarray, w: np.ndarray) -> Tensor:
+    """``bilstm_layer`` with a graph: each utterance a lane that gets the
+    bits of a call on it alone. A lane keeps stepping after its utterance
+    has ended, on stale or zero inputs: contiguous operands for every lane
+    cost less than strided ones for the lanes still running. Those steps
+    reach no output, and the BPTT enters each lane at its last real step
+    with a zero gradient."""
+    (rows, in_dim), (_, h_dim, four_h), dtype = seq.shape, w.shape, w.dtype
+    spans = _spans(lengths)
+    n, t_max = lengths.size, int(lengths.max())
+    block = min(SCAN_BLOCK, t_max)
+    out = np.empty((rows, 2 * h_dim), dtype)
+    # kept for the backward, indexed by step
+    acts = np.empty((t_max, 4, 2, n, h_dim), dtype)  # the gates after their activations
+    cs = np.zeros((t_max + 1, 2, n, h_dim), dtype)  # cs[s] is the cell state before step s
+    x_in = np.empty((block, in_dim), seq.dtype)  # a lane's block of input rows for one direction
+    xs = np.zeros((block, 4, 2, n, h_dim), dtype)  # a block's projections, gate-major
+    hs = np.empty((block, 2, n, h_dim), dtype)  # a block's hidden states
+    h = np.zeros((2, n, 1, h_dim), dtype)
+    w_lanes = w[:, None]  # (2, 1, H, 4H), broadcast over the lanes: a 1-row product each
+    z_rows = np.empty((2, n, 1, four_h), dtype)  # the recurrent products, gates packed
+    z_rows_gates = z_rows.reshape(2, n, 4, h_dim).transpose(2, 0, 1, 3)
+    z = np.empty((4, 2, n, h_dim), dtype)  # the pre-activations, gate-major
+    z_g = z[2]
+    ig, tc = np.empty((2, n, h_dim), dtype), np.empty((2, n, h_dim), dtype)  # tc: tanh(cell), not kept
+    one = dtype.type(1.0)
+    with np.errstate(over="ignore"):
+        for start in range(0, t_max, block):
+            stop = min(start + block, t_max)
+            for j, (first, end) in enumerate(spans):
+                if start >= end - first:
+                    continue  # the lane's utterance has ended: its inputs stay as they are
+                steps = np.arange(start, start + min(block, end - first))
+                for d, ((w_x, _, b), rows_of) in enumerate((
+                    (fwd, first + np.minimum(steps, end - first - 1)),
+                    (bwd, np.maximum(end - 1 - steps, first)),
+                )):
+                    x = x_in[: steps.size]
+                    np.take(seq.data, rows_of, axis=0, mode="clip", out=x)
+                    proj = _check_finite(_add_bias(x @ w_x.data, b.data), "bilstm_layer")
+                    xs[: steps.size, :, d, j] = proj.reshape(-1, 4, h_dim)
+            a_s = acts[start:stop]
+            for x_step, h_next, h_next_row, a, gate_i, gate_f, gate_g, gate_o, c_prev, c in zip(
+                xs, hs, hs[:, :, :, None], a_s, *a_s.transpose(1, 0, 2, 3, 4), cs[start:stop], cs[start + 1 :]
+            ):
+                np.matmul(h, w_lanes, out=z_rows)
+                np.add(z_rows_gates, x_step, out=z)
+                np.negative(z, out=a)
+                np.exp(a, out=a)
+                np.add(a, one, out=a)
+                np.reciprocal(a, out=a)
+                np.tanh(z_g, out=gate_g)
+                np.multiply(c_prev, gate_f, out=c)
+                np.multiply(gate_i, gate_g, out=ig)
+                c += ig
+                np.tanh(c, out=tc)
+                np.multiply(gate_o, tc, out=h_next)
+                h = h_next_row
+            for j, (first, end) in enumerate(spans):
+                done = min(stop, end - first) - start  # the lane's real steps in this block
+                if done > 0:
+                    out[first + start : first + start + done, :h_dim] = hs[:done, 0, j]
+                    out[end - start - done : end - start, h_dim:] = hs[done - 1 :: -1, 1, j]
 
     def backward_fn(grad):
-        fwd_rows, bwd_rows, real = _step_rows(offsets, lengths, 0, t_max)
-        i, f, g_cand, o = acts.transpose(1, 0, 2, 3, 4)
-        # the factors of dc and dh that do not depend on the recursion
-        dc_factors = np.stack(
-            [g_cand * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g_cand * g_cand)], axis=1
-        )
-        do_factor = tcs * o * (1.0 - o)
-        dh_to_dc = o * (1.0 - tcs * tcs)
-        grads = np.zeros((t_max, 2, n_utts, h_dim), dtype)  # padded steps get none
-        grads[:, 0][real] = grad[fwd_rows[real], :h_dim]
-        grads[:, 1][real] = grad[bwd_rows[real], h_dim:]
-        w_t = np.ascontiguousarray(w.transpose(0, 2, 1))
-        dz = np.empty((t_max, 2, n_utts, 4 * h_dim), dtype)
-        dz_gates = dz.reshape(t_max, 2, n_utts, 4, h_dim).transpose(0, 3, 1, 2, 4)
-        dz_step = np.empty((4, 2, n_utts, h_dim), dtype)  # a step's gate gradients, gate-major
+        w_t = np.ascontiguousarray(w.transpose(0, 2, 1))[:, None]  # (2, 1, 4H, H)
+        # each lane's gate gradients in the layout of a call on it alone
+        dz = np.empty((n, t_max, 2, four_h), dtype)
+        dz_rows = dz.transpose(1, 2, 0, 3)[:, :, :, None]  # (T, 2, B, 1, 4H)
+        dz_gates = dz.reshape(n, t_max, 2, 4, h_dim).transpose(1, 3, 2, 0, 4)  # (T, 4, 2, B, H)
+        dz_step = np.empty((4, 2, n, h_dim), dtype)  # a step's gate gradients, gate-major
         dz_cell, dz_o = dz_step[:3], dz_step[3]
-        dh = np.zeros((2, n_utts, h_dim), dtype)
-        dc = np.zeros_like(dh)
-        dc_next = np.zeros_like(dh)
-        by_step = (grads, dh_to_dc, dc_factors, do_factor, f, dz, dz_gates)
-        for g, to_dc, dc_factor, o_factor, f_s, dz_row, dz_row_gates in zip(
-            *(a[::-1] for a in by_step)
-        ):
-            dh += g  # dh held the recurrent part, w_h @ dz of the next step
-            np.multiply(dh, to_dc, out=dc)
-            dc += dc_next
-            np.multiply(dc, dc_factor, out=dz_cell)
-            np.multiply(dh, o_factor, out=dz_o)
-            np.multiply(dc, f_s, out=dc_next)
-            np.copyto(dz_row_gates, dz_step)
-            np.matmul(dz_row, w_t, out=dh)
+        dh_rows = np.zeros((2, n, 1, h_dim), dtype)  # the recurrent matmul's output
+        dh = dh_rows[:, :, 0]
+        dc = np.empty((2, n, h_dim), dtype)
+        dc_next = np.zeros_like(dc)
+        last = {}  # step -> the lanes whose last real step it is
+        for j, length in enumerate(lengths.tolist()):
+            last.setdefault(length - 1, []).append(j)
+        for start in range(block * ((t_max - 1) // block), -1, -block):
+            stop = min(start + block, t_max)
+            # the block's output gradients, and the factors of dc and dh
+            # that do not depend on the recursion
+            grads = np.zeros((stop - start, 2, n, h_dim), dtype)  # steps past a lane's end get none
+            for j, (first, end) in enumerate(spans):
+                done = min(stop, end - first) - start
+                if done > 0:
+                    grads[:done, 0, j] = grad[first + start : first + start + done, :h_dim]
+                    grads[:done, 1, j] = grad[end - start - done : end - start, h_dim:][::-1]
+            i, f, g_cand, o = acts[start:stop].transpose(1, 0, 2, 3, 4)
+            tc = np.tanh(cs[start + 1 : stop + 1])  # as the forward computed it
+            dc_factors = np.stack(
+                [g_cand * i * (1.0 - i), cs[start:stop] * f * (1.0 - f), i * (1.0 - g_cand * g_cand)], axis=1
+            )
+            do_factor = tc * o * (1.0 - o)
+            dh_to_dc = o * (1.0 - tc * tc)
+            by_step = (grads, dh_to_dc, dc_factors, do_factor, f, dz_rows[start:stop], dz_gates[start:stop])
+            for s, g, to_dc, dc_factor, o_factor, f_s, dz_row, dz_row_gates in zip(
+                range(stop - 1, start - 1, -1), *(a[::-1] for a in by_step)
+            ):
+                for j in last.get(s, ()):  # the lane enters the BPTT at its last real step
+                    dh[:, j] = 0.0
+                    dc_next[:, j] = 0.0
+                dh += g  # dh held the recurrent part, w_h @ dz of the next step
+                np.multiply(dh, to_dc, out=dc)
+                dc += dc_next
+                np.multiply(dc, dc_factor, out=dz_cell)
+                np.multiply(dh, o_factor, out=dz_o)
+                np.multiply(dc, f_s, out=dc_next)
+                np.copyto(dz_row_gates, dz_step)
+                np.matmul(dz_row, w_t, out=dh_rows)
         w_h_f, w_h_b = fwd[1], bwd[1]
         if _tracked(w_h_f) or _tracked(w_h_b):
-            # the state before step s, for s >= 1; a padded step's dz is zero
-            h_prev = np.stack([out[fwd_rows[:-1], :h_dim], out[bwd_rows[:-1], h_dim:]])
-            dz_dirs = dz[1:].transpose(1, 0, 2, 3).reshape(2, -1, 4 * h_dim)
-            dw = h_prev.reshape(2, -1, h_dim).transpose(0, 2, 1) @ dz_dirs
-            for w_h, dw_dir in ((w_h_f, dw[0]), (w_h_b, dw[1])):
-                if _tracked(w_h):
-                    _accum(w_h, dw_dir)
-        for (w_x, _, b), rows_of, d in ((fwd, fwd_rows, 0), (bwd, bwd_rows, 1)):
-            if _tracked(seq) or _tracked(w_x) or _tracked(b):
-                dx = np.empty((rows, 4 * h_dim), dtype)  # the direction's (ΣT, 4H) gate gradient
-                dx[rows_of[real]] = dz[:, d][real]
-                if _tracked(seq):
-                    _accum(seq, dx @ w_x.data.T)
-                _dense_param_grads(w_x, b, seq.data, dx, transposed=False)
+            for j, (first, end) in enumerate(spans):
+                # the state before step s, for s >= 1
+                h_prev = np.stack([out[first : end - 1, :h_dim], out[end - 1 : first : -1, h_dim:]])
+                dw = h_prev.transpose(0, 2, 1) @ dz[j, 1 : end - first].transpose(1, 0, 2)
+                for w_h, dw_dir in ((w_h_f, dw[0]), (w_h_b, dw[1])):
+                    if _tracked(w_h):
+                        _accum(w_h, dw_dir)
+        for (w_x, _, b), d in ((fwd, 0), (bwd, 1)):
+            d_seq = np.empty((rows, in_dim), dtype) if _tracked(seq) else None
+            for j, (first, end) in enumerate(spans):
+                dx = np.ascontiguousarray(dz[j, : end - first, d][:: 1 - 2 * d])  # (T, 4H), frame order
+                if d_seq is not None:
+                    np.matmul(dx, w_x.data.T, out=d_seq[first:end])
+                _dense_param_grads(w_x, b, seq.data[first:end], dx, transposed=False)
+            if d_seq is not None:
+                _accum(seq, d_seq, fresh=True)
 
     return _raw(out, (seq, *fwd, *bwd), backward_fn)
 
@@ -689,37 +826,103 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
 # -- classifier head ------------------------------------------------------
 
 
-def classifier_head(seq: Tensor, w_hidden: Tensor, b_hidden: Tensor, w_out: Tensor, b_out: Tensor) -> Tensor:
+def classifier_head(
+    seq: Tensor, w_hidden: Tensor, b_hidden: Tensor, w_out: Tensor, b_out: Tensor, lengths=None
+) -> Tensor:
     """Per-frame probabilities ``sigmoid(leaky_relu(seq @ w_hidden.T +
     b_hidden) @ w_out.T + b_out)`` of the (T, in) rows ``seq``, one node:
     w_hidden is (fc, in), b_hidden (fc,), w_out (1, fc) and b_out (1,).
     Returns (T,). The node keeps only the leaky ReLU's output; where it is
-    positive, so was its input."""
+    positive, so was its input.
+
+    ``lengths`` splits the rows into utterances, as in ``bilstm_layer``.
+    With a graph, each utterance's GEMMs run over its own rows, so it gets
+    the bits of a call on it alone, and every parameter takes the
+    utterances' contributions in order. Without one, one GEMM covers all
+    rows."""
     fc = b_hidden.shape
     if seq.ndim != 2 or (w_hidden.shape, w_out.shape, b_out.shape) != (fc + seq.shape[1:], (1,) + fc, (1,)):
         raise ShapeMismatch(
             f"classifier_head: seq {seq.shape} does not fit w_hidden {w_hidden.shape}, "
             f"b_hidden {b_hidden.shape}, w_out {w_out.shape} and b_out {b_out.shape}"
         )
-    _one_dtype("classifier_head", seq, w_hidden, b_hidden, w_out, b_out)
-    z = _check_finite(_add_bias(seq.data @ w_hidden.data.T, b_hidden.data), "classifier_head")
+    dtype = _one_dtype("classifier_head", seq, w_hidden, b_hidden, w_out, b_out)
+    lengths = _packed_lengths(lengths, seq.shape[0])
+    keep = _track_any(seq, w_hidden, b_hidden, w_out, b_out)
+    spans = _spans(lengths) if keep else [(0, seq.shape[0])]
+    z = np.empty((seq.shape[0],) + fc, dtype)
+    logits = np.empty((seq.shape[0], 1), dtype)
+    for a, b in spans:
+        np.matmul(seq.data[a:b], w_hidden.data.T, out=z[a:b])
+    _check_finite(_add_bias(z, b_hidden.data), "classifier_head")
     hidden = np.where(z > 0, z, LEAKY_SLOPE * z)
-    logits = _check_finite(_add_bias(hidden @ w_out.data.T, b_out.data), "classifier_head")
+    for a, b in spans:
+        np.matmul(hidden[a:b], w_out.data.T, out=logits[a:b])
+    _check_finite(_add_bias(logits, b_out.data), "classifier_head")
     probs = _sigmoid_in_place(logits.reshape(seq.shape[0]))
-    if not _track_any(seq, w_hidden, b_hidden, w_out, b_out):
+    if not keep:
         return _raw(probs, (), None)
 
     def backward_fn(g):
         # the sigmoid, then the output layer, the leaky ReLU and the hidden layer
         d_logits = (g * probs * (1.0 - probs)).reshape(logits.shape)
-        d_hidden = d_logits @ w_out.data
-        _dense_param_grads(w_out, b_out, hidden, d_logits)
+        d_hidden = np.empty_like(hidden)
+        for a, b in spans:
+            np.matmul(d_logits[a:b], w_out.data, out=d_hidden[a:b])
+            _dense_param_grads(w_out, b_out, hidden[a:b], d_logits[a:b])
         d_z = d_hidden * np.where(hidden > 0, 1.0, LEAKY_SLOPE).astype(hidden.dtype)
         if _tracked(seq):
-            _accum(seq, d_z @ w_hidden.data)
-        _dense_param_grads(w_hidden, b_hidden, seq.data, d_z)
+            d_seq = np.empty_like(seq.data)
+            for a, b in spans:
+                np.matmul(d_z[a:b], w_hidden.data, out=d_seq[a:b])
+            _accum(seq, d_seq, fresh=True)
+        for a, b in spans:
+            _dense_param_grads(w_hidden, b_hidden, seq.data[a:b], d_z[a:b])
 
     return _raw(probs, (seq, w_hidden, b_hidden, w_out, b_out), backward_fn)
+
+
+# -- packing --------------------------------------------------------------
+
+
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """The rows of ``parts``, one part after another, in one node whose
+    backward hands each part its rows of the gradient."""
+    if not parts or any(t.ndim == 0 or t.shape[1:] != parts[0].shape[1:] for t in parts):
+        raise ShapeMismatch(f"concat_rows: parts {[t.shape for t in parts]} do not stack by rows")
+    _one_dtype("concat_rows", *parts)
+    data = np.concatenate([t.data for t in parts])
+    if not _track_any(*parts):
+        return _raw(data, (), None)
+    spans = _spans(np.array([t.shape[0] for t in parts]))
+
+    def backward_fn(g):
+        for t, (a, b) in zip(parts, spans):
+            if _tracked(t):
+                _accum(t, g[a:b])
+
+    return _raw(data, tuple(parts), backward_fn)
+
+
+def split_rows(x: Tensor, lengths) -> list[Tensor]:
+    """``x``'s rows as one tensor per utterance of ``lengths`` rows, each a
+    view of ``x``'s data and a node of its own. A part's backward adds its
+    gradient into its rows of ``x``'s, which start at -0.0, the one
+    additive identity of floats, so each row gets exactly the gradient its
+    part received."""
+    spans = _spans(_packed_lengths(lengths, x.shape[0] if x.ndim else 0))
+    if not _track_any(x):
+        return [_raw(x.data[a:b], (), None) for a, b in spans]
+
+    def part(a: int, b: int) -> Tensor:
+        def backward_fn(g):
+            if x.grad is None:
+                x.grad = np.full_like(x.data, -0.0)
+            x.grad[a:b] += g
+
+        return _raw(x.data[a:b], (x,), backward_fn)
+
+    return [part(a, b) for a, b in spans]
 
 
 # -- reductions ----------------------------------------------------------
@@ -791,7 +994,9 @@ def selected_nll(weights: Tensor, k) -> Tensor:
 
     def backward_fn(g):
         if weights.grad is None:
-            weights.grad = np.zeros_like(weights.data)
+            # -0.0 is the additive identity, so the rows' other contributions
+            # keep their bits whichever comes first
+            weights.grad = np.full_like(weights.data, -0.0)
         np.add.at(weights.grad, (rows, idx), np.broadcast_to(-g, picked.shape) / picked)
 
     return _raw(data, (weights,), backward_fn)

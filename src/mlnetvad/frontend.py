@@ -75,6 +75,10 @@ class FrontendConfig:
             raise ConfigError(f"preemphasis must be in [0, 1), got {self.preemphasis}")
         if self.log_floor <= 0:
             raise ConfigError("log_floor must be positive")
+        if self.mel_fmin < 0:
+            raise ConfigError(f"mel_fmin must be >= 0, got {self.mel_fmin}")
+        if self.mel_fmax is not None and self.mel_fmax <= self.mel_fmin:
+            raise ConfigError(f"mel_fmax must be above mel_fmin, got {self.mel_fmax} <= {self.mel_fmin}")
 
     def frame_len_samples(self, sample_rate: int) -> int:
         return int(round(sample_rate * self.frame_len_ms / 1000.0))
@@ -167,7 +171,9 @@ def mel_filterbank(sample_rate: int, cfg: FrontendConfig) -> np.ndarray:
 
     Filters span [mel_fmin, mel_fmax] on the 2595 * log10(1 + f/700)
     scale, with continuous-frequency triangle weights so every FFT bin
-    inside the band lands on at most two adjacent filters.
+    inside the band lands on at most two adjacent filters. Edges that
+    leave a filter with no FFT bin (above Nyquist, or bands narrower than
+    the bin spacing) raise ``ConfigError``: that band would be constant.
     """
     fmax = cfg.mel_fmax if cfg.mel_fmax is not None else sample_rate / 2.0
     if not 0.0 <= cfg.mel_fmin < fmax:
@@ -181,6 +187,12 @@ def mel_filterbank(sample_rate: int, cfg: FrontendConfig) -> np.ndarray:
         up = (bin_freqs - left) / max(center - left, 1e-12)
         down = (right - bin_freqs) / max(right - center, 1e-12)
         bank[m] = np.maximum(0.0, np.minimum(up, down))
+    empty = int((~bank.any(axis=1)).sum())
+    if empty:
+        raise ConfigError(
+            f"{empty} of {cfg.n_mels} mel bands between {cfg.mel_fmin} and {fmax} Hz cover no FFT bin "
+            f"at {sample_rate} Hz with fft_size {cfg.fft_size}"
+        )
     return bank
 
 

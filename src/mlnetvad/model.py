@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, GraphError, ShapeMismatch
+from .errors import ConfigError, ShapeMismatch
 from .frontend import FeatureSequence
 
 VARIANTS = ("bilstm_base", "gated_unit", "non_attention", "full_attention")
@@ -230,13 +230,6 @@ def replicate_pad(x: np.ndarray, radius: int) -> np.ndarray:
     return np.pad(x, ((radius, radius), (0, 0)), mode="edge")
 
 
-def window_matrix(padded: np.ndarray, t_len: int, radius: int) -> np.ndarray:
-    """(T, (2*radius+1)*F) windows of a radius-padded sequence, time-major:
-    frame -radius first, +radius last."""
-    cols = [padded[k : k + t_len] for k in range(2 * radius + 1)]
-    return np.concatenate(cols, axis=1)
-
-
 def attention_forward(
     q: Tensor, attn: AttentionParams, double_sigmoid: bool = True
 ) -> tuple[Tensor, Tensor]:
@@ -278,7 +271,7 @@ def classifier_forward(m: Tensor, params: MlnetParams, lengths=None) -> Tensor:
     for fwd, bwd in params.lstm:
         seq = ad.bilstm_layer(seq, (fwd.w_x, fwd.w_h, fwd.b), (bwd.w_x, bwd.w_h, bwd.b), lengths)
     head = params.head
-    return ad.classifier_head(seq, head.w_hidden, head.b_hidden, head.w_out, head.b_out)
+    return ad.classifier_head(seq, head.w_hidden, head.b_hidden, head.w_out, head.b_out, lengths)
 
 
 @dataclass
@@ -306,23 +299,14 @@ def _fused_sequence(features, params: MlnetParams) -> tuple[Tensor, Tensor | Non
     if t_len == 0:
         raise ShapeMismatch("cannot run the model on an empty feature sequence")
     x = x.astype(params.dtype, copy=False)
-    radius = cfg.context_radius
-    padded = replicate_pad(x, radius)
-
-    # one window matrix at the widest radius: the windows are time-major and
-    # nested, so a radius-r branch's window is a column slice of it
-    windows = window_matrix(padded, t_len, radius)
+    # the frames replicate-padded at the widest radius: a radius-r branch's
+    # window at frame t is padded rows t + R - r to t + R + r
+    padded = replicate_pad(x, cfg.context_radius)
 
     if cfg.variant == "bilstm_base":
-        return ad.projection(windows, params.projection.w, params.projection.b), None
+        return ad.projection(padded, params.projection.w, params.projection.b), None
     # gated_unit's one branch takes this path too: the mean of one branch is that branch
-    f = cfg.n_mels
-    inputs, weights = [], []
-    for bp in params.branches:
-        r = bp.receptive_field
-        inputs.append(windows[:, (radius - r) * f : (radius + r + 1) * f])
-        weights.append((bp.w_f, bp.b_f, bp.w_g, bp.b_g))
-    stack = ad.gated_units(inputs, weights)
+    stack = ad.gated_units(padded, [(bp.w_f, bp.b_f, bp.w_g, bp.b_g) for bp in params.branches])
     if cfg.variant == "full_attention":
         return attention_forward(stack, params.attention, cfg.double_sigmoid)
     return non_attention_forward(stack), None
@@ -333,30 +317,31 @@ def mlnet_forward(features, params: MlnetParams) -> ModelOutput:
 
     ``features`` is a FeatureSequence or a (T, n_mels) array, or a list
     or tuple of them. Edge frames see replicate-padded context. The
-    windows, branches and attention run one utterance at a time, so the
-    front end's memory stays that of one utterance; their fused rows are
-    packed and the classifier runs the batch at once. Returns per-frame
+    branches and attention run one utterance at a time, so the front
+    end's memory stays that of one utterance; their fused rows are packed
+    and the classifier runs the batch at once. Returns per-frame
     probabilities in (0, 1), packed in input order, with each
     utterance's length, plus, for the attention variant, the normalized
-    branch weights, packed the same way. For one sequence they stay in
-    the graph for the attention loss; ``predict --dump-attention`` writes
-    their ``data``.
+    branch weights, packed the same way; ``predict --dump-attention``
+    writes their ``data``.
 
-    A graph covers one utterance: several sequences need ``no_grad``.
+    With a graph, both stay in it for the losses, and the classifier runs
+    the utterances as lanes: each gets exactly the bits and the gradients
+    it gets alone (``autodiff.bilstm_layer``). ``autodiff.split_rows``
+    gives the per-utterance parts. Without one, the classifier runs them
+    as packed rows.
     """
     seqs = list(features) if isinstance(features, (list, tuple)) else [features]
     if not seqs:
         raise ShapeMismatch("cannot run the model on an empty batch")
-    if len(seqs) > 1 and ad.grad_enabled():
-        raise GraphError(f"a graph covers one utterance; run {len(seqs)} sequences under no_grad")
     fused = [_fused_sequence(x, params) for x in seqs]
     lengths = np.array([m.shape[0] for m, _ in fused], dtype=np.int64)
     if len(fused) == 1:
         m, branch_weights = fused[0]
     else:
-        m = Tensor(np.concatenate([m.data for m, _ in fused]))
+        m = ad.concat_rows([m for m, _ in fused])
         branch_weights = None
         if params.config.variant == "full_attention":
-            branch_weights = Tensor(np.concatenate([bw.data for _, bw in fused]))
+            branch_weights = ad.concat_rows([bw for _, bw in fused])
     probs = classifier_forward(m, params, lengths)
     return ModelOutput(probs=probs, lengths=lengths, branch_weights=branch_weights)

@@ -2,8 +2,10 @@
 sharpens the dominant branch, optimized with Adam under per-element
 gradient clipping to [-1, 1].
 
-Batches are whole utterances; each utterance builds its own graph and
-gradients accumulate across the batch before a single optimizer step.
+Batches are whole utterances. Two utterances at a time share one graph
+whose classifier runs them as lanes (``lane_losses``); a batch's odd
+utterance builds its own. Gradients accumulate across the batch, bit for
+bit as one utterance at a time would, before a single optimizer step.
 Everything is deterministic for a fixed TrainConfig seed.
 """
 
@@ -23,6 +25,12 @@ from .metrics import evaluate
 from .model import MlnetParams, ModelConfig, init_params, mlnet_forward
 
 PROB_CLAMP = 1e-7
+# Utterances per graph in train(), run as lanes of one Bi-LSTM scan.
+# Each lane holds a whole utterance graph, about 12 KB per frame or 8 MB
+# at 700 frames, and more through backward; four lanes would cut the
+# scan's time per frame further, but a step's memory grows by a graph
+# per lane.
+LANES = 2
 # Adam's elementwise gradient clamp and moment decay rates
 CLIP_LO, CLIP_HI = -1.0, 1.0
 BETA1, BETA2 = 0.9, 0.999
@@ -75,19 +83,54 @@ def attention_loss(branch_weights: Tensor, k: np.ndarray | None = None) -> Tenso
     return ad.selected_nll(p, k)
 
 
+def _joint_loss(
+    probs: Tensor, branch_weights: Tensor | None, labels: np.ndarray, cfg: TrainConfig
+) -> tuple[Tensor, float, float]:
+    ce = cross_entropy_loss(probs, labels)
+    att_value = 0.0
+    loss = ce
+    if branch_weights is not None and cfg.attention_loss_weight > 0.0:
+        att = attention_loss(branch_weights)
+        att_value = att.item()
+        loss = ce + cfg.attention_loss_weight * att
+    return loss, ce.item(), att_value
+
+
 def utterance_loss(
     utt: LabeledUtterance, params: MlnetParams, cfg: TrainConfig
 ) -> tuple[Tensor, float, float]:
     """Total loss for one utterance; returns (loss, ce value, att value)."""
     out = mlnet_forward(utt.features, params)
-    ce = cross_entropy_loss(out.probs, utt.labels)
-    att_value = 0.0
-    loss = ce
+    return _joint_loss(out.probs, out.branch_weights, utt.labels, cfg)
+
+
+def lane_losses(
+    utts: list[LabeledUtterance], params: MlnetParams, cfg: TrainConfig
+) -> tuple[Tensor, list[float]]:
+    """The losses of several utterances in one graph, whose classifier runs
+    them as lanes: returns their sum and each one's value.
+
+    A backward from the sum gives every parameter, bit for bit, the
+    gradient of one ``utterance_loss`` backward per utterance in turn.
+    The classifier's nodes add the lanes' contributions in lane order.
+    Each front-end node reads the parameters for one utterance, and
+    ``backward`` runs them in utterance order: its depth-first walk
+    enters the front ends through ``concat_rows``, visiting its last
+    parent first, and runs nodes in the reverse of the order it finishes
+    them. A tensor that two nodes of one utterance feed takes their
+    contributions in the order of a single graph, or, where the walk
+    cannot fix it, into a gradient that starts at -0.0, the additive
+    identity, so that either order gives the same bits."""
+    out = mlnet_forward([u.features for u in utts], params)
+    weights = [None] * len(utts)
     if out.branch_weights is not None and cfg.attention_loss_weight > 0.0:
-        att = attention_loss(out.branch_weights)
-        att_value = att.item()
-        loss = ce + cfg.attention_loss_weight * att
-    return loss, ce.item(), att_value
+        weights = ad.split_rows(out.branch_weights, out.lengths)
+    probs = ad.split_rows(out.probs, out.lengths)
+    losses = [_joint_loss(p, w, u.labels, cfg)[0] for p, w, u in zip(probs, weights, utts)]
+    total = losses[0]
+    for loss in losses[1:]:
+        total = total + loss
+    return total, [loss.item() for loss in losses]
 
 
 @dataclass
@@ -198,10 +241,16 @@ def train(
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            for idx in batch:
-                loss, _, _ = utterance_loss(corpus[idx], params, cfg)
+            for lane in range(0, len(batch), LANES):
+                utts = [corpus[i] for i in batch[lane : lane + LANES]]
+                if len(utts) == 1:
+                    loss, _, _ = utterance_loss(utts[0], params, cfg)
+                    values = [loss.item()]
+                else:
+                    loss, values = lane_losses(utts, params, cfg)
                 loss.backward()
-                epoch_loss += loss.item()
+                for value in values:
+                    epoch_loss += value
             adam_step(params, state, cfg)
             params.zero_grads()
         report = evaluate(dev, params, theta)

@@ -103,14 +103,15 @@ class TestBackwardRules:
 def _random_composite(rng):
     """The whole op set on small float64 tensors, wired much as the model
     wires it: two gated units, the attention nodes, the projection mixed
-    into the fused rows, a Bi-LSTM layer over a packed batch of two, the
-    head, the reductions and both losses."""
-    x = rng.normal(size=(5, 6))
+    into the fused rows, a Bi-LSTM layer and the head over a packed batch
+    of two, whose probabilities are split and joined again, the
+    reductions and both losses."""
+    x = rng.normal(size=(7, 2))  # 5 frames of 2 values, padded by one row at each end
 
     def tracked(*shapes, scale=0.5):
         return tuple(Tensor(rng.normal(size=shape) * scale, requires_grad=True) for shape in shapes)
 
-    units = [tracked((3, k), (3,), (3, k), (3,)) for k in (4, 6)]
+    units = [tracked((3, k), (3,), (3, k), (3,)) for k in (2, 6)]  # windows of 1 and 3 frames
     attn = tracked((4, 2), (4,), (2, 4), (2,), scale=1.0)
     proj = tracked((3, 6), (3,))
     lstm = [tracked((3, 8), (2, 8), (8,)) for _ in range(2)]
@@ -119,11 +120,11 @@ def _random_composite(rng):
     k = np.array([0, 1, 1, 1, 0])
 
     def forward():
-        stack = ad.gated_units([x[:, :4], x], units)  # (5, 2, 3)
+        stack = ad.gated_units(x, units)  # (5, 2, 3)
         weights = ad.branch_weights(stack, *attn)  # (5, 2)
         fused = ad.branch_fusion(weights, stack) * ad.projection(x, *proj)  # (5, 3)
         seq = ad.bilstm_layer(fused, *lstm, lengths=[3, 2])  # (5, 4)
-        probs = ad.classifier_head(seq, *head)  # (5,)
+        probs = ad.concat_rows(ad.split_rows(ad.classifier_head(seq, *head, lengths=[3, 2]), [3, 2]))
         nll = ad.selected_nll(weights, k) + ad.cross_entropy(probs, labels, 1e-7)
         return (seq * seq).mean(axis=1).sum() + 0.5 * nll
 
@@ -243,19 +244,20 @@ class TestDtypes:
 
 
 # per op: its operands' shapes, and a call of the op on numpy arrays of
-# those shapes; gated_units' and projection's first operand stays numpy
+# those shapes; gated_units' and projection's padded rows stay numpy
 MIXED_DTYPE_OPS = {
     "add": ([(3, 2), (3, 2)], lambda a, b: Tensor(a) + Tensor(b)),
     "mul": ([(3, 2), (3, 2)], lambda a, b: Tensor(a) * Tensor(b)),
     "projection": ([(4, 6), (5, 6), (5,)], lambda x, w, b: ad.projection(x, Tensor(w), Tensor(b))),
     "gated_units": (
         [(4, 6), (5, 6), (5,), (5, 6), (5,)],
-        lambda x, *unit: ad.gated_units([x], [tuple(map(Tensor, unit))]),
+        lambda x, *unit: ad.gated_units(x, [tuple(map(Tensor, unit))]),
     ),
     "branch_weights": (
         [(4, 3, 5), (2, 3), (2,), (3, 2), (3,)], lambda *a: ad.branch_weights(*map(Tensor, a))
     ),
     "branch_fusion": ([(4, 3), (4, 3, 5)], lambda *a: ad.branch_fusion(*map(Tensor, a))),
+    "concat_rows": ([(4, 3), (2, 3)], lambda *a: ad.concat_rows([Tensor(x) for x in a])),
     "bilstm_layer": (
         [(4, 3), (3, 8), (2, 8), (8,), (3, 8), (2, 8), (8,)],
         lambda x, *w: ad.bilstm_layer(Tensor(x), tuple(map(Tensor, w[:3])), tuple(map(Tensor, w[3:]))),
@@ -327,17 +329,22 @@ class TestDenseNodesExact:
 
     @pytest.mark.parametrize("dtype, b_dtype", DENSE_DTYPES)
     def test_gated_units(self, dtype, b_dtype):
+        # units of 3 and 5 frames of 2 values over rows padded by 2 at each
+        # end; their windows are column slices of the widest, as the node
+        # rebuilds them for the backward
         rng = np.random.default_rng(33)
-        d, t_len = 7, 29
-        inputs = [rng.normal(size=(t_len, k)).astype(dtype) for k in (6, 10)]
-        inputs[1][3] *= 1000.0  # saturates a frame's gates: exp(-z) overflows
+        d, t_len, f = 7, 29, 2
+        padded = rng.normal(size=(t_len + 4, f)).astype(dtype)
+        padded[5] *= 1000.0  # saturates some frames' gates: exp(-z) overflows
+        widest = np.concatenate([padded[k : k + t_len] for k in range(5)], axis=1)
+        inputs = [widest[:, 2:8], widest]
         arrays = [
             (rng.normal(size=(d, x.shape[1])).astype(dtype), rng.normal(size=d).astype(b_dtype))
             for x in inputs for _ in range(2)
         ]
         units = [(*arrays[2 * i], *arrays[2 * i + 1]) for i in range(len(inputs))]
         tensors = self._tensors(*(a for unit in units for a in unit))
-        out = ad.gated_units(inputs, [tuple(tensors[4 * i : 4 * i + 4]) for i in range(len(inputs))])
+        out = ad.gated_units(padded, [tuple(tensors[4 * i : 4 * i + 4]) for i in range(len(inputs))])
         g = _backward_with(out, rng)
         with np.errstate(over="ignore"):
             ths = [np.tanh(x @ w_f.T + b_f) for x, (w_f, b_f, _, _) in zip(inputs, units)]
@@ -350,6 +357,21 @@ class TestDenseNodesExact:
             grads += [(x.T @ d_f).T, d_f.sum(axis=0), (x.T @ d_g).T, d_g.sum(axis=0)]
         assert (sgs[1] == 0.0).any()
         self._assert_exact(tensors, out, expected, grads)
+
+    @pytest.mark.parametrize("dtype, b_dtype", DENSE_DTYPES)
+    def test_projection_over_padded_rows(self, dtype, b_dtype):
+        # windows of 5 frames of 3 values: the node's product equals the one
+        # over the window matrix, and so do the gradients from its rebuild
+        rng = np.random.default_rng(34)
+        padded = rng.normal(size=(11 + 4, 3)).astype(dtype)
+        w, b = rng.normal(size=(6, 15)).astype(dtype), rng.normal(size=6).astype(b_dtype)
+        windows = ad.window_matrix(padded, 2)
+        tensors = self._tensors(w, b)
+        out = ad.projection(padded, *tensors)
+        g = _backward_with(out, rng)
+        expected = np.tanh(windows @ w.T + b)
+        d_z = g * (1.0 - expected * expected)
+        self._assert_exact(tensors, out, expected, [(windows.T @ d_z).T, d_z.sum(axis=0)])
 
 
 def _accumulate(total: dict, contributions: dict) -> None:
@@ -680,6 +702,8 @@ class TestBilstmLayer:
         np.testing.assert_allclose(packed, np.concatenate(singles), rtol=0, atol=tol)
 
     def test_packed_gradients_match_single_calls(self):
+        # with a graph the utterances are lanes: exactly the single calls'
+        # outputs and gradients, the parameters' summed in utterance order
         rng = np.random.default_rng(9)
         lengths = [6, 1, 70]
         seq = rng.normal(size=(sum(lengths), 5))
@@ -687,18 +711,54 @@ class TestBilstmLayer:
         params = [t for d in dirs for t in d]
         coeffs = rng.normal(size=(sum(lengths), 6))
         packed = Tensor(seq, requires_grad=True)
-        (ad.bilstm_layer(packed, *dirs, lengths=lengths) * Tensor(coeffs)).sum().backward()
+        out = ad.bilstm_layer(packed, *dirs, lengths=lengths)
+        (out * Tensor(coeffs)).sum().backward()
         packed_grads = [t.grad for t in params]
         ad.zero_grads(params)
 
-        d_seq = []
+        outs, d_seq = [], []
         for rows in np.split(np.arange(sum(lengths)), np.cumsum(lengths)[:-1]):
             single = Tensor(seq[rows], requires_grad=True)
-            (ad.bilstm_layer(single, *dirs) * Tensor(coeffs[rows])).sum().backward()
+            outs.append(ad.bilstm_layer(single, *dirs))
+            (outs[-1] * Tensor(coeffs[rows])).sum().backward()
             d_seq.append(single.grad)
-        np.testing.assert_allclose(packed.grad, np.concatenate(d_seq), rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(out.data, np.concatenate([o.data for o in outs]))
+        np.testing.assert_array_equal(packed.grad, np.concatenate(d_seq))
         for t, grad in zip(params, packed_grads):
-            np.testing.assert_allclose(grad, t.grad, rtol=0, atol=1e-10)
+            np.testing.assert_array_equal(grad, t.grad)
+
+    @pytest.mark.parametrize("lengths", [[1, 7], [7, 65], [65, 577], [577, 1], [65, 1, 30, 64]])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("h_dim", [5, 8, 64])
+    def test_lanes_equal_single_calls_bit_for_bit(self, h_dim, dtype, lengths):
+        # the packed graph-mode call against one call per utterance, over
+        # two backward passes into the same leaves: each call's passes in
+        # turn, as the packed call takes its lanes' contributions in order
+        rng = np.random.default_rng(h_dim + sum(lengths))
+        in_dim = 16 if h_dim < 64 else 128
+        seq = rng.normal(size=(sum(lengths), in_dim)).astype(dtype)
+        dirs = [_lstm_direction(rng, in_dim, h_dim, dtype) for _ in range(2)]
+        params = [t for d in dirs for t in d]
+        coeffs = [rng.normal(size=(sum(lengths), 2 * h_dim)).astype(dtype) for _ in range(2)]
+        packed = Tensor(seq, requires_grad=True)
+        outs = []
+        for c in coeffs:
+            outs.append(ad.bilstm_layer(packed, *dirs, lengths=lengths))
+            (outs[-1] * Tensor(c)).sum().backward()
+        packed_grads = [t.grad for t in params]
+        ad.zero_grads(params)
+        rows = np.split(np.arange(sum(lengths)), np.cumsum(lengths)[:-1])
+        singles = [Tensor(seq[r], requires_grad=True) for r in rows]
+        for out, c in zip(outs, coeffs):
+            single_outs = []
+            for single, r in zip(singles, rows):
+                single_outs.append(ad.bilstm_layer(single, *dirs))
+                (single_outs[-1] * Tensor(c[r])).sum().backward()
+            np.testing.assert_array_equal(out.data, np.concatenate([o.data for o in single_outs]))
+        np.testing.assert_array_equal(packed.grad, np.concatenate([t.grad for t in singles]))
+        for t, grad, name in zip(params, packed_grads, TestClassifierNodesExact.LAYER_NAMES[1:]):
+            assert grad.dtype == dtype
+            np.testing.assert_array_equal(grad, t.grad, err_msg=name)
 
     @pytest.mark.parametrize("graph", [False, True])
     @pytest.mark.parametrize("lengths", [[70], [9, 1, 100, 64]])
@@ -709,7 +769,10 @@ class TestBilstmLayer:
         # first step relies on; the longest utterance spans two scan blocks.
         # The input is both directions' projections side by side, and each
         # w_x picks its half: a product by an identity and zeros is exact
-        # under any GEMM kernel.
+        # under any GEMM kernel. Without a graph the layer is the packed
+        # reference over all utterances; with one, each utterance is a lane
+        # that equals the reference over it alone, and the parameters sum
+        # the lanes' gradients in order.
         rng = np.random.default_rng(h_dim)
         rows, four_h = sum(lengths), 4 * h_dim
         xs = [rng.normal(size=(rows, four_h)).astype(dtype) for _ in range(2)]
@@ -718,25 +781,34 @@ class TestBilstmLayer:
         dirs = [_lstm_direction(rng, 2 * four_h, h_dim, dtype, w_x=pick, b=np.zeros(four_h)) for pick in picks]
         ws = [d[1].data for d in dirs]
         coeffs = rng.normal(size=(rows, 2 * h_dim)).astype(dtype)
-        out_ref, dx_f, dx_b, dw_f, dw_b = bilstm_reference(xs, ws, lengths, coeffs)
         seq_t = Tensor(seq, requires_grad=True)
         if not graph:
+            out_ref = bilstm_reference(xs, ws, lengths, coeffs)[0]
             with ad.no_grad():
                 out = ad.bilstm_layer(seq_t, *dirs, lengths=lengths)
             np.testing.assert_array_equal(out.data, out_ref)
             return
         out = ad.bilstm_layer(seq_t, *dirs, lengths=lengths)
         (out * Tensor(coeffs)).sum().backward()
-        np.testing.assert_array_equal(out.data, out_ref)
-        d_seq = dx_f @ dirs[0][0].data.T
-        d_seq += dx_b @ dirs[1][0].data.T
-        expected = [d_seq]
-        for (w_x, _, _), dx, dw in zip(dirs, (dx_f, dx_b), (dw_f, dw_b)):
-            expected += [seq.T @ dx, dw, dx.sum(axis=0)]
+        outs, d_seqs, expected = [], [], {}
+        for rows_of in np.split(np.arange(rows), np.cumsum(lengths)[:-1]):
+            out_ref, dx_f, dx_b, dw_f, dw_b = bilstm_reference(
+                [x[rows_of] for x in xs], ws, [rows_of.size], coeffs[rows_of]
+            )
+            outs.append(out_ref)
+            d_seq = dx_f @ dirs[0][0].data.T
+            d_seq += dx_b @ dirs[1][0].data.T
+            d_seqs.append(d_seq)
+            grads = {}
+            for tag, dx, dw in (("f", dx_f, dw_f), ("b", dx_b, dw_b)):
+                grads |= {f"w_x_{tag}": [seq[rows_of].T @ dx], f"w_h_{tag}": [dw], f"b_{tag}": [dx.sum(axis=0)]}
+            _accumulate(expected, grads)
+        np.testing.assert_array_equal(out.data, np.concatenate(outs))
+        expected["seq"] = np.concatenate(d_seqs)
         tensors = [seq_t, *dirs[0], *dirs[1]]
         assert out.dtype == dtype and all(t.grad.dtype == dtype for t in tensors)
-        for t, grad in zip(tensors, expected, strict=True):
-            np.testing.assert_array_equal(t.grad, grad)
+        for t, name in zip(tensors, TestClassifierNodesExact.LAYER_NAMES, strict=True):
+            np.testing.assert_array_equal(t.grad, expected[name], err_msg=name)
 
     @pytest.mark.parametrize("graph", [False, True])
     def test_non_finite_projection_raises(self, graph):
@@ -770,9 +842,10 @@ class TestBilstmLayer:
         assert peak < 2 * out.data.nbytes + 64 * 1024
 
     def test_graph_memory_is_the_output_plus_kept_buffers(self):
-        # with a graph the op holds, per step and direction, seven H-wide
-        # rows: the output, the four gate activations, the cell state and
-        # its tanh; anything more per step, such as a projection, shows here
+        # with a graph the op holds, per step and direction, six H-wide
+        # rows: the output, the four gate activations and the cell state
+        # (the backward computes its tanh again); anything more per step,
+        # such as a projection, shows here
         rng = np.random.default_rng(5)
         t_len, h_dim = 2000, 8
         seq = Tensor(rng.normal(size=(t_len, 4 * h_dim)), requires_grad=True)
@@ -784,7 +857,47 @@ class TestBilstmLayer:
         finally:
             tracemalloc.stop()
         row = 2 * h_dim * out.data.itemsize  # one H-wide row for each direction
-        assert held < 7 * t_len * row + 32 * 1024
+        assert held < 6 * t_len * row + 32 * 1024
+
+
+class TestPacking:
+    def test_concat_then_split_routes_each_part_its_rows(self):
+        rng = np.random.default_rng(40)
+        parts = [Tensor(rng.normal(size=(t, 3)), requires_grad=True) for t in (2, 1, 4)]
+        packed = ad.concat_rows(parts)
+        np.testing.assert_array_equal(packed.data, np.concatenate([p.data for p in parts]))
+        pieces = ad.split_rows(packed, [3, 4])
+        assert [p.shape for p in pieces] == [(3, 3), (4, 3)]
+        coeffs = rng.normal(size=(7, 3))
+        ((pieces[1] * Tensor(coeffs[3:])).sum() + (pieces[0] * Tensor(coeffs[:3])).sum()).backward()
+        np.testing.assert_array_equal(np.concatenate([p.grad for p in parts]), coeffs)
+
+    def test_split_keeps_the_sign_of_a_zero_gradient(self):
+        # a part's -0.0 reaches the packed gradient as -0.0: the rows start
+        # at -0.0, since 0.0 + -0.0 would give 0.0; rows of no part stay -0.0
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        piece = ad.split_rows(x, [1, 2])[1]
+        (piece * Tensor(np.array([[-0.0, 1.0], [0.0, -0.0]]))).sum().backward()
+        np.testing.assert_array_equal(np.signbit(x.grad), [[True, True], [True, False], [False, True]])
+
+    def test_without_a_graph_the_parts_are_views(self):
+        x = Tensor(np.arange(6.0).reshape(3, 2))
+        with ad.no_grad():
+            pieces = ad.split_rows(x, [2, 1])
+            packed = ad.concat_rows(pieces)
+        assert all(p._backward is None and np.shares_memory(p.data, x.data) for p in pieces)
+        assert packed._backward is None
+        np.testing.assert_array_equal(packed.data, x.data)
+
+    @pytest.mark.parametrize("shapes", [[], [(2, 3), (2, 4)], [(2, 3), ()]])
+    def test_concat_of_mismatched_parts_rejected(self, shapes):
+        with pytest.raises(ShapeMismatch, match="concat_rows"):
+            ad.concat_rows([Tensor(np.ones(shape)) for shape in shapes])
+
+    @pytest.mark.parametrize("lengths", [[2, 1], [4, 0], []])
+    def test_split_into_lengths_that_do_not_cover_the_rows_rejected(self, lengths):
+        with pytest.raises(ShapeMismatch, match="lengths"):
+            ad.split_rows(Tensor(np.ones((4, 2))), lengths)
 
 
 def _head_chain(seq, w_hidden, b_hidden, w_out, b_out):
@@ -811,8 +924,8 @@ def _head_chain(seq, w_hidden, b_hidden, w_out, b_out):
 class TestClassifierNodesExact:
     """The Bi-LSTM layer and the head against numpy in the op order of the
     nodes they replaced: each direction's ``seq @ w_x + b`` over the whole
-    input, the packed-gate scan of ``bilstm_reference``, and the head's
-    chain. Output, dtype and every gradient must match bit for bit, also
+    input, the packed-gate scan of ``bilstm_reference`` over each
+    utterance alone, and the head's chain. Output, dtype and every gradient must match bit for bit, also
     after a second ``backward`` accumulates into the same leaves, where
     ``seq`` takes the forward direction's contribution first. The layer's
     per-block projections round as the whole-input one at these shapes
@@ -838,18 +951,25 @@ class TestClassifierNodesExact:
             for w_x, w_h, b in (_lstm_direction(rng, in_dim, h_dim, dtype) for _ in range(2))
         ]
         tensors = [seq_t, *dirs[0], *dirs[1]]
+        ws = [w_h.data for _, w_h, _ in dirs]
         expected = {}
         for _ in range(2):
             out = ad.bilstm_layer(seq_t, *dirs, lengths=lengths)
             g = _backward_with(out, rng)
-            xs = [seq @ w_x.data + b.data for w_x, _, b in dirs]
-            ws = [w_h.data for _, w_h, _ in dirs]
-            out_ref, dx_f, dx_b, dw_f, dw_b = bilstm_reference(xs, ws, lengths, g)
+            # each utterance a lane: its reference alone, the lanes'
+            # parameter gradients summed in order
+            outs, d_seq, grads = [], [[], []], {}
+            for rows in np.split(np.arange(sum(lengths)), np.cumsum(lengths)[:-1]):
+                xs = [seq[rows] @ w_x.data + b.data for w_x, _, b in dirs]
+                out_ref, dx_f, dx_b, dw_f, dw_b = bilstm_reference(xs, ws, [rows.size], g[rows])
+                outs.append(out_ref)
+                for d, (tag, dx, dw) in enumerate((("f", dx_f, dw_f), ("b", dx_b, dw_b))):
+                    d_seq[d].append(dx @ dirs[d][0].data.T)
+                    for name, part in ((f"w_x_{tag}", seq[rows].T @ dx), (f"w_h_{tag}", dw), (f"b_{tag}", dx.sum(axis=0))):
+                        grads.setdefault(name, []).append(part)
             assert out.dtype == dtype
-            np.testing.assert_array_equal(out.data, out_ref)
-            grads = {"seq": [dx_f @ dirs[0][0].data.T, dx_b @ dirs[1][0].data.T]}
-            for tag, dx, dw in (("f", dx_f, dw_f), ("b", dx_b, dw_b)):
-                grads |= {f"w_x_{tag}": [seq.T @ dx], f"w_h_{tag}": [dw], f"b_{tag}": [dx.sum(axis=0)]}
+            np.testing.assert_array_equal(out.data, np.concatenate(outs))
+            grads["seq"] = [np.concatenate(parts) for parts in d_seq]
             _accumulate(expected, grads)
         for t, name in zip(tensors, self.LAYER_NAMES, strict=True):
             assert t.grad.dtype == dtype
@@ -878,3 +998,32 @@ class TestClassifierNodesExact:
         for t, name in zip(tensors, names, strict=True):
             assert t.grad.dtype == expected[name].dtype
             np.testing.assert_array_equal(t.grad, expected[name], err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_classifier_head_lanes_equal_single_calls(self, dtype):
+        # with a graph, each utterance's GEMMs run over its own rows; the
+        # parameters sum the utterances' gradients in order
+        rng = np.random.default_rng(41)
+        lengths = [65, 1, 30, 64]
+        seq = rng.normal(size=(sum(lengths), 12)).astype(dtype)
+        head = [Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True) for shape in ((9, 12), (9,), (1, 9), (1,))]
+        g = rng.normal(size=sum(lengths)).astype(dtype)
+        packed = Tensor(seq, requires_grad=True)
+        out = ad.classifier_head(packed, *head, lengths=lengths)
+        (out * Tensor(g)).sum().backward()
+        packed_grads = [t.grad for t in head]
+        ad.zero_grads(head)
+        rows = np.split(np.arange(sum(lengths)), np.cumsum(lengths)[:-1])
+        singles = [Tensor(seq[r], requires_grad=True) for r in rows]
+        probs = []
+        for single, r in zip(singles, rows):
+            probs.append(ad.classifier_head(single, *head))
+            (probs[-1] * Tensor(g[r])).sum().backward()
+        np.testing.assert_array_equal(out.data, np.concatenate([p.data for p in probs]))
+        np.testing.assert_array_equal(packed.grad, np.concatenate([t.grad for t in singles]))
+        for t, grad in zip(head, packed_grads):
+            np.testing.assert_array_equal(grad, t.grad)
+        with ad.no_grad():
+            np.testing.assert_array_equal(
+                ad.classifier_head(packed, *head, lengths=lengths).data, ad.classifier_head(packed, *head).data
+            )

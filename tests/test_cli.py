@@ -146,6 +146,23 @@ class TestFeaturize:
         assert "at least one sample" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mel-fmax", "20000"], "9 of 40 mel bands between 0.0 and 20000.0 Hz cover no FFT bin"),
+            (["--mel-fmin", "7999"], "39 of 40 mel bands between 7999.0 and 8000.0 Hz cover no FFT bin"),
+        ],
+    )
+    def test_band_edges_that_leave_a_band_empty_are_exit_2(self, tmp_path, capsys, flags, message):
+        # at 16 kHz: edges above Nyquist, or bands narrower than the bin spacing
+        wav = tmp_path / "x.wav"
+        write_wav(wav, Waveform(np.zeros(16000)))
+        out = tmp_path / "x.mlfb"
+        assert main(["featurize", "--wav", str(wav), "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message} at 16000 Hz") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unreadable_wav_is_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.wav"
         bad.write_bytes(b"nope")
@@ -658,10 +675,13 @@ class TestThetaRange:
 # every subcommand with frontend flags, and those with training flags
 FRONTEND_COMMANDS = {"featurize": ["--wav", "in.wav", "--out", "f.bin"], **THETA_COMMANDS}
 TRAIN_COMMANDS = {name: THETA_COMMANDS[name] for name in ("train", "ablate")}
+# the frontend commands with a lower band edge of 5000 Hz given as a flag
+FMIN_5000_COMMANDS = {name: [*args, "--mel-fmin=5000"] for name, args in FRONTEND_COMMANDS.items()}
 MIX_COMMAND = {"mix": ["--out", "corpus", "--n", "2"]}
 # (commands, flag, value, error message): values that the ordered range
-# checks let through, a sample rate that is not positive, and a dev
-# fraction that mix would check only after synthesizing the corpus
+# checks let through, band edges out of order, a sample rate that is not
+# positive, and a dev fraction that mix would check only after
+# synthesizing the corpus
 BAD_CONFIG_VALUES = [
     (FRONTEND_COMMANDS, "frame-ms", "nan", "frame_len_ms must be finite, got nan"),
     (FRONTEND_COMMANDS, "frame-ms", "inf", "frame_len_ms must be finite, got inf"),
@@ -671,6 +691,10 @@ BAD_CONFIG_VALUES = [
     (FRONTEND_COMMANDS, "mel-fmin", "-inf", "mel_fmin must be finite, got -inf"),
     (FRONTEND_COMMANDS, "mel-fmax", "nan", "mel_fmax must be finite, got nan"),
     (FRONTEND_COMMANDS, "mel-fmax", "inf", "mel_fmax must be finite, got inf"),
+    (FRONTEND_COMMANDS, "mel-fmin", "-5", "mel_fmin must be >= 0, got -5.0"),
+    (FRONTEND_COMMANDS, "mel-fmax", "-100", "mel_fmax must be above mel_fmin, got -100.0 <= 0.0"),
+    (FMIN_5000_COMMANDS, "mel-fmax", "4000", "mel_fmax must be above mel_fmin, got 4000.0 <= 5000.0"),
+    (FMIN_5000_COMMANDS, "mel-fmax", "5000", "mel_fmax must be above mel_fmin, got 5000.0 <= 5000.0"),
     (TRAIN_COMMANDS, "lr", "nan", "lr must be finite, got nan"),
     (TRAIN_COMMANDS, "lr", "inf", "lr must be finite, got inf"),
     (TRAIN_COMMANDS, "attention-loss-weight", "nan", "attention_loss_weight must be finite, got nan"),

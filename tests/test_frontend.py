@@ -261,6 +261,32 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             FrontendConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (dict(mel_fmin=-1.0), "mel_fmin must be >= 0"),
+            (dict(mel_fmin=5000.0, mel_fmax=4000.0), "mel_fmax must be above mel_fmin"),
+            (dict(mel_fmin=300.0, mel_fmax=300.0), "mel_fmax must be above mel_fmin"),
+            (dict(mel_fmax=-100.0), "mel_fmax must be above mel_fmin"),
+        ],
+    )
+    def test_band_edges_out_of_order_rejected(self, edges, message):
+        with pytest.raises(ConfigError, match=message):
+            FrontendConfig(**edges)
+
+    @pytest.mark.parametrize("sr", [8000, 11025, 16000])
+    @pytest.mark.parametrize("n_mels", [40, 80])
+    def test_default_edges_leave_no_band_empty(self, sr, n_mels):
+        assert mel_filterbank(sr, FrontendConfig(n_mels=n_mels)).any(axis=1).all()
+
+    @pytest.mark.parametrize(
+        "edges, empty", [(dict(mel_fmax=20000.0), 9), (dict(mel_fmin=7999.0), 39), (dict(mel_fmin=7000.0, n_mels=80), 17)]
+    )
+    def test_edges_that_leave_a_band_empty_rejected(self, edges, empty):
+        cfg = FrontendConfig(**edges)
+        with pytest.raises(ConfigError, match=f"^{empty} of {cfg.n_mels} mel bands between "):
+            mel_filterbank(SR, cfg)
+
 
 class TestWavIO:
     def test_round_trip_within_quantization(self, tmp_path):

@@ -5,8 +5,8 @@ import pytest
 
 import mlnetvad.autodiff as ad
 from helpers import numeric_grad, rel_error, scalar_attention_oracle
-from mlnetvad.autodiff import Tensor
-from mlnetvad.errors import ConfigError, GraphError, ShapeMismatch
+from mlnetvad.autodiff import Tensor, window_matrix
+from mlnetvad.errors import ConfigError, ShapeMismatch
 from mlnetvad.model import (
     VARIANTS,
     AttentionParams,
@@ -18,7 +18,6 @@ from mlnetvad.model import (
     mlnet_forward,
     non_attention_forward,
     replicate_pad,
-    window_matrix,
 )
 
 SMALL = ModelConfig(
@@ -161,8 +160,9 @@ class TestGatedAffine:
         bp = params.branches[0]
         for t in units(bp):
             t.data[:] = 0.0
-        windows = np.random.default_rng(0).normal(size=(4, 7 * 8)).astype(np.float32)
-        out = ad.gated_units([windows], [units(bp)])
+        padded = np.random.default_rng(0).normal(size=(4 + 6, 8)).astype(np.float32)
+        out = ad.gated_units(padded, [units(bp)])
+        assert out.shape == (4, 1, 8)
         np.testing.assert_allclose(out.data, 0.0)
 
     def test_saturated_biases_give_one(self):
@@ -172,29 +172,30 @@ class TestGatedAffine:
         bp.w_g.data[:] = 0.0
         bp.b_f.data[:] = 50.0
         bp.b_g.data[:] = 50.0
-        out = ad.gated_units([np.zeros((4, 7 * 8), np.float32)], [units(bp)])
+        out = ad.gated_units(np.zeros((4 + 6, 8), np.float32), [units(bp)])
         np.testing.assert_allclose(out.data, 1.0, atol=1e-6)
 
     @pytest.mark.parametrize("r", [1, 9])
     def test_output_size_constant_across_receptive_fields(self, r):
         cfg = ModelConfig(receptive_fields=(r,), variant="gated_unit")
         params = init_params(cfg, seed=2)
-        windows = np.random.default_rng(1).normal(size=(5, (2 * r + 1) * 40)).astype(np.float32)
-        assert ad.gated_units([windows], [units(params.branches[0])]).shape == (5, 1, 64)
+        padded = np.random.default_rng(1).normal(size=(5 + 2 * r, 40)).astype(np.float32)
+        assert ad.gated_units(padded, [units(params.branches[0])]).shape == (5, 1, 64)
 
     def test_wrong_window_size_rejected(self):
         params = init_params(small_cfg(), seed=0)
         one = units(params.branches[0])  # radius 1: 3 frames of 8 bands
         f32 = np.float32
-        for inputs, weights in [
-            ([np.zeros((4, 5 * 8), f32)], [one]),  # window wider than the unit
-            ([np.zeros((4, 3 * 8), f32), np.zeros((5, 5 * 8), f32)], [one, units(params.branches[1])]),
-            ([np.zeros((4, 3 * 8), f32)], [one, one]),  # one input for two units
-            ([np.zeros(3 * 8, f32)], [one]),  # not 2-D
-            ([], []),
+        for padded, weights in [
+            (np.zeros((6, 7), f32), [one]),  # rows of 7 bands: no window is 24 wide
+            (np.zeros((6, 12), f32), [one]),  # rows of 12 bands: a 2-frame window
+            (np.zeros((2, 8), f32), [one]),  # no frame inside the padding
+            (np.zeros((6, 8), f32), [one, one[:3]]),  # a unit without its last bias
+            (np.zeros(3 * 8, f32), [one]),  # not 2-D
+            (np.zeros((6, 8), f32), []),
         ]:
-            with pytest.raises(ShapeMismatch):
-                ad.gated_units(inputs, weights)
+            with pytest.raises(ShapeMismatch, match="gated_units"):
+                ad.gated_units(padded, weights)
         # both fusions take only the (T, n_branches, gated_dim) stack the units make
         for q in (Tensor(np.zeros((3, 8))), Tensor(np.zeros((2, 4, 3, 8)))):
             with pytest.raises(ShapeMismatch, match=r"\(T, n_branches, gated_dim\)"):
@@ -210,14 +211,14 @@ class TestGatedAffine:
         params = init_params(cfg, seed=4, dtype=np.float64)
         t_len, radius, f = 5, cfg.context_radius, cfg.n_mels
         padded = replicate_pad(rng.normal(size=(t_len, f)), radius)
-        widest = window_matrix(padded, t_len, radius)
+        widest = window_matrix(padded, radius)
         inputs = []
         for bp in params.branches:
             r = bp.receptive_field
             windows = widest[:, (radius - r) * f : (radius + r + 1) * f]
             np.testing.assert_array_equal(windows, frame_windows(padded, t_len, r, radius))
             inputs.append(windows)
-        batch = ad.gated_units(inputs, [units(bp) for bp in params.branches])
+        batch = ad.gated_units(padded, [units(bp) for bp in params.branches])
         assert batch.shape == (t_len, cfg.n_branches, cfg.gated_dim)
         for i, (bp, windows) in enumerate(zip(params.branches, inputs)):
             for t in range(t_len):
@@ -239,7 +240,7 @@ class TestReplicatePadding:
     def test_window_matrix_time_major(self):
         x = np.arange(12.0).reshape(3, 4)
         padded = replicate_pad(x, 1)
-        w = window_matrix(padded, 3, 1)
+        w = window_matrix(padded, 1)
         # middle frame window = [x0, x1, x2] flattened
         np.testing.assert_array_equal(w[1], np.concatenate([x[0], x[1], x[2]]))
         # first frame replicates the first row on the left
@@ -249,7 +250,7 @@ class TestReplicatePadding:
         x = np.arange(40.0).reshape(5, 8)
         radius, f = 3, 8
         padded = replicate_pad(x, radius)
-        widest = window_matrix(padded, 5, radius)
+        widest = window_matrix(padded, radius)
         for r in range(radius + 1):
             np.testing.assert_array_equal(
                 widest[:, (radius - r) * f : (radius + r + 1) * f],
@@ -483,10 +484,39 @@ class TestMlnetForward:
         np.testing.assert_array_equal(single.lengths, [12])
         assert one.branch_weights._backward is not None  # the graph is kept
 
-    def test_several_sequences_with_a_graph_rejected(self):
-        params = init_params(small_cfg(), seed=0)
-        with pytest.raises(GraphError, match="no_grad"):
-            mlnet_forward([np.ones((3, 8)), np.ones((4, 8))], params)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_packed_graph_matches_single_graphs_bit_for_bit(self, variant, dtype):
+        # with a graph, the classifier runs the utterances as lanes: each
+        # gets its single graph's probabilities and branch weights, and one
+        # backward gives every parameter the gradients of one backward per
+        # utterance in turn
+        rng = np.random.default_rng(18)
+        params = init_params(small_cfg(variant=variant), seed=6, dtype=dtype)
+        seqs = [rng.normal(size=(t_len, 8)) for t_len in (9, 1, 70, 65)]
+        coeffs = [rng.normal(size=x.shape[0]).astype(dtype) for x in seqs]
+        singles = []
+        for x, c in zip(seqs, coeffs):
+            out = mlnet_forward(x, params)
+            singles.append(out)
+            (out.probs * Tensor(c)).sum().backward()
+        expected = {name: t.grad for name, t in params.named().items()}
+        params.zero_grads()
+        batch = mlnet_forward(seqs, params)
+        parts = ad.split_rows(batch.probs, batch.lengths)
+        total = (parts[0] * Tensor(coeffs[0])).sum()
+        for part, c in zip(parts[1:], coeffs[1:]):
+            total = total + (part * Tensor(c)).sum()
+        total.backward()
+        np.testing.assert_array_equal(batch.lengths, [9, 1, 70, 65])
+        np.testing.assert_array_equal(batch.probs.data, np.concatenate([o.probs.data for o in singles]))
+        if variant == "full_attention":
+            np.testing.assert_array_equal(
+                batch.branch_weights.data, np.concatenate([o.branch_weights.data for o in singles])
+            )
+        for name, t in params.named().items():
+            assert t.grad.dtype == dtype
+            np.testing.assert_array_equal(t.grad, expected[name], err_msg=name)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_branch_weights_only_for_attention_variant(self, variant):
@@ -559,14 +589,15 @@ class TestMlnetForward:
         params = init_params(cfg, seed=8, dtype=np.float64)
         rng = np.random.default_rng(15)
         t_len, radius, f = 7, cfg.context_radius, cfg.n_mels
-        widest = window_matrix(replicate_pad(rng.normal(size=(t_len, f)), radius), t_len, radius)
+        padded = replicate_pad(rng.normal(size=(t_len, f)), radius)
+        widest = window_matrix(padded, radius)
         inputs = [
             widest[:, (radius - bp.receptive_field) * f : (radius + bp.receptive_field + 1) * f]
             for bp in params.branches
         ]
         assert len({x.shape[1] for x in inputs}) == 3
         coeffs = rng.normal(size=(t_len, 3, cfg.gated_dim))
-        out = ad.gated_units(inputs, [units(bp) for bp in params.branches])
+        out = ad.gated_units(padded, [units(bp) for bp in params.branches])
         (out * Tensor(coeffs)).sum().backward()
         for i, (bp, x) in enumerate(zip(params.branches, inputs)):
             th = np.tanh(x @ bp.w_f.data.T + bp.b_f.data)
