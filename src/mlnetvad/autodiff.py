@@ -18,11 +18,11 @@ into one tensor and unpack them; the full sum and the mean over one
 axis; and the losses ``cross_entropy`` and ``selected_nll``. Every op
 takes operands of one dtype, and ``add`` and ``mul`` operands of one
 shape; a Python number takes the other operand's dtype and shape. Any
-other operand raises ``ShapeMismatch``. The dense layers allocate only their GEMM outputs and
-add their biases into them in place. Each layer node rounds every value
-and gradient as the chain of elementwise ops it replaced did, and a
-tensor those ops fed from several places takes each contribution in its
-own accumulation, in their order.
+other operand raises ``ShapeMismatch``. The dense layers allocate only
+their GEMM outputs and add their biases into them in place. Each layer
+node rounds every value and gradient as the chain of elementwise ops it
+replaced did, and a tensor those ops fed from several places takes each
+contribution in its own accumulation, in their order.
 
 Non-finite detection: every op that can turn finite inputs into NaN or
 infinity (the arithmetic ops, the dense layers and input projections,
@@ -41,14 +41,17 @@ of a packed batch advance in one time loop. The loop runs in blocks of
 ``SCAN_BLOCK`` steps; each block projects the input rows it gathers,
 so no whole-utterance projection is kept. Its step works gate-major, on
 (4, 2, B, H) blocks, so every elementwise operand is one (2, B, H)
-block. Without a graph the utterances are packed rows of one scan. With
-one they are lanes: each lane's recurrent step is a 1-row matmul of its
-own, and its projections and gradient GEMMs run over its own rows, so
-every lane, and ``classifier_head``'s too, gets exactly the bits of a
-call on that utterance alone, and parameters take the lanes'
-contributions in order. The BPTT runs in blocks too and writes each
-step's four gate gradients into one contiguous block, which it copies
-into the row that the recurrent matmul reads.
+block. Scoring and training run the same loop and differ only in how
+the utterances enter it. Without a graph they are packed rows: one
+projection GEMM per block and direction over all of them, one recurrent
+matmul per step, and no per-step history. With one they are lanes: each
+lane's recurrent step is a 1-row matmul of its own, and its projections
+and gradient GEMMs run over its own rows, so every lane, and
+``classifier_head``'s too, gets exactly the bits of a call on that
+utterance alone, and parameters take the lanes' contributions in order.
+The BPTT runs in blocks too and writes each step's four gate gradients
+into one contiguous block, which it copies into the row that the
+recurrent matmul reads.
 
 Only the operations the network needs are implemented; there is no
 broadcasting, no dtype promotion and no GPU path.
@@ -57,6 +60,7 @@ broadcasting, no dtype promotion and no GPU path.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -541,22 +545,32 @@ def _packed_lengths(lengths, rows: int) -> np.ndarray:
     return lens.astype(np.int64)
 
 
-def _step_rows(offsets: np.ndarray, lengths: np.ndarray, start: int, stop: int):
-    """(fwd, bwd, real), each (stop - start, B): the packed row that each
-    direction's steps ``start`` to ``stop - 1`` read for every utterance,
-    and whether the step is real. A padded step, past an utterance's
-    length, reads the row of that direction's last real step."""
+def _step_rows(lengths: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(fwd, bwd), each (stop - start, B): the packed row that each
+    direction's steps ``start`` to ``stop - 1`` read for every utterance.
+    A padded step, past an utterance's length, reads the row of that
+    direction's last real step."""
     steps = np.arange(start, stop)[:, None]
-    last = lengths - 1
-    fwd = offsets + np.minimum(steps, last)
-    bwd = offsets + np.maximum(last - steps, 0)
-    return fwd, bwd, steps < lengths
+    offsets, last = np.cumsum(lengths) - lengths, lengths - 1
+    return offsets + np.minimum(steps, last), offsets + np.maximum(last - steps, 0)
 
 
 def _spans(lengths: np.ndarray) -> list[tuple[int, int]]:
     """The (first, last + 1) packed row of each utterance."""
     ends = np.cumsum(lengths)
     return list(zip((ends - lengths).tolist(), ends.tolist()))
+
+
+def _lane_rows(spans: list[tuple[int, int]], start: int, stop: int):
+    """For each utterance with real steps among steps ``start`` to ``stop -
+    1``: (j, done, fwd, bwd), its index, how many of those steps are real
+    and the slice of packed rows of those steps in each direction; ``bwd``
+    runs in frame order, the reverse of its steps."""
+    for j, (first, end) in enumerate(spans):
+        done = min(stop, end - first) - start
+        if done > 0:
+            fwd = slice(first + start, first + start + done)
+            yield j, done, fwd, slice(end - start - done, end - start)
 
 
 def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], lengths=None) -> Tensor:
@@ -575,33 +589,26 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     steps advances both directions of every utterance as (2, B, H)
     states. The backward direction's step s is frame ``lengths[b] - 1 -
     s`` of utterance b. The loop runs in blocks of ``SCAN_BLOCK`` steps;
-    each block gathers its input rows with ``np.take`` and projects them
-    with ``x @ w_x`` GEMMs, whose bias is added in place, into a (steps,
-    4, 2, B, H) gate-major buffer. The step works gate-major, so that
-    every elementwise operand is one (2, B, H) block rather than a
-    strided gate column of a (2, B, 4H) row: one add reads the recurrent
-    product through a gate-major view and writes the (4, 2, B, H)
+    each block gathers its input rows and projects them with ``x @ w_x``
+    GEMMs, whose bias is added in place, into a (steps, 4, 2, B, H)
+    gate-major buffer. The step works gate-major, so that every
+    elementwise operand is one (2, B, H) block rather than a strided gate
+    column of a (2, B, 4H) row: one add reads the recurrent product
+    through a gate-major view and writes the (4, 2, B, H)
     pre-activations, the sigmoid runs over all four gates, and the
     candidate's tanh then replaces its slot. The projections are never
-    kept.
+    kept. A shorter utterance keeps stepping after it ends, on clipped or
+    stale inputs whose states reach no output.
 
-    How the utterances share the loop depends on whether a graph is
-    being built:
-
-    - Without one (scoring), they are packed rows: one (2, B, H) @ (2, H,
-      4H) recurrent matmul per step and one projection GEMM per block and
-      direction over all utterances. Every block has the same number of
-      steps, and a shorter utterance's padded steps reread clipped rows
-      after its real ones. Rows of a GEMM over many rows can round
-      differently from the same rows of a GEMM over one utterance.
-    - With one (training), each utterance is a lane that gets exactly the
-      bits it gets alone. The recurrent step is one broadcast
-      (2, B, 1, H) @ (2, 1, H, 4H) matmul, a 1-row product per lane and
-      direction. Each lane projects blocks of ``min(SCAN_BLOCK, T)`` of
-      its own rows, and its weight and input gradients are GEMMs over its
-      own rows, as in a call on that utterance alone. The elementwise
-      calls of a step serve every lane; a lane whose utterance has
-      ended keeps stepping on stale inputs, which reach no output.
+    Whether a graph is being built decides only how the rows enter the
+    loop. Without one (scoring), each block and direction projects all
+    utterances' rows in one GEMM, and the recurrent step is one (2, B, H)
+    @ (2, H, 4H) matmul. With one (training), each utterance is a lane
+    that gets exactly the bits of a call on it alone: it projects its own
+    rows, in blocks of ``min(SCAN_BLOCK, T)``, and its step is a 1-row
+    product inside one (2, B, 1, H) @ (2, 1, H, 4H) matmul. Rows of a
+    GEMM over many rows can round differently from the same rows of a
+    GEMM over a few.
 
     With OpenBLAS a block projection gives each row the bits of one GEMM
     over the whole input whenever 4H is a multiple of 16 in float32 (8 in
@@ -609,14 +616,16 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     widths an input of 16 or more columns can differ in the last bits.
 
     With a graph, each step writes its gate activations and cell state
-    straight into the buffers the backward keeps. The backward is a BPTT
-    loop over the same layout, in blocks of ``SCAN_BLOCK`` steps from the
-    last: each block gathers its output gradients and computes its
-    gate-derivative factors that do not depend on the recursion (and
-    tanh(cell), which gives the forward's bits again), each step writes its four gate gradients into one
+    straight into the buffers the backward keeps; without one, every step
+    reuses one set. The backward is a BPTT loop over the same layout, in
+    blocks of ``SCAN_BLOCK`` steps from the last: each block gathers its
+    output gradients and computes its gate-derivative factors that do not
+    depend on the recursion (and tanh(cell), which gives the forward's
+    bits again), and each step writes its four gate gradients into one
     contiguous (4, 2, B, H) block and copies it once into the lane's
-    (2, 4H) row that the recurrent matmul reads. After the loop, each
-    lane's recurrent-weight gradients are one batched GEMM over its
+    (2, 4H) row that the recurrent matmul reads. A lane enters the BPTT
+    at its last real step with a zero state gradient. After the loop,
+    each lane's recurrent-weight gradients are one batched GEMM over its
     steps, and each direction's input-projection gradients come from its
     (T, 4H) gate gradient. Every parameter takes the lanes' contributions
     in lane order, and ``seq`` the forward direction's before the
@@ -633,114 +642,61 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
             f"{[t.shape for t in fwd]} and {[t.shape for t in bwd]}"
         )
     lengths = _packed_lengths(lengths, seq.shape[0])
-    _one_dtype("bilstm_layer", seq, *fwd, *bwd)
-    w = np.stack([fwd[1].data, bwd[1].data])  # (2, H, 4H): direction 0 forward, 1 backward
-    if _track_any(seq, *fwd, *bwd):
-        return _lane_scan(seq, fwd, bwd, lengths, w)
-    return _raw(_packed_scan(seq.data, fwd, bwd, lengths, w), (), None)
-
-
-def _packed_scan(seq: np.ndarray, fwd, bwd, lengths: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``bilstm_layer``'s output without a graph: the utterances as packed
-    rows of one scan."""
-    (rows, in_dim), (_, h_dim, _) = seq.shape, w.shape
-    offsets = np.cumsum(lengths) - lengths
-    n_utts, t_max = lengths.size, int(lengths.max())
-    out = np.empty((rows, 2 * h_dim), w.dtype)
+    dtype = _one_dtype("bilstm_layer", seq, *fwd, *bwd)
+    keep = _track_any(seq, *fwd, *bwd)
+    (rows, in_dim), h_dim, four_h = seq.shape, h_shape[0], four_h[0]
+    spans, lens = _spans(lengths), lengths.tolist()
+    n, t_max = lengths.size, max(lens)
     block = min(SCAN_BLOCK, t_max)
-    x_in = np.empty((block, n_utts, in_dim), w.dtype)  # a block's input rows for one direction
-    xs = np.empty((block, 4, 2, n_utts, h_dim), w.dtype)  # a block's projections, gate-major
-    hs = np.empty((block, 2, n_utts, h_dim), w.dtype)  # a block's hidden states
-    # per-step state and scratch, (2, B, .): one row per direction and utterance
-    h = np.zeros((2, n_utts, h_dim), w.dtype)
-    z_rows = np.empty((2, n_utts, 4 * h_dim), w.dtype)  # the recurrent product, gates packed
-    z_rows_gates = z_rows.reshape(2, n_utts, 4, h_dim).transpose(2, 0, 1, 3)
-    z = np.empty((4, 2, n_utts, h_dim), w.dtype)  # the pre-activations, gate-major
+    lane = (1,) if keep else ()  # a lane's step operands are 1-row matrices
+    w = np.stack([fwd[1].data, bwd[1].data])  # (2, H, 4H): direction 0 forward, 1 backward
+    w_step = w[:, None] if keep else w  # lanes: (2, 1, H, 4H), broadcast over them
+    out = np.empty((rows, 2 * h_dim), dtype)
+    x_in = np.empty((block, 1 if keep else n, in_dim), dtype)  # a block's input rows, one direction
+    xs = np.zeros((block, 4, 2, n, h_dim), dtype)  # a block's projections, gate-major
+    hs = np.empty((block, 2, n, h_dim), dtype)  # a block's hidden states
+    hs_rows = hs.reshape(block, 2, n, *lane, h_dim)  # the same, as recurrent matmul operands
+    h = np.zeros((2, n, *lane, h_dim), dtype)
+    z_rows = np.empty((2, n, *lane, four_h), dtype)  # the recurrent products, gates packed
+    z_rows_gates = z_rows.reshape(2, n, 4, h_dim).transpose(2, 0, 1, 3)
+    z = np.empty((4, 2, n, h_dim), dtype)  # the pre-activations, gate-major
     z_g = z[2]
-    a = np.empty_like(z)  # the gates after their activations
-    gate_i, gate_f, gate_g, gate_o = a
-    c, ig, tc = np.zeros_like(h), np.empty_like(h), np.empty_like(h)
-    one = w.dtype.type(1.0)  # a typed scalar: a Python float is converted on every call
+    if keep:  # kept for the backward, indexed by step
+        acts = np.empty((t_max, 4, 2, n, h_dim), dtype)  # the gates after their activations
+        cs = np.zeros((t_max + 1, 2, n, h_dim), dtype)  # cs[s] is the cell state before step s
+    else:  # one step's gates and cell state, which every step reuses
+        gates, cell = np.empty_like(z), np.zeros((2, n, h_dim), dtype)
+        history = tuple(map(itertools.repeat, (gates, *gates, cell, cell)))
+    ig, tc = np.empty((2, n, h_dim), dtype), np.empty((2, n, h_dim), dtype)  # tc: tanh(cell), not kept
+    one = dtype.type(1.0)  # a typed scalar: a Python float is converted on every call
+
     # exp(-z) overflowing to inf gives the exact sigmoid limit 0.0
     with np.errstate(over="ignore"):
         for start in range(0, t_max, block):
-            fwd_rows, bwd_rows, real = _step_rows(offsets, lengths, start, start + block)
-            for d, ((w_x, _, b), rows_of) in enumerate(zip((fwd, bwd), (fwd_rows, bwd_rows))):
-                np.take(seq, rows_of, axis=0, mode="clip", out=x_in)
-                proj = _add_bias(x_in.reshape(-1, in_dim) @ w_x.data, b.data)
-                _check_finite(proj, "bilstm_layer")
-                xs[:, :, d] = proj.reshape(block, n_utts, 4, h_dim).transpose(0, 2, 1, 3)
-            for x_step, h_next in zip(xs[: t_max - start], hs):
-                np.matmul(h, w, out=z_rows)
+            stop = min(start + block, t_max)
+            # scoring projects every utterance's rows in one GEMM; a lane
+            # with real steps left projects min(SCAN_BLOCK, T) of its own,
+            # as a call on it alone does. Padded steps reread clipped rows.
+            groups = [(block, slice(None))]
+            if keep:
+                groups = [(min(block, t), slice(j, j + 1)) for j, t in enumerate(lens) if start < t]
+                a_s = acts[start:stop]
+                history = (a_s, *a_s.transpose(1, 0, 2, 3, 4), cs[start:stop], cs[start + 1 :])
+            step_rows = _step_rows(lengths, start, start + block)
+            for d, ((w_x, _, b), rows_of) in enumerate(zip((fwd, bwd), step_rows)):
+                for size, lanes in groups:
+                    x = np.take(seq.data, rows_of[:size, lanes], axis=0, mode="clip", out=x_in[:size])
+                    proj = _check_finite(_add_bias(x.reshape(-1, in_dim) @ w_x.data, b.data), "bilstm_layer")
+                    xs[:size, :, d, lanes] = proj.reshape(x.shape[:2] + (4, h_dim)).transpose(0, 2, 1, 3)
+            for x_step, h_next, h_next_row, a, gate_i, gate_f, gate_g, gate_o, c_prev, c in zip(
+                xs[: stop - start], hs, hs_rows, *history
+            ):
+                np.matmul(h, w_step, out=z_rows)
                 np.add(z_rows_gates, x_step, out=z)
                 np.negative(z, out=a)
                 np.exp(a, out=a)
                 np.add(a, one, out=a)
                 np.reciprocal(a, out=a)  # 1 / a, rounded as the division rounds
-                np.tanh(z_g, out=gate_g)
-                np.multiply(c, gate_f, out=c)
-                np.multiply(gate_i, gate_g, out=ig)
-                c += ig
-                np.tanh(c, out=tc)
-                h = h_next
-                np.multiply(gate_o, tc, out=h)
-            # steps past max(lengths) are not real for any utterance
-            out[fwd_rows[real], :h_dim] = hs[:, 0][real]
-            out[bwd_rows[real], h_dim:] = hs[:, 1][real]
-    return out
-
-
-def _lane_scan(seq: Tensor, fwd, bwd, lengths: np.ndarray, w: np.ndarray) -> Tensor:
-    """``bilstm_layer`` with a graph: each utterance a lane that gets the
-    bits of a call on it alone. A lane keeps stepping after its utterance
-    has ended, on stale or zero inputs: contiguous operands for every lane
-    cost less than strided ones for the lanes still running. Those steps
-    reach no output, and the BPTT enters each lane at its last real step
-    with a zero gradient."""
-    (rows, in_dim), (_, h_dim, four_h), dtype = seq.shape, w.shape, w.dtype
-    spans = _spans(lengths)
-    n, t_max = lengths.size, int(lengths.max())
-    block = min(SCAN_BLOCK, t_max)
-    out = np.empty((rows, 2 * h_dim), dtype)
-    # kept for the backward, indexed by step
-    acts = np.empty((t_max, 4, 2, n, h_dim), dtype)  # the gates after their activations
-    cs = np.zeros((t_max + 1, 2, n, h_dim), dtype)  # cs[s] is the cell state before step s
-    x_in = np.empty((block, in_dim), seq.dtype)  # a lane's block of input rows for one direction
-    xs = np.zeros((block, 4, 2, n, h_dim), dtype)  # a block's projections, gate-major
-    hs = np.empty((block, 2, n, h_dim), dtype)  # a block's hidden states
-    h = np.zeros((2, n, 1, h_dim), dtype)
-    w_lanes = w[:, None]  # (2, 1, H, 4H), broadcast over the lanes: a 1-row product each
-    z_rows = np.empty((2, n, 1, four_h), dtype)  # the recurrent products, gates packed
-    z_rows_gates = z_rows.reshape(2, n, 4, h_dim).transpose(2, 0, 1, 3)
-    z = np.empty((4, 2, n, h_dim), dtype)  # the pre-activations, gate-major
-    z_g = z[2]
-    ig, tc = np.empty((2, n, h_dim), dtype), np.empty((2, n, h_dim), dtype)  # tc: tanh(cell), not kept
-    one = dtype.type(1.0)
-    with np.errstate(over="ignore"):
-        for start in range(0, t_max, block):
-            stop = min(start + block, t_max)
-            for j, (first, end) in enumerate(spans):
-                if start >= end - first:
-                    continue  # the lane's utterance has ended: its inputs stay as they are
-                steps = np.arange(start, start + min(block, end - first))
-                for d, ((w_x, _, b), rows_of) in enumerate((
-                    (fwd, first + np.minimum(steps, end - first - 1)),
-                    (bwd, np.maximum(end - 1 - steps, first)),
-                )):
-                    x = x_in[: steps.size]
-                    np.take(seq.data, rows_of, axis=0, mode="clip", out=x)
-                    proj = _check_finite(_add_bias(x @ w_x.data, b.data), "bilstm_layer")
-                    xs[: steps.size, :, d, j] = proj.reshape(-1, 4, h_dim)
-            a_s = acts[start:stop]
-            for x_step, h_next, h_next_row, a, gate_i, gate_f, gate_g, gate_o, c_prev, c in zip(
-                xs, hs, hs[:, :, :, None], a_s, *a_s.transpose(1, 0, 2, 3, 4), cs[start:stop], cs[start + 1 :]
-            ):
-                np.matmul(h, w_lanes, out=z_rows)
-                np.add(z_rows_gates, x_step, out=z)
-                np.negative(z, out=a)
-                np.exp(a, out=a)
-                np.add(a, one, out=a)
-                np.reciprocal(a, out=a)
                 np.tanh(z_g, out=gate_g)
                 np.multiply(c_prev, gate_f, out=c)
                 np.multiply(gate_i, gate_g, out=ig)
@@ -748,11 +704,11 @@ def _lane_scan(seq: Tensor, fwd, bwd, lengths: np.ndarray, w: np.ndarray) -> Ten
                 np.tanh(c, out=tc)
                 np.multiply(gate_o, tc, out=h_next)
                 h = h_next_row
-            for j, (first, end) in enumerate(spans):
-                done = min(stop, end - first) - start  # the lane's real steps in this block
-                if done > 0:
-                    out[first + start : first + start + done, :h_dim] = hs[:done, 0, j]
-                    out[end - start - done : end - start, h_dim:] = hs[done - 1 :: -1, 1, j]
+            for j, done, fwd_rows, bwd_rows in _lane_rows(spans, start, stop):
+                out[fwd_rows, :h_dim] = hs[:done, 0, j]
+                out[bwd_rows, h_dim:] = hs[done - 1 :: -1, 1, j]
+    if not keep:
+        return _raw(out, (), None)
 
     def backward_fn(grad):
         w_t = np.ascontiguousarray(w.transpose(0, 2, 1))[:, None]  # (2, 1, 4H, H)
@@ -767,18 +723,16 @@ def _lane_scan(seq: Tensor, fwd, bwd, lengths: np.ndarray, w: np.ndarray) -> Ten
         dc = np.empty((2, n, h_dim), dtype)
         dc_next = np.zeros_like(dc)
         last = {}  # step -> the lanes whose last real step it is
-        for j, length in enumerate(lengths.tolist()):
+        for j, length in enumerate(lens):
             last.setdefault(length - 1, []).append(j)
         for start in range(block * ((t_max - 1) // block), -1, -block):
             stop = min(start + block, t_max)
             # the block's output gradients, and the factors of dc and dh
             # that do not depend on the recursion
             grads = np.zeros((stop - start, 2, n, h_dim), dtype)  # steps past a lane's end get none
-            for j, (first, end) in enumerate(spans):
-                done = min(stop, end - first) - start
-                if done > 0:
-                    grads[:done, 0, j] = grad[first + start : first + start + done, :h_dim]
-                    grads[:done, 1, j] = grad[end - start - done : end - start, h_dim:][::-1]
+            for j, done, fwd_rows, bwd_rows in _lane_rows(spans, start, stop):
+                grads[:done, 0, j] = grad[fwd_rows, :h_dim]
+                grads[:done, 1, j] = grad[bwd_rows, h_dim:][::-1]
             i, f, g_cand, o = acts[start:stop].transpose(1, 0, 2, 3, 4)
             tc = np.tanh(cs[start + 1 : stop + 1])  # as the forward computed it
             dc_factors = np.stack(

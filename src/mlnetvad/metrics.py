@@ -33,10 +33,6 @@ class ConfusionCounts:
         if min(self.tp, self.fp, self.fn, self.tn) < 0:
             raise ValueError("confusion counts must be non-negative")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
         return ConfusionCounts(
             self.tp + other.tp, self.fp + other.fp, self.fn + other.fn, self.tn + other.tn

@@ -4,8 +4,8 @@ gradient clipping to [-1, 1].
 
 Batches are whole utterances. Two utterances at a time share one graph
 whose classifier runs them as lanes (``lane_losses``); a batch's odd
-utterance builds its own. Gradients accumulate across the batch, bit for
-bit as one utterance at a time would, before a single optimizer step.
+utterance is a group of one. Gradients accumulate across the batch, bit
+for bit as one utterance at a time would, before a single optimizer step.
 Everything is deterministic for a fixed TrainConfig seed.
 """
 
@@ -107,8 +107,9 @@ def utterance_loss(
 def lane_losses(
     utts: list[LabeledUtterance], params: MlnetParams, cfg: TrainConfig
 ) -> tuple[Tensor, list[float]]:
-    """The losses of several utterances in one graph, whose classifier runs
-    them as lanes: returns their sum and each one's value.
+    """The losses of one or more utterances in one graph, whose
+    classifier runs them as lanes: returns their sum and each one's
+    value.
 
     A backward from the sum gives every parameter, bit for bit, the
     gradient of one ``utterance_loss`` backward per utterance in turn.
@@ -242,12 +243,7 @@ def train(
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             for lane in range(0, len(batch), LANES):
-                utts = [corpus[i] for i in batch[lane : lane + LANES]]
-                if len(utts) == 1:
-                    loss, _, _ = utterance_loss(utts[0], params, cfg)
-                    values = [loss.item()]
-                else:
-                    loss, values = lane_losses(utts, params, cfg)
+                loss, values = lane_losses([corpus[i] for i in batch[lane : lane + LANES]], params, cfg)
                 loss.backward()
                 for value in values:
                     epoch_loss += value

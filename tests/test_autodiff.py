@@ -575,11 +575,11 @@ def test_every_exported_name_resolves(module):
         assert getattr(mod, name) is namespace[name]
 
 
-def _autodiff_names_used(path) -> set[str]:
+def _autodiff_names_used(tree: ast.Module) -> set[str]:
     """The names a module takes from ``autodiff``: ``ad.name`` or
     ``autodiff.name``, and ``from ...autodiff import name``."""
     used = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in ("ad", "autodiff"):
             used.add(node.attr)
         elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("autodiff"):
@@ -588,11 +588,29 @@ def _autodiff_names_used(path) -> set[str]:
 
 
 def test_every_exported_op_has_a_caller():
-    # an op that loses its last caller in the package or the benchmark fails here
+    # an op, a private function or a public method that loses its last
+    # caller in the package or the benchmark fails here
     root = Path(__file__).resolve().parents[1]
-    modules = [p for p in (root / "src" / "mlnetvad").glob("*.py") if p.name != "autodiff.py"]
-    used = set().union(*map(_autodiff_names_used, modules + sorted((root / "vadbench").glob("*.py"))))
+    package = sorted((root / "src" / "mlnetvad").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in package + sorted((root / "vadbench").glob("*.py"))}
+    used = set().union(*(_autodiff_names_used(t) for p, t in trees.items() if p.name != "autodiff.py"))
     assert sorted(set(ad.__all__) - used) == []
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    attributes = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    referenced = attributes | {n.id for n in nodes if isinstance(n, ast.Name)}
+    private, public = [], []
+    for path in package:
+        for node in trees[path].body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__"):
+                private.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                public += [
+                    f"{path.stem}.{node.name}.{m.name}"
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                ]
+    assert [name for name in private if name.rsplit(".", 1)[1] not in referenced] == []
+    assert [name for name in public if name.rsplit(".", 1)[1] not in attributes] == []
 
 
 def _per_frame(xproj: np.ndarray, w_h: np.ndarray, reverse: bool) -> np.ndarray:
@@ -809,6 +827,33 @@ class TestBilstmLayer:
         assert out.dtype == dtype and all(t.grad.dtype == dtype for t in tensors)
         for t, name in zip(tensors, TestClassifierNodesExact.LAYER_NAMES, strict=True):
             np.testing.assert_array_equal(t.grad, expected[name], err_msg=name)
+
+    def test_scoring_projects_each_block_of_all_utterances_in_one_gemm(self):
+        # without a graph each scan block and direction projects the rows
+        # it gathers for every utterance, padded steps rereading clipped
+        # rows, in one GEMM over all of them. At H = 64 in float32 a GEMM
+        # over one utterance's rows rounds some rows differently, so a
+        # projection per utterance fails here
+        lengths, in_dim, h_dim, dtype = [65, 1, 30, 64], 128, 64, np.float32
+        rng = np.random.default_rng(22)
+        seq = rng.normal(size=(sum(lengths), in_dim)).astype(dtype)
+        dirs = [_lstm_direction(rng, in_dim, h_dim, dtype) for _ in range(2)]
+        lens = np.array(lengths)
+        offsets, last = np.cumsum(lens) - lens, lens - 1
+        xs = [np.empty((sum(lengths), 4 * h_dim), dtype) for _ in range(2)]
+        for start in range(0, max(lengths), ad.SCAN_BLOCK):
+            steps = np.arange(start, start + ad.SCAN_BLOCK)[:, None]
+            real = steps < lens
+            fwd_rows = offsets + np.minimum(steps, last)
+            bwd_rows = offsets + np.maximum(last - steps, 0)
+            for x, rows_of, (w_x, _, b) in zip(xs, (fwd_rows, bwd_rows), dirs):
+                proj = seq[rows_of.ravel()] @ w_x.data + b.data
+                x[rows_of[real]] = proj.reshape(rows_of.shape + (-1,))[real]
+        ws = [d[1].data for d in dirs]
+        out_ref = bilstm_reference(xs, ws, lengths, np.zeros((sum(lengths), 2 * h_dim), dtype))[0]
+        with ad.no_grad():
+            out = ad.bilstm_layer(Tensor(seq), *dirs, lengths=lengths)
+        np.testing.assert_array_equal(out.data, out_ref)
 
     @pytest.mark.parametrize("graph", [False, True])
     def test_non_finite_projection_raises(self, graph):
