@@ -113,11 +113,12 @@ def _as_float_array(data) -> np.ndarray:
 
 def _check_finite(data: np.ndarray, op: str) -> np.ndarray:
     """``data``, once it is known to be finite."""
-    # A float sum is non-finite iff some element is, as long as the finite
-    # values cannot overflow the accumulator; everything flowing through
-    # this engine is magnitude-bounded (features, activations, clipped
-    # gradients), so the cheap reduction is a sound detector.
-    if not np.isfinite(data.sum()):
+    # A finite sum proves every element finite. A non-finite one may come
+    # from finite values that overflow the accumulator, or from both
+    # infinities at once, so only then are the elements looked at.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = data.sum()
+    if not np.isfinite(total) and not np.isfinite(data).all():
         raise NonFiniteError(f"non-finite values produced by '{op}'")
     return data
 
@@ -504,12 +505,16 @@ def branch_weights(
 def branch_fusion(weights: Tensor, stack: Tensor) -> Tensor:
     """The (T, d) convex mix ``sum_i weights[:, i] * stack[:, i]`` of a
     (T, n, d) branch stack under its (T, n) branch weights, one node that
-    keeps no (T, n, d) product."""
+    builds no (T, n, d) product: the branches' (T, d) products are summed
+    in branch order, the order of numpy's sum over that axis."""
     if stack.ndim != 3 or weights.shape != stack.shape[:2]:
         raise ShapeMismatch(f"branch_fusion: weights {weights.shape} do not fit stack {stack.shape}")
     _one_dtype("branch_fusion", weights, stack)
     w = weights.data[:, :, None]
-    data = (w * stack.data).sum(axis=1)
+    data = w[:, 0] * stack.data[:, 0]
+    term = np.empty_like(data)
+    for i in range(1, stack.shape[1]):
+        data += np.multiply(w[:, i], stack.data[:, i], out=term)
     if not _track_any(weights, stack):
         return _make(data, "branch_fusion", (), None)
 
@@ -596,9 +601,12 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     column of a (2, B, 4H) row: one add reads the recurrent product
     through a gate-major view and writes the (4, 2, B, H)
     pre-activations, the sigmoid runs over all four gates, and the
-    candidate's tanh then replaces its slot. The projections are never
-    kept. A shorter utterance keeps stepping after it ends, on clipped or
-    stale inputs whose states reach no output.
+    candidate's tanh then replaces its slot. The step reads the sigmoid
+    gates' pre-activations negated, from copies of the weights whose
+    input, forget and output columns are negated once per call;
+    negation is exact, so the bits are those of ``exp(-z)``. The
+    projections are never kept. A shorter utterance keeps stepping after
+    it ends, on clipped or stale inputs whose states reach no output.
 
     Whether a graph is being built decides only how the rows enter the
     loop. Without one (scoring), each block and direction projects all
@@ -650,7 +658,13 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     block = min(SCAN_BLOCK, t_max)
     lane = (1,) if keep else ()  # a lane's step operands are 1-row matrices
     w = np.stack([fwd[1].data, bwd[1].data])  # (2, H, 4H): direction 0 forward, 1 backward
-    w_step = w[:, None] if keep else w  # lanes: (2, 1, H, 4H), broadcast over them
+    # the sigmoid gates' columns negated, exactly, so that the step's exp
+    # reads -z; the candidate's keep their sign for its tanh
+    sign = np.ones(four_h, dtype)
+    sign[: 2 * h_dim] = sign[3 * h_dim :] = -1.0
+    w_neg = w * sign
+    w_step = w_neg[:, None] if keep else w_neg  # lanes: (2, 1, H, 4H), broadcast over them
+    x_weights = [(w_x.data * sign, b.data * sign) for w_x, _, b in (fwd, bwd)]
     out = np.empty((rows, 2 * h_dim), dtype)
     x_in = np.empty((block, 1 if keep else n, in_dim), dtype)  # a block's input rows, one direction
     xs = np.zeros((block, 4, 2, n, h_dim), dtype)  # a block's projections, gate-major
@@ -683,18 +697,17 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
                 a_s = acts[start:stop]
                 history = (a_s, *a_s.transpose(1, 0, 2, 3, 4), cs[start:stop], cs[start + 1 :])
             step_rows = _step_rows(lengths, start, start + block)
-            for d, ((w_x, _, b), rows_of) in enumerate(zip((fwd, bwd), step_rows)):
+            for d, ((w_x, b), rows_of) in enumerate(zip(x_weights, step_rows)):
                 for size, lanes in groups:
                     x = np.take(seq.data, rows_of[:size, lanes], axis=0, mode="clip", out=x_in[:size])
-                    proj = _check_finite(_add_bias(x.reshape(-1, in_dim) @ w_x.data, b.data), "bilstm_layer")
+                    proj = _check_finite(_add_bias(x.reshape(-1, in_dim) @ w_x, b), "bilstm_layer")
                     xs[:size, :, d, lanes] = proj.reshape(x.shape[:2] + (4, h_dim)).transpose(0, 2, 1, 3)
             for x_step, h_next, h_next_row, a, gate_i, gate_f, gate_g, gate_o, c_prev, c in zip(
                 xs[: stop - start], hs, hs_rows, *history
             ):
                 np.matmul(h, w_step, out=z_rows)
                 np.add(z_rows_gates, x_step, out=z)
-                np.negative(z, out=a)
-                np.exp(a, out=a)
+                np.exp(z, out=a)
                 np.add(a, one, out=a)
                 np.reciprocal(a, out=a)  # 1 / a, rounded as the division rounds
                 np.tanh(z_g, out=gate_g)

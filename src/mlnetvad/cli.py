@@ -363,8 +363,8 @@ def cmd_predict(a: dict) -> int:
         raise UsageError(
             f"--dump-attention needs a full_attention checkpoint, got {params.config.variant}"
         )
-    w = read_wav(a["wav"])
-    feats = featurize(w, frontend, source_id=Path(a["wav"]).stem)
+    # the samples are dropped once featurized, before the model runs
+    feats = featurize(read_wav(a["wav"]), frontend, source_id=Path(a["wav"]).stem)
     if len(feats) == 0:
         raise UsageError(f"{a['wav']}: shorter than one frame, nothing to predict")
     with ad.no_grad():
@@ -383,7 +383,7 @@ def cmd_predict(a: dict) -> int:
             block = table[lo : lo + TSV_BLOCK_ROWS]
             stream.write(f"{row}\n" * len(block) % tuple(block.ravel().tolist()))
     if a["out"] is not None:
-        print(f"wrote {len(feats)} frames to {a['out']}: {_speed(w.duration_s, started)}")
+        print(f"wrote {len(feats)} frames to {a['out']}: {_speed(feats.duration_s, started)}")
     return 0
 
 

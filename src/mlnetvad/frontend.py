@@ -1,8 +1,8 @@
 """Log-mel feature frontend: 25 ms frames, 10 ms hop, 40 mel bands.
 
 Pure functions over numpy arrays; identical input yields bit-identical
-output. The frontend is offline only: the whole waveform is framed at
-once and inputs must already be at the configured sample rate.
+output. The frontend is offline only: inputs must already be at the
+configured sample rate.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, ShapeMismatch, require_finite
 
 DEFAULT_SAMPLE_RATE = 16000
-# frames per rFFT and mel GEMM in featurize; one FFT of the whole utterance peaks higher
+# frames per pre-emphasis, rFFT and mel GEMM in featurize; one FFT of the whole
+# utterance peaks higher
 FEATURE_BLOCK = 256
 
 
@@ -226,15 +227,25 @@ def logmel(frame: np.ndarray, cfg: FrontendConfig, sample_rate: int = DEFAULT_SA
 
 
 def featurize(w: Waveform, cfg: FrontendConfig, source_id: str = "") -> FeatureSequence:
-    """Full frontend: framing + log-mel in blocks of frames, with frame timing."""
-    frames = frame_signal(w, cfg)
-    t = frames.shape[0]
+    """Full frontend: framing + log-mel in blocks of frames, with frame timing.
+
+    Each block of ``FEATURE_BLOCK`` frames is pre-emphasized from its own
+    slice of samples, with the sample before the slice as its halo, so no
+    whole-signal copy is made; every sample gets the bits that
+    ``frame_signal``'s one pre-emphasized copy gives it."""
+    cfg.validate_for(w.sample_rate)
+    flen, hop = cfg.frame_len_samples(w.sample_rate), cfg.hop_samples(w.sample_rate)
+    t = num_frames(len(w), flen, hop)
     if t == 0:
         return FeatureSequence(np.empty((0, cfg.n_mels)), np.empty(0), source_id, w.duration_s)
     bank, window = _analysis_tables(w.sample_rate, cfg)
     feats = np.empty((t, cfg.n_mels), dtype=np.float64)
     for lo in range(0, t, FEATURE_BLOCK):
-        _logmel_rows(frames[lo : lo + FEATURE_BLOCK], bank, window, cfg, feats[lo : lo + FEATURE_BLOCK])
+        hi = min(lo + FEATURE_BLOCK, t)
+        first = lo * hop
+        halo = 1 if first else 0
+        y = preemphasize(w.samples[first - halo : (hi - 1) * hop + flen], cfg.preemphasis)[halo:]
+        _logmel_rows(sliding_window_view(y, flen)[::hop], bank, window, cfg, feats[lo:hi])
     if cfg.normalize:
         mean = feats.mean(axis=0)
         std = feats.std(axis=0)

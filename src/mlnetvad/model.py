@@ -287,10 +287,36 @@ class ModelOutput:
     branch_weights: Tensor | None = None
 
 
+FRONT_BLOCK = 768  # most frames per time block of the front end without a graph
+
+
+def _front_end(padded: np.ndarray, params: MlnetParams) -> tuple[Tensor, Tensor | None]:
+    """The branches and the fusion, or ``bilstm_base``'s projection, over
+    frames replicate-padded at the widest radius: the fused rows and, for
+    the attention variant, the branch weights."""
+    cfg = params.config
+    if cfg.variant == "bilstm_base":
+        return ad.projection(padded, params.projection.w, params.projection.b), None
+    # gated_unit's one branch takes this path too: the mean of one branch is that branch
+    stack = ad.gated_units(padded, [(bp.w_f, bp.b_f, bp.w_g, bp.b_g) for bp in params.branches])
+    if cfg.variant == "full_attention":
+        return attention_forward(stack, params.attention, cfg.double_sigmoid)
+    return non_attention_forward(stack), None
+
+
 def _fused_sequence(features, params: MlnetParams) -> tuple[Tensor, Tensor | None]:
     """One utterance through the windows, the branches and the fusion:
     the (T, gated_dim) fused rows and, for the attention variant, the
-    (T, n_branches) branch weights."""
+    (T, n_branches) branch weights.
+
+    Without a graph, an utterance of more than ``FRONT_BLOCK`` frames runs
+    in n = ceil(T / FRONT_BLOCK) time blocks whose sizes differ by at most
+    one frame; each reads its frames and the R-frame halo around them from
+    the padded frames, so no whole-utterance window matrix or branch stack
+    is built. A block spans at least ``FRONT_BLOCK / 2`` rows; on OpenBLAS
+    every GEMM that long rounds each row as the whole-utterance GEMM does,
+    while a GEMM over a few rows can round differently. With a graph the
+    front end is one block."""
     cfg = params.config
     x = features.frames if isinstance(features, FeatureSequence) else np.asarray(features)
     if x.ndim != 2 or x.shape[1] != cfg.n_mels:
@@ -301,15 +327,20 @@ def _fused_sequence(features, params: MlnetParams) -> tuple[Tensor, Tensor | Non
     x = x.astype(params.dtype, copy=False)
     # the frames replicate-padded at the widest radius: a radius-r branch's
     # window at frame t is padded rows t + R - r to t + R + r
-    padded = replicate_pad(x, cfg.context_radius)
-
-    if cfg.variant == "bilstm_base":
-        return ad.projection(padded, params.projection.w, params.projection.b), None
-    # gated_unit's one branch takes this path too: the mean of one branch is that branch
-    stack = ad.gated_units(padded, [(bp.w_f, bp.b_f, bp.w_g, bp.b_g) for bp in params.branches])
-    if cfg.variant == "full_attention":
-        return attention_forward(stack, params.attention, cfg.double_sigmoid)
-    return non_attention_forward(stack), None
+    radius = cfg.context_radius
+    padded = replicate_pad(x, radius)
+    n_blocks = -(-t_len // FRONT_BLOCK)
+    if ad.grad_enabled() or n_blocks == 1:
+        return _front_end(padded, params)
+    fused = np.empty((t_len, cfg.gated_dim), params.dtype)
+    weights = np.empty((t_len, cfg.n_branches), params.dtype) if cfg.variant == "full_attention" else None
+    bounds = [k * t_len // n_blocks for k in range(n_blocks + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        m, bw = _front_end(padded[lo : hi + 2 * radius], params)
+        fused[lo:hi] = m.data
+        if weights is not None:
+            weights[lo:hi] = bw.data
+    return Tensor(fused), None if weights is None else Tensor(weights)
 
 
 def mlnet_forward(features, params: MlnetParams) -> ModelOutput:
@@ -317,8 +348,9 @@ def mlnet_forward(features, params: MlnetParams) -> ModelOutput:
 
     ``features`` is a FeatureSequence or a (T, n_mels) array, or a list
     or tuple of them. Edge frames see replicate-padded context. The
-    branches and attention run one utterance at a time, so the front
-    end's memory stays that of one utterance; their fused rows are packed
+    branches and attention run one utterance at a time, and without a
+    graph in time blocks of at most ``FRONT_BLOCK`` frames, so the front
+    end's memory stays that of one block; their fused rows are packed
     and the classifier runs the batch at once. Returns per-frame
     probabilities in (0, 1), packed in input order, with each
     utterance's length, plus, for the attention variant, the normalized

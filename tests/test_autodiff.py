@@ -181,6 +181,15 @@ class TestGraphSemantics:
         with pytest.raises(NonFiniteError):
             Tensor(np.array([1.0, np.nan]))
 
+    def test_finite_values_whose_sum_overflows_pass(self):
+        x = np.array([3e38, 3e38], np.float32)
+        np.testing.assert_array_equal(Tensor(x).data, x)
+
+    def test_both_infinities_raise_without_a_warning(self):
+        # the suite turns numpy's invalid-value warning of inf + -inf into a failure
+        with pytest.raises(NonFiniteError):
+            Tensor(np.array([np.inf, 1.0, -np.inf]))
+
     def test_no_grad_matches_training_forward(self):
         rng = np.random.default_rng(11)
         forward, params = _random_composite(rng)

@@ -211,6 +211,23 @@ class TestBlockedFrontend:
         assert feats.frames.shape == (t, 40)
         np.testing.assert_allclose(feats.frames, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("cfg", [CFG, FrontendConfig(preemphasis=0.0), FrontendConfig(hop_ms=30.0)])
+    @pytest.mark.parametrize("t", [3 * FEATURE_BLOCK, 4 * FEATURE_BLOCK + 5])
+    def test_blocks_preemphasize_as_the_whole_signal_bit_for_bit(self, cfg, t):
+        # each block pre-emphasizes its own samples, with the one before
+        # them as its halo; the rows equal those of frame_signal's one copy
+        rng = np.random.default_rng(t)
+        hop, flen = cfg.hop_samples(SR), cfg.frame_len_samples(SR)
+        w = Waveform(rng.uniform(-0.5, 0.5, flen + (t - 1) * hop + int(rng.integers(0, hop))))
+        frames = frame_signal(w, cfg)
+        tables = frontend._analysis_tables(SR, cfg)
+        expected = np.concatenate([
+            frontend._logmel_rows(frames[lo : lo + FEATURE_BLOCK], *tables, cfg)
+            for lo in range(0, t, FEATURE_BLOCK)
+        ])
+        assert expected.shape == (t, 40)
+        np.testing.assert_array_equal(featurize(w, cfg).frames, expected)
+
 
 class TestAnalysisTables:
     def test_cached_tables_are_built_once_and_read_only(self):

@@ -1,12 +1,16 @@
 """Model tests: gated units, attention block, classifier, variants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import mlnetvad.autodiff as ad
 from helpers import numeric_grad, rel_error, scalar_attention_oracle
+from mlnetvad import model
 from mlnetvad.autodiff import Tensor, window_matrix
 from mlnetvad.errors import ConfigError, ShapeMismatch
+from mlnetvad.frontend import FrontendConfig, Waveform, featurize
 from mlnetvad.model import (
     VARIANTS,
     AttentionParams,
@@ -646,3 +650,77 @@ class TestMlnetForward:
             numeric = numeric_grad(lambda: loss_tensor().item(), tensors)
         for t, n in zip(tensors, numeric):
             assert rel_error(t.grad, n) <= 1e-5
+
+
+class TestBlockedFrontEnd:
+    """Without a graph, an utterance of more than ``FRONT_BLOCK`` frames
+    runs the branches and the fusion, or ``bilstm_base``'s projection, in
+    time blocks with a halo of the widest radius. Every block is long
+    enough that each row keeps the bits of the one-block front end."""
+
+    @staticmethod
+    def block_rows(monkeypatch, cfg) -> list[int]:
+        """Records the frames that each front-end call covers."""
+        rows = []
+        name = "projection" if cfg.variant == "bilstm_base" else "gated_units"
+        op = getattr(ad, name)
+
+        def recording(padded, *args):
+            rows.append(padded.shape[0] - 2 * cfg.context_radius)
+            return op(padded, *args)
+
+        monkeypatch.setattr(ad, name, recording)
+        return rows
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_match_one_block_bit_for_bit(self, monkeypatch, variant, dtype):
+        cfg = ModelConfig(variant=variant, lstm_hidden=8, lstm_layers=1, fc_hidden=8)
+        params = init_params(cfg, seed=3, dtype=dtype)
+        rng = np.random.default_rng(19)
+        rows = self.block_rows(monkeypatch, cfg)
+        for t_len in (model.FRONT_BLOCK, model.FRONT_BLOCK + 1, 1537, 2998):
+            x = 4.0 * rng.normal(size=(t_len, cfg.n_mels))
+            rows.clear()
+            with ad.no_grad():
+                blocked = mlnet_forward(x, params)
+                sizes = list(rows)
+                with monkeypatch.context() as m:
+                    m.setattr(model, "FRONT_BLOCK", t_len)
+                    whole = mlnet_forward(x, params)
+            n_blocks = -(-t_len // model.FRONT_BLOCK)
+            assert len(sizes) == n_blocks and sum(sizes) == t_len
+            assert max(sizes) <= model.FRONT_BLOCK and max(sizes) - min(sizes) <= 1
+            np.testing.assert_array_equal(blocked.probs.data, whole.probs.data)
+            if variant == "full_attention":
+                np.testing.assert_array_equal(blocked.branch_weights.data, whole.branch_weights.data)
+
+    def test_graph_keeps_one_block(self, monkeypatch):
+        cfg = small_cfg()
+        params = init_params(cfg, seed=2)
+        rows = self.block_rows(monkeypatch, cfg)
+        out = mlnet_forward(np.random.default_rng(20).normal(size=(model.FRONT_BLOCK + 1, 8)), params)
+        assert rows == [model.FRONT_BLOCK + 1]
+        assert out.branch_weights._backward is not None
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_scoring_memory_grows_by_under_2kb_per_frame(self, variant):
+        # between 1500 and 3000 frames the scoring peak grows by the
+        # features, the float32 frames and their padding, and the fused
+        # rows: about 0.9 KB per frame (1.2 for bilstm_base). A
+        # whole-utterance front end adds its window matrix, its branch
+        # outputs and their stack, 3.9 to 7.5 KB per frame in all.
+        params = init_params(ModelConfig(variant=variant), seed=0)
+        frontend = FrontendConfig(normalize=True)
+        rng = np.random.default_rng(21)
+        peaks = []
+        for t_len in (1500, 3000):
+            w = Waveform(rng.uniform(-0.5, 0.5, 160 * (t_len - 1) + 400))
+            tracemalloc.start()
+            try:
+                with ad.no_grad():
+                    mlnet_forward(featurize(w, frontend), params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 1500 < 2000
