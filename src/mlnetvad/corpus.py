@@ -390,18 +390,24 @@ def read_manifest(path) -> list[ManifestEntry]:
         raise FormatError(f"{path}: missing manifest header {MANIFEST_HEADER!r}")
     if len(lines) < 2 or lines[1] != "id\twav\tmask\tsplit\tsnr_db":
         raise FormatError(f"{path}: malformed manifest column header")
-    entries = []
+    entries, seen = [], set()
     for ln in lines[2:]:
         if not ln.strip():
             continue
         parts = ln.split("\t")
         if len(parts) != 5:
             raise FormatError(f"{path}: expected 5 tab-separated fields, got {len(parts)}")
+        utt_id = parts[0]
         try:
             snr_db = float(parts[4])
         except ValueError:
-            raise FormatError(f"{path}: snr_db must be a number, got {parts[4]!r}") from None
-        entries.append(ManifestEntry(parts[0], parts[1], parts[2], parts[3], snr_db))
+            raise FormatError(f"{path}: {utt_id}: snr_db must be a number, got {parts[4]!r}") from None
+        if not math.isfinite(snr_db):
+            raise FormatError(f"{path}: {utt_id}: snr_db must be finite, got {parts[4]!r}")
+        if utt_id in seen:
+            raise FormatError(f"{path}: utterance id {utt_id!r} appears more than once")
+        seen.add(utt_id)
+        entries.append(ManifestEntry(utt_id, parts[1], parts[2], parts[3], snr_db))
     return entries
 
 

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,21 @@ def _backward_with(out: Tensor, rng) -> np.ndarray:
     g = rng.normal(size=out.shape).astype(out.dtype)
     (out * Tensor(g)).sum().backward()
     return g
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("f", [1, 40])
+def test_window_matrix_equals_the_concatenated_slices(f, dtype):
+    # the strided copy against the 2r + 1 shifted row slices side by side
+    rng = np.random.default_rng(f)
+    for radius in range(10):
+        for t_len in (1, 2, 600):
+            padded = rng.normal(size=(t_len + 2 * radius, f)).astype(dtype)
+            windows = ad.window_matrix(padded, radius)
+            expected = np.concatenate([padded[k : k + t_len] for k in range(2 * radius + 1)], axis=1)
+            assert windows.dtype == dtype and windows.flags.c_contiguous
+            assert not np.shares_memory(windows, padded)
+            np.testing.assert_array_equal(windows, expected)
 
 
 class TestDenseNodesExact:
@@ -872,6 +888,47 @@ class TestBilstmLayer:
         dirs = [_lstm_direction(rng, 3, 2, np.float32, w_x=np.full((3, 8), 1e20)) for _ in range(2)]
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="bilstm_layer"):
             ad.bilstm_layer(seq, *dirs)
+
+    @pytest.mark.parametrize("graph", [False, True])
+    def test_one_non_finite_row_of_a_later_block_raises_without_a_warning(self, graph):
+        # row 20 of 200 is the backward direction's step 179, in the third
+        # scan block, and the forward direction's step 20, in the first.
+        # Only the backward w_x overflows on it, to both infinities once the
+        # sigmoid gates' columns are negated. No errstate here: the layer
+        # must raise, not warn
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(200, 3)).astype(np.float32)
+        x[20, 0] = 1e30
+        w_xs = [rng.normal(size=(3, 8)) for _ in range(2)]
+        w_xs[0][0] = 0.0
+        w_xs[1][0] = 1e10
+        seq = Tensor(x, requires_grad=graph)
+        dirs = [_lstm_direction(rng, 3, 2, np.float32, w_x=w_x) for w_x in w_xs]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteError, match="bilstm_layer"):
+                ad.bilstm_layer(seq, *dirs)
+            x[20, 0] = 0.0
+            ad.bilstm_layer(Tensor(x, requires_grad=graph), *dirs)  # the other rows are finite
+        assert [str(w.message) for w in caught] == []
+
+    def test_step_rows_match_a_walk_over_each_utterance(self):
+        # ragged lengths with 1-frame utterances, over two whole blocks of
+        # steps: the last block runs past every utterance's end
+        lengths = np.array([1, 70, 1, 3, 64], dtype=np.int64)
+        stop = 2 * ad.SCAN_BLOCK
+        fwd, bwd = ad._step_rows(lengths, stop)
+        first = 0
+        for j, length in enumerate(lengths.tolist()):
+            frames = list(range(first, first + length))
+            # each direction reads its frames in its time order, then
+            # rereads the frame of its last real step
+            want_fwd = frames + [frames[-1]] * (stop - length)
+            want_bwd = frames[::-1] + [frames[0]] * (stop - length)
+            assert fwd[:, j].tolist() == want_fwd
+            assert bwd[:, j].tolist() == want_bwd
+            first += length
+        assert fwd.shape == bwd.shape == (stop, lengths.size)
 
     @pytest.mark.parametrize("lengths", [[2, 2], [4, 4], [3, 2, 0], [4, 3, -1], [3, 0, 4], []])
     def test_lengths_that_do_not_split_the_rows_rejected(self, lengths):

@@ -94,6 +94,24 @@ FAULTS = {
         lambda b: b.replace(b"5.000000", b"loud"),
         "snr_db",
     ),
+    "manifest-snr-nan": (
+        read_manifest,
+        valid_manifest,
+        lambda b: b.replace(b"5.000000", b"nan"),
+        "a: snr_db must be finite, got 'nan'",
+    ),
+    "manifest-snr-infinite": (
+        read_manifest,
+        valid_manifest,
+        lambda b: b.replace(b"-2.500000", b"-inf"),
+        "b: snr_db must be finite, got '-inf'",
+    ),
+    "manifest-repeated-id": (
+        read_manifest,
+        valid_manifest,
+        lambda b: b.replace(b"b\twav/b.wav", b"a\twav/b.wav"),
+        "utterance id 'a' appears more than once",
+    ),
     "manifest-not-utf8": (read_manifest, valid_manifest, lambda b: b"\xc3" + b, "UTF-8"),
     "features-short-header": (read_features, valid_features, lambda b: b[:4], "truncated"),
     "checkpoint-config-not-utf8": (
@@ -189,6 +207,23 @@ def eval_with_mask(tmp_path, mask_runs: str, n_samples: int = 1600) -> int:
     ckpt = tmp_path / "m.mlnt"
     save_checkpoint(ckpt, init_params(ModelConfig(receptive_fields=(1,), lstm_layers=1), seed=0))
     return main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt)])
+
+
+@pytest.mark.parametrize("command", ["eval", "train", "ablate"])
+@pytest.mark.parametrize("fault", ["manifest-snr-nan", "manifest-repeated-id"])
+def test_malformed_manifest_exits_2(tmp_path, capsys, command, fault):
+    # the manifest is read before any audio, so one error line is all
+    # that reaches stderr
+    _, write_valid, corrupt, pattern = FAULTS[fault]
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_bytes(corrupt(write_valid(manifest)))
+    ckpt = tmp_path / "m.mlnt"
+    save_checkpoint(ckpt, init_params(ModelConfig(receptive_fields=(1,), lstm_layers=1), seed=0))
+    extra = {"eval": ["--checkpoint", str(ckpt)], "train": ["--out-dir", str(tmp_path / "run")], "ablate": []}
+    assert main([command, "--manifest", str(manifest), *extra[command]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: ") and err.count("\n") == 1
+    assert pattern in err
 
 
 def test_eval_with_malformed_mask_exits_2(tmp_path, capsys):
