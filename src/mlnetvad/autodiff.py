@@ -49,11 +49,11 @@ lane's recurrent step is a 1-row matmul of its own, and its projections
 and gradient GEMMs run over its own rows, so every lane, and
 ``classifier_head``'s too, gets exactly the bits of a call on that
 utterance alone, and parameters take the lanes' contributions in order.
-A forward step is eleven numpy calls with positional outputs, and the
-loop's set-up (each block's input rows, one ``np.errstate``) is done
-once per call. The BPTT runs in blocks too, and each step writes its
-four gate gradients straight into the rows that the recurrent matmul
-reads, through a gate-major view.
+A forward step is eleven numpy calls with positional outputs, each
+block's input rows are four calls into two reused index arrays, and
+the loop runs under one ``np.errstate``. The BPTT runs in blocks too,
+and each step writes its four gate gradients straight into the rows
+that the recurrent matmul reads, through a gate-major view.
 
 Only the operations the network needs are implemented; there is no
 broadcasting, no dtype promotion and no GPU path.
@@ -66,6 +66,7 @@ import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GraphError, NonFiniteError, ShapeMismatch
 
@@ -345,11 +346,10 @@ def window_matrix(padded: np.ndarray, radius: int) -> np.ndarray:
     """The (T, (2 * radius + 1) * F) windows of (T + 2 * radius, F) padded
     rows, time-major: row t holds padded rows t to t + 2 * radius, so a
     narrower window is a column slice of a wider one."""
-    t_len, width = padded.shape[0] - 2 * radius, (2 * radius + 1) * padded.shape[1]
+    width = (2 * radius + 1) * padded.shape[1]
     # window t starts at flat element t * F: one strided copy of every F-th
-    # window of the flattened rows
-    flat = padded.reshape(-1)
-    return np.lib.stride_tricks.sliding_window_view(flat, width)[:: padded.shape[1]][:t_len].copy()
+    # window of the flattened rows, which are exactly T
+    return sliding_window_view(padded.reshape(-1), width)[:: padded.shape[1]].copy()
 
 
 def _radius(op: str, padded: np.ndarray, width: int) -> int:
@@ -560,14 +560,21 @@ def _packed_lengths(lengths, rows: int) -> np.ndarray:
     return lens.astype(np.int64)
 
 
-def _step_rows(lengths: np.ndarray, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """(fwd, bwd), each (stop, B): the packed row that each direction's
-    steps 0 to ``stop - 1`` read for every utterance. A padded step, past
-    an utterance's length, reads the row of that direction's last real
-    step."""
-    steps = np.arange(stop)[:, None]
-    offsets, last = np.cumsum(lengths) - lengths, lengths - 1
-    return offsets + np.minimum(steps, last), offsets + np.maximum(last - steps, 0)
+def _step_rows(lengths: np.ndarray, block: int, stop: int):
+    """For each block of ``block`` steps from step 0 until ``stop``: (fwd,
+    bwd), each (block, B), the packed row that each direction's steps in
+    it read for every utterance. A padded step, past an utterance's
+    length, reads the row of that direction's last real step. Every block
+    is written into the same two arrays, four calls each."""
+    steps = np.arange(block)[:, None]
+    ends = np.cumsum(lengths)
+    firsts, lasts = ends - lengths, ends - 1
+    fwd_base, bwd_base = firsts + steps, lasts - steps  # the rows of the first block's steps
+    fwd, bwd = np.empty_like(fwd_base), np.empty_like(bwd_base)
+    for start in range(0, stop, block):
+        np.minimum(np.add(fwd_base, start, out=fwd), lasts, out=fwd)
+        np.maximum(np.subtract(bwd_base, start, out=bwd), firsts, out=bwd)
+        yield fwd, bwd
 
 
 def _spans(lengths: np.ndarray) -> list[tuple[int, int]]:
@@ -637,8 +644,9 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     the recurrent matmul, the add of the projection, exp, the add of 1
     (from an array of ones, which dispatches faster than a scalar),
     reciprocal, the candidate's tanh, c * f, i * g, their sum, tanh(c)
-    and o * tanh(c). Which rows each block gathers is computed once per
-    call, and the whole loop runs under one ``np.errstate``. At H = 64
+    and o * tanh(c). Which rows each block gathers is written by four
+    calls into two (SCAN_BLOCK, B) index arrays that every block reuses,
+    and the whole loop runs under one ``np.errstate``. At H = 64
     with one BLAS thread, a step of both directions of one utterance
     took 10 to 18 µs on a shared 2-core machine whose speed drifts by up
     to 2×.
@@ -704,8 +712,6 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
         history = tuple(map(itertools.repeat, (gates, *gates, cell, cell)))
     ig, tc = np.empty((2, n, h_dim), dtype), np.empty((2, n, h_dim), dtype)  # tc: tanh(cell), not kept
     ones = np.ones_like(z)  # the sigmoid's 1: an array operand dispatches faster than a scalar
-    # every block's input rows, from padded steps up to a whole last block
-    step_rows = _step_rows(lengths, block * -(-t_max // block))
     # the step's ufuncs, called with positional outputs: fewer lookups and
     # no keyword parsing in a loop of thousands of steps
     add, exp, matmul, multiply = np.add, np.exp, np.matmul, np.multiply
@@ -714,7 +720,7 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     # exp(-z) overflowing to inf gives the exact sigmoid limit 0.0, and a
     # projection that overflows is caught by the check, not by a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, t_max, block):
+        for start, step_rows in zip(range(0, t_max, block), _step_rows(lengths, block, t_max)):
             stop = min(start + block, t_max)
             # scoring projects every utterance's rows in one GEMM; a lane
             # with real steps left projects min(SCAN_BLOCK, T) of its own,
@@ -726,8 +732,7 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
                 history = (a_s, *a_s.transpose(1, 0, 2, 3, 4), cs[start:stop], cs[start + 1 :])
             for d, ((w_x, b), rows_of) in enumerate(zip(x_weights, step_rows)):
                 for size, lanes in groups:
-                    rows_in = rows_of[start : start + size, lanes]
-                    x = np.take(seq.data, rows_in, axis=0, mode="clip", out=x_in[:size])
+                    x = np.take(seq.data, rows_of[:size, lanes], axis=0, mode="clip", out=x_in[:size])
                     proj = _finite(_add_bias(x.reshape(-1, in_dim) @ w_x, b), "bilstm_layer")
                     xs[:size, :, d, lanes] = proj.reshape(x.shape[:2] + (4, h_dim)).transpose(0, 2, 1, 3)
             for x_step, h_next, h_next_row, a, gate_i, gate_f, gate_g, gate_o, c_prev, c in zip(

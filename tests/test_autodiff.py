@@ -914,10 +914,13 @@ class TestBilstmLayer:
 
     def test_step_rows_match_a_walk_over_each_utterance(self):
         # ragged lengths with 1-frame utterances, over two whole blocks of
-        # steps: the last block runs past every utterance's end
+        # steps: the last block runs past every utterance's end. The blocks
+        # share their arrays, so each is copied as it comes
         lengths = np.array([1, 70, 1, 3, 64], dtype=np.int64)
+        blocks = [(f.copy(), b.copy()) for f, b in ad._step_rows(lengths, ad.SCAN_BLOCK, 2 * ad.SCAN_BLOCK - 5)]
+        assert len(blocks) == 2
+        fwd, bwd = (np.concatenate(rows) for rows in zip(*blocks))
         stop = 2 * ad.SCAN_BLOCK
-        fwd, bwd = ad._step_rows(lengths, stop)
         first = 0
         for j, length in enumerate(lengths.tolist()):
             frames = list(range(first, first + length))

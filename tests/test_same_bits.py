@@ -1,9 +1,12 @@
-"""The same-bits probe in ``tools/`` still runs: its smallest case, twice."""
+"""The same-bits probe in ``tools/`` still runs: its smallest layer case
+twice, and its predict and train parts once at a tiny size."""
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+
+from mlnetvad import model
 
 
 def _probe():
@@ -24,3 +27,24 @@ def test_smallest_layer_case_writes_every_array_the_same_twice(tmp_path):
     assert again.relative_to(tmp_path / "b") == first.relative_to(tmp_path / "a")
     for name in names:
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_predict_and_train_parts_write_their_outputs(tmp_path, monkeypatch):
+    # 1 s and 2 s recordings, 4 utterances, 1 epoch: the CLI calls and their
+    # flags as a whole run makes them
+    probe = _probe()
+    monkeypatch.setattr(probe, "RECORDING_SECONDS", (1, 2))
+    monkeypatch.setattr(probe, "TRAIN_UTTERANCES", 4)
+    monkeypatch.setattr(probe, "EPOCHS", 1)
+    probe.predict_cases(tmp_path)
+    probe.train_cases(tmp_path)
+    predict = {p.name for p in (tmp_path / "predict").iterdir()}
+    for variant in model.VARIANTS:
+        assert {f"{variant}-1s.tsv", f"{variant}-2s.tsv", f"{variant}-1s-probs.npy"} <= predict
+    assert "full_attention-1s-branch-weights.npy" in predict
+    columns = (tmp_path / "predict" / "full_attention-1s.tsv").read_text().splitlines()[1].split("\t")
+    assert columns[3:] == [f"p{i}" for i in range(model.ModelConfig().n_branches)]  # --dump-attention
+    for batch in (1, 3):
+        run = tmp_path / "train" / f"batch-{batch}"
+        assert (run / "epoch_1.mlnt").is_file() and (run / "train.log").is_file()
+        assert (run / "eval-report.json").is_file() and (run / "eval-report.tsv").is_file()

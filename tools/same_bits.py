@@ -27,8 +27,7 @@ and writes only under the directory it is given. It writes:
   their checkpoints and ``train.log``, and an ``eval`` report of the last
   checkpoint.
 
-A whole run takes about ten seconds on one core; ``--layer-only`` writes
-``layer/`` alone.
+A whole run takes about ten seconds on one core.
 """
 
 from __future__ import annotations
@@ -56,6 +55,9 @@ DTYPES = (np.float32, np.float64)
 LENGTHS = ([1], [65], [577], [65, 1, 30, 64], [461 + 25 * i for i in range(10)])
 GRAD_NAMES = ("seq", "w_x_f", "w_h_f", "b_f", "w_x_b", "w_h_b", "b_b")
 WEIGHT_SCALE = 8.0
+RECORDING_SECONDS = (30, 300)  # the first also gives the .npy outputs
+TRAIN_UTTERANCES = 8
+EPOCHS = 2
 
 
 def layer_case(out_dir: Path, h_dim: int, dtype, lengths: list[int]) -> Path:
@@ -112,10 +114,11 @@ def predict_cases(out_dir: Path) -> None:
     d = out_dir / "predict"
     d.mkdir(parents=True, exist_ok=True)
     wavs = {}
-    for seconds in (30, 300):
+    for seconds in RECORDING_SECONDS:
         wavs[seconds] = d / f"rec-{seconds}s.wav"
         write_wav(wavs[seconds], recording(np.random.default_rng(seconds), seconds))
-    feats = featurize(read_wav(wavs[30]), FrontendConfig(normalize=True))
+    first = RECORDING_SECONDS[0]
+    feats = featurize(read_wav(wavs[first]), FrontendConfig(normalize=True))
     for variant in model.VARIANTS:
         params = model.init_params(model.ModelConfig(variant=variant), 20200812)
         for t in params.tensors():
@@ -125,9 +128,9 @@ def predict_cases(out_dir: Path) -> None:
         checkpoint.save_checkpoint(ckpt, params)
         with ad.no_grad():
             out = model.mlnet_forward(feats, params)
-        np.save(d / f"{variant}-30s-probs.npy", out.probs.data)
+        np.save(d / f"{variant}-{first}s-probs.npy", out.probs.data)
         if out.branch_weights is not None:
-            np.save(d / f"{variant}-30s-branch-weights.npy", out.branch_weights.data)
+            np.save(d / f"{variant}-{first}s-branch-weights.npy", out.branch_weights.data)
         dump = ["--dump-attention"] if variant == "full_attention" else []
         for seconds, wav in wavs.items():
             tsv = d / f"{variant}-{seconds}s.tsv"
@@ -137,28 +140,26 @@ def predict_cases(out_dir: Path) -> None:
 
 def train_cases(out_dir: Path) -> None:
     d = out_dir / "train"
-    raws = corpus.synth_raw_corpus(8, corpus.MixSpec(), seed=7)
+    raws = corpus.synth_raw_corpus(TRAIN_UTTERANCES, corpus.MixSpec(), seed=7)
     manifest = corpus.write_corpus_dir(d / "corpus", raws, dev_fraction=0.25)
     for batch in (1, 3):
         run = d / f"batch-{batch}"
-        _cli(["train", "--manifest", str(manifest), "--out-dir", str(run), "--epochs", "2",
+        _cli(["train", "--manifest", str(manifest), "--out-dir", str(run), "--epochs", str(EPOCHS),
               "--batch-size", str(batch), "--lr", "0.01", "--seed", "3", "--normalize"])
-        _cli(["eval", "--manifest", str(manifest), "--checkpoint", str(run / "epoch_2.mlnt"),
+        _cli(["eval", "--manifest", str(manifest), "--checkpoint", str(run / f"epoch_{EPOCHS}.mlnt"),
               "--split", "dev", "--report-out", str(run / "eval-report")])
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out_dir", type=Path, help="directory to write; compare two with diff -r")
-    parser.add_argument("--layer-only", action="store_true", help="write layer/ alone")
     args = parser.parse_args(argv)
     for h_dim in H_DIMS:
         for dtype in DTYPES:
             for lengths in LENGTHS:
                 layer_case(args.out_dir, h_dim, dtype, lengths)
-    if not args.layer_only:
-        predict_cases(args.out_dir)
-        train_cases(args.out_dir)
+    predict_cases(args.out_dir)
+    train_cases(args.out_dir)
     return 0
 
 
