@@ -571,7 +571,7 @@ def _step_rows(lengths: np.ndarray, block: int, stop: int):
     firsts, lasts = ends - lengths, ends - 1
     fwd_base, bwd_base = firsts + steps, lasts - steps  # the rows of the first block's steps
     fwd, bwd = np.empty_like(fwd_base), np.empty_like(bwd_base)
-    for start in range(0, stop, block):
+    for start in range(0, stop, block):  # out= by keyword: numpy deprecates a positional out in min and max
         np.minimum(np.add(fwd_base, start, out=fwd), lasts, out=fwd)
         np.maximum(np.subtract(bwd_base, start, out=bwd), firsts, out=bwd)
         yield fwd, bwd
