@@ -359,7 +359,7 @@ def cmd_predict(a: dict) -> int:
     forward pass's ``branch_weights``."""
     started = time.perf_counter()
     params, frontend = _load_model(a)
-    if a["dump_attention"] and params.config.variant != "full_attention":
+    if a["dump_attention"] and params.attention is None:
         raise UsageError(
             f"--dump-attention needs a full_attention checkpoint, got {params.config.variant}"
         )
@@ -514,12 +514,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     command, runner = commands[ns.command]
     try:
-        merged = command.resolve(ns)
-        # required positional-style options live on the namespace only
-        for dest in ("out", "manifest", "checkpoint", "wav", "out_dir"):
-            if hasattr(ns, dest) and dest not in merged:
-                merged[dest] = getattr(ns, dest)
-        return runner(merged)
+        return runner({**vars(ns), **command.resolve(ns)})
     except (UsageError, ConfigError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ from .wavio import read_wav, write_wav
 
 MASK_HEADER = "#mask-rle\tv1"
 MANIFEST_HEADER = "#manifest\tv1"
+SPLITS = ("train", "dev", "eval")
 
 
 @dataclass(frozen=True)
@@ -385,29 +386,39 @@ def write_manifest(path, entries: list[ManifestEntry]) -> None:
 
 
 def read_manifest(path) -> list[ManifestEntry]:
+    """The manifest's rows; a row with an empty id, wav or mask field, a
+    split outside ``SPLITS``, a non-finite snr_db or a repeated id is a
+    FormatError."""
     lines = _read_text_lines(path)
     if not lines or lines[0] != MANIFEST_HEADER:
         raise FormatError(f"{path}: missing manifest header {MANIFEST_HEADER!r}")
     if len(lines) < 2 or lines[1] != "id\twav\tmask\tsplit\tsnr_db":
         raise FormatError(f"{path}: malformed manifest column header")
     entries, seen = [], set()
-    for ln in lines[2:]:
+    for line_no, ln in enumerate(lines[2:], 3):
         if not ln.strip():
             continue
         parts = ln.split("\t")
         if len(parts) != 5:
             raise FormatError(f"{path}: expected 5 tab-separated fields, got {len(parts)}")
-        utt_id = parts[0]
+        utt_id, wav_path, mask_path, split, snr_text = parts
+        if not utt_id:
+            raise FormatError(f"{path}: line {line_no}: id is empty")
+        for field, value in (("wav", wav_path), ("mask", mask_path)):
+            if not value:
+                raise FormatError(f"{path}: {utt_id}: {field} path is empty")
+        if split not in SPLITS:
+            raise FormatError(f"{path}: {utt_id}: split must be one of {'/'.join(SPLITS)}, got {split!r}")
         try:
-            snr_db = float(parts[4])
+            snr_db = float(snr_text)
         except ValueError:
-            raise FormatError(f"{path}: {utt_id}: snr_db must be a number, got {parts[4]!r}") from None
+            raise FormatError(f"{path}: {utt_id}: snr_db must be a number, got {snr_text!r}") from None
         if not math.isfinite(snr_db):
-            raise FormatError(f"{path}: {utt_id}: snr_db must be finite, got {parts[4]!r}")
+            raise FormatError(f"{path}: {utt_id}: snr_db must be finite, got {snr_text!r}")
         if utt_id in seen:
             raise FormatError(f"{path}: utterance id {utt_id!r} appears more than once")
         seen.add(utt_id)
-        entries.append(ManifestEntry(utt_id, parts[1], parts[2], parts[3], snr_db))
+        entries.append(ManifestEntry(utt_id, wav_path, mask_path, split, snr_db))
     return entries
 
 

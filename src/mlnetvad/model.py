@@ -16,6 +16,14 @@ other. Four variants are supported for component ablations:
 The attention variant also returns its per-frame branch weights,
 ``ModelOutput.branch_weights``: the attention loss reads them in the
 graph, and ``predict --dump-attention`` writes their values.
+
+``build_params`` states each parameter group once, as the tuple of
+tensors its node takes, in that node's argument order, which is also the
+checkpoint order: a branch is ``(w_f, b_f, w_g, b_g)``, the projection
+``(w, b)``, the attention ``(w0, b0, w1, b1)``, each Bi-LSTM direction
+``(w_x, w_h, b)`` and the head ``(w_hidden, b_hidden, w_out, b_out)``.
+Only ``build_params`` reads the variant; the forward pass runs the
+groups that are present.
 """
 
 from __future__ import annotations
@@ -70,65 +78,35 @@ class ModelConfig:
         return 2 * self.context_radius + 1
 
 
-@dataclass
-class BranchParams:
-    receptive_field: int
-    w_f: Tensor
-    b_f: Tensor
-    w_g: Tensor
-    b_g: Tensor
-
-
-@dataclass
-class ProjectionParams:
-    w: Tensor
-    b: Tensor
-
-
-@dataclass
-class AttentionParams:
-    w0: Tensor
-    b0: Tensor
-    w1: Tensor
-    b1: Tensor
-
-
-@dataclass
-class LstmDirectionParams:
-    # w_x: (input_dim, 4H), w_h: (H, 4H), b: (4H,); gate packing [i, f, g, o]
-    w_x: Tensor
-    w_h: Tensor
-    b: Tensor
-
-
-@dataclass
-class HeadParams:
-    w_hidden: Tensor
-    b_hidden: Tensor
-    w_out: Tensor
-    b_out: Tensor
-
-
+@dataclass(eq=False)
 class MlnetParams:
-    """All trainable tensors for one configuration, with stable naming."""
+    """All trainable tensors for one configuration, with stable naming.
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        named: dict[str, Tensor],
-        branches: list[BranchParams],
-        projection: ProjectionParams | None,
-        attention: AttentionParams | None,
-        lstm: list[tuple[LstmDirectionParams, LstmDirectionParams]],
-        head: HeadParams,
-    ):
-        self.config = config
-        self._named = named
-        self.branches = branches
-        self.projection = projection
-        self.attention = attention
-        self.lstm = lstm
-        self.head = head
+    Each group is the tuple of tensors its node takes, in that argument
+    order, which is also the group's checkpoint order:
+
+      branches    one ``(w_f, b_f, w_g, b_g)`` per branch radius, for
+                  ``autodiff.gated_units``; none for ``bilstm_base``
+      projection  ``(w, b)`` for ``autodiff.projection``; ``bilstm_base``
+                  only, else None
+      attention   ``(w0, b0, w1, b1)`` for ``autodiff.branch_weights``;
+                  ``full_attention`` only, else None
+      lstm        per layer, a ``(fwd, bwd)`` pair of ``(w_x, w_h, b)``
+                  for ``autodiff.bilstm_layer``; w_x: (input_dim, 4H),
+                  w_h: (H, 4H), b: (4H,), gate packing [i, f, g, o]
+      head        ``(w_hidden, b_hidden, w_out, b_out)`` for
+                  ``autodiff.classifier_head``
+
+    The forward pass decides what runs from which groups are present.
+    """
+
+    config: ModelConfig
+    _named: dict[str, Tensor]
+    branches: list[tuple[Tensor, Tensor, Tensor, Tensor]]
+    projection: tuple[Tensor, Tensor] | None
+    attention: tuple[Tensor, Tensor, Tensor, Tensor] | None
+    lstm: list[tuple[tuple[Tensor, Tensor, Tensor], tuple[Tensor, Tensor, Tensor]]]
+    head: tuple[Tensor, Tensor, Tensor, Tensor]
 
     def named(self) -> dict[str, Tensor]:
         """Name -> tensor mapping in ``build_params`` order (not a copy)."""
@@ -139,7 +117,7 @@ class MlnetParams:
 
     @property
     def dtype(self) -> np.dtype:
-        return self.head.w_out.dtype
+        return self.head[0].dtype
 
     def zero_grads(self) -> None:
         ad.zero_grads(self.tensors())
@@ -165,43 +143,38 @@ def build_params(cfg: ModelConfig, factory) -> MlnetParams:
     """Assemble an MlnetParams whose tensors come from ``factory(name,
     shape, kind)``; shared by the initializer and the checkpoint loader.
 
-    Each group names its fields and shapes once, in checkpoint order;
-    ``kind`` is ``"bias"`` for a 1-D shape and ``"weight"`` otherwise.
+    Each group names its fields and shapes once, in the order that is
+    both its checkpoint order and its node's argument order; ``kind`` is
+    ``"bias"`` for a 1-D shape and ``"weight"`` otherwise. Only here, and
+    in ``_branch_radii``, does the variant decide which groups exist.
     """
     named: dict[str, Tensor] = {}
 
-    def group(prefix: str, **shapes: tuple[int, ...]) -> dict[str, Tensor]:
-        made = {}
+    def group(prefix: str, **shapes: tuple[int, ...]) -> tuple[Tensor, ...]:
         for field, shape in shapes.items():
             name = f"{prefix}.{field}"
-            kind = "bias" if len(shape) == 1 else "weight"
-            made[field] = named[name] = factory(name, shape, kind)
-        return made
+            named[name] = factory(name, shape, "bias" if len(shape) == 1 else "weight")
+        return tuple(named[f"{prefix}.{field}"] for field in shapes)
 
     d, f, h = cfg.gated_dim, cfg.n_mels, cfg.lstm_hidden
     branches = []
     for r in _branch_radii(cfg):
         k = (2 * r + 1) * f
-        gated = group(f"branch_r{r}", w_f=(d, k), b_f=(d,), w_g=(d, k), b_g=(d,))
-        branches.append(BranchParams(r, **gated))
+        branches.append(group(f"branch_r{r}", w_f=(d, k), b_f=(d,), w_g=(d, k), b_g=(d,)))
     projection = attention = None
     if cfg.variant == "bilstm_base":
-        projection = ProjectionParams(**group("projection", w=(d, cfg.context_window * f), b=(d,)))
+        projection = group("projection", w=(d, cfg.context_window * f), b=(d,))
     if cfg.variant == "full_attention":
         n, a = cfg.n_branches, cfg.attn_hidden
-        attention = AttentionParams(**group("attention", w0=(a, n), b0=(a,), w1=(n, a), b1=(n,)))
+        attention = group("attention", w0=(a, n), b0=(a,), w1=(n, a), b1=(n,))
     lstm = []
     in_dim = d
     for layer in range(cfg.lstm_layers):
         shapes = dict(w_x=(in_dim, 4 * h), w_h=(h, 4 * h), b=(4 * h,))
-        lstm.append(tuple(
-            LstmDirectionParams(**group(f"lstm{layer}.{tag}", **shapes)) for tag in ("fwd", "bwd")
-        ))
+        lstm.append(tuple(group(f"lstm{layer}.{tag}", **shapes) for tag in ("fwd", "bwd")))
         in_dim = 2 * h
     fc = cfg.fc_hidden
-    head = HeadParams(
-        **group("head", w_hidden=(fc, 2 * h), b_hidden=(fc,), w_out=(1, fc), b_out=(1,))
-    )
+    head = group("head", w_hidden=(fc, 2 * h), b_hidden=(fc,), w_out=(1, fc), b_out=(1,))
     return MlnetParams(cfg, named, branches, projection, attention, lstm, head)
 
 
@@ -231,11 +204,12 @@ def replicate_pad(x: np.ndarray, radius: int) -> np.ndarray:
 
 
 def attention_forward(
-    q: Tensor, attn: AttentionParams, double_sigmoid: bool = True
+    q: Tensor, attn: tuple[Tensor, Tensor, Tensor, Tensor], double_sigmoid: bool = True
 ) -> tuple[Tensor, Tensor]:
     """Channel attention over branches; returns ``(fused, weights)``.
 
-    ``q`` is the (T, n_branches, gated_dim) branch stack of a sequence.
+    ``q`` is the (T, n_branches, gated_dim) branch stack of a sequence,
+    ``attn`` the ``(w0, b0, w1, b1)`` attention group.
     Average- and max-pooled branch descriptors go through a shared
     two-layer net (leaky_relu hidden); the two outputs are summed before
     the sigmoid. The normalized (T, n_branches) weights combine the
@@ -244,7 +218,7 @@ def attention_forward(
     """
     if q.ndim != 3:
         raise ShapeMismatch(f"attention input must be (T, n_branches, gated_dim), got {q.shape}")
-    weights = ad.branch_weights(q, attn.w0, attn.b0, attn.w1, attn.b1, double_sigmoid)
+    weights = ad.branch_weights(q, *attn, double_sigmoid)
     return ad.branch_fusion(weights, q), weights
 
 
@@ -269,9 +243,8 @@ def classifier_forward(m: Tensor, params: MlnetParams, lengths=None) -> Tensor:
     """
     seq = m
     for fwd, bwd in params.lstm:
-        seq = ad.bilstm_layer(seq, (fwd.w_x, fwd.w_h, fwd.b), (bwd.w_x, bwd.w_h, bwd.b), lengths)
-    head = params.head
-    return ad.classifier_head(seq, head.w_hidden, head.b_hidden, head.w_out, head.b_out, lengths)
+        seq = ad.bilstm_layer(seq, fwd, bwd, lengths)
+    return ad.classifier_head(seq, *params.head, lengths)
 
 
 @dataclass
@@ -294,13 +267,12 @@ def _front_end(padded: np.ndarray, params: MlnetParams) -> tuple[Tensor, Tensor 
     """The branches and the fusion, or ``bilstm_base``'s projection, over
     frames replicate-padded at the widest radius: the fused rows and, for
     the attention variant, the branch weights."""
-    cfg = params.config
-    if cfg.variant == "bilstm_base":
-        return ad.projection(padded, params.projection.w, params.projection.b), None
+    if params.projection is not None:
+        return ad.projection(padded, *params.projection), None
     # gated_unit's one branch takes this path too: the mean of one branch is that branch
-    stack = ad.gated_units(padded, [(bp.w_f, bp.b_f, bp.w_g, bp.b_g) for bp in params.branches])
-    if cfg.variant == "full_attention":
-        return attention_forward(stack, params.attention, cfg.double_sigmoid)
+    stack = ad.gated_units(padded, params.branches)
+    if params.attention is not None:
+        return attention_forward(stack, params.attention, params.config.double_sigmoid)
     return non_attention_forward(stack), None
 
 
@@ -333,7 +305,7 @@ def _fused_sequence(features, params: MlnetParams) -> tuple[Tensor, Tensor | Non
     if ad.grad_enabled() or n_blocks == 1:
         return _front_end(padded, params)
     fused = np.empty((t_len, cfg.gated_dim), params.dtype)
-    weights = np.empty((t_len, cfg.n_branches), params.dtype) if cfg.variant == "full_attention" else None
+    weights = None if params.attention is None else np.empty((t_len, cfg.n_branches), params.dtype)
     bounds = [k * t_len // n_blocks for k in range(n_blocks + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
         m, bw = _front_end(padded[lo : hi + 2 * radius], params)
@@ -372,8 +344,6 @@ def mlnet_forward(features, params: MlnetParams) -> ModelOutput:
         m, branch_weights = fused[0]
     else:
         m = ad.concat_rows([m for m, _ in fused])
-        branch_weights = None
-        if params.config.variant == "full_attention":
-            branch_weights = ad.concat_rows([bw for _, bw in fused])
+        branch_weights = None if params.attention is None else ad.concat_rows([bw for _, bw in fused])
     probs = classifier_forward(m, params, lengths)
     return ModelOutput(probs=probs, lengths=lengths, branch_weights=branch_weights)

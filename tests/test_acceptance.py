@@ -155,9 +155,7 @@ def test_criterion_3_oracle_equivalence():
             q = rng.normal(size=(5, 16))
             double = bool(call % 2)
             fused, weights = attention_forward(Tensor(q[None]), at, double_sigmoid=double)
-            _, p, want = scalar_attention_oracle(
-                q, at.w0.data, at.b0.data, at.w1.data, at.b1.data, double
-            )
+            _, p, want = scalar_attention_oracle(q, *(t.data for t in at), double)
             np.testing.assert_allclose(weights.data[0], p, atol=1e-6)
             np.testing.assert_allclose(fused.data[0], want, atol=1e-6)
 

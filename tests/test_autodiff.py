@@ -4,6 +4,7 @@ import ast
 import importlib
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -612,9 +613,19 @@ def _autodiff_names_used(tree: ast.Module) -> set[str]:
     return used
 
 
+def _names(nodes) -> Counter:
+    """How often each identifier is read or written as a name or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in nodes
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
 def test_every_exported_op_has_a_caller():
-    # an op, a private function or a public method that loses its last
-    # caller in the package or the benchmark fails here
+    # an op, a private function, a public method or a class that loses its
+    # last caller in the package or the benchmark fails here; a class naming
+    # itself inside its own body does not count
     root = Path(__file__).resolve().parents[1]
     package = sorted((root / "src" / "mlnetvad").glob("*.py"))
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in package + sorted((root / "vadbench").glob("*.py"))}
@@ -623,12 +634,15 @@ def test_every_exported_op_has_a_caller():
     nodes = [node for tree in trees.values() for node in ast.walk(tree)]
     attributes = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
     referenced = attributes | {n.id for n in nodes if isinstance(n, ast.Name)}
-    private, public = [], []
+    everywhere = _names(nodes)
+    private, public, unnamed = [], [], []
     for path in package:
         for node in trees[path].body:
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__"):
                 private.append(f"{path.stem}.{node.name}")
             elif isinstance(node, ast.ClassDef):
+                if everywhere[node.name] == _names(ast.walk(node))[node.name]:
+                    unnamed.append(f"{path.stem}.{node.name}")
                 public += [
                     f"{path.stem}.{node.name}.{m.name}"
                     for m in node.body
@@ -636,6 +650,7 @@ def test_every_exported_op_has_a_caller():
                 ]
     assert [name for name in private if name.rsplit(".", 1)[1] not in referenced] == []
     assert [name for name in public if name.rsplit(".", 1)[1] not in attributes] == []
+    assert unnamed == []
 
 
 def _per_frame(xproj: np.ndarray, w_h: np.ndarray, reverse: bool) -> np.ndarray:

@@ -87,7 +87,7 @@ class TestValidation:
         # chop the final parameter record (head.b_out: name + rank + dim + value)
         name = b"head.b_out"
         record = struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 1) + b"\x00" * 4
-        assert blob.endswith(record[: len(record) - 4] + params.head.b_out.data.astype("<f4").tobytes())
+        assert blob.endswith(record[: len(record) - 4] + params.named()["head.b_out"].data.astype("<f4").tobytes())
         path.write_bytes(blob[: len(blob) - len(record)])
         with pytest.raises(FormatError, match="missing parameter"):
             load_checkpoint(path)

@@ -113,6 +113,30 @@ FAULTS = {
         "utterance id 'a' appears more than once",
     ),
     "manifest-not-utf8": (read_manifest, valid_manifest, lambda b: b"\xc3" + b, "UTF-8"),
+    "manifest-empty-id": (
+        read_manifest,
+        valid_manifest,
+        lambda b: b.replace(b"a\twav/a.wav", b"\twav/a.wav"),
+        "line 3: id is empty",
+    ),
+    "manifest-empty-wav": (
+        read_manifest,
+        valid_manifest,
+        lambda b: b.replace(b"wav/b.wav", b""),
+        "b: wav path is empty",
+    ),
+    "manifest-empty-mask": (
+        read_manifest,
+        valid_manifest,
+        lambda b: b.replace(b"mask/a.mask", b""),
+        "a: mask path is empty",
+    ),
+    "manifest-unknown-split": (
+        read_manifest,
+        valid_manifest,
+        lambda b: b.replace(b"\ttrain\t", b"\ttrian\t"),
+        "a: split must be one of train/dev/eval, got 'trian'",
+    ),
     "features-short-header": (read_features, valid_features, lambda b: b[:4], "truncated"),
     "checkpoint-config-not-utf8": (
         load_checkpoint,
@@ -210,7 +234,9 @@ def eval_with_mask(tmp_path, mask_runs: str, n_samples: int = 1600) -> int:
 
 
 @pytest.mark.parametrize("command", ["eval", "train", "ablate"])
-@pytest.mark.parametrize("fault", ["manifest-snr-nan", "manifest-repeated-id"])
+@pytest.mark.parametrize(
+    "fault", ["manifest-snr-nan", "manifest-repeated-id", "manifest-empty-id", "manifest-unknown-split"]
+)
 def test_malformed_manifest_exits_2(tmp_path, capsys, command, fault):
     # the manifest is read before any audio, so one error line is all
     # that reaches stderr

@@ -13,7 +13,6 @@ from mlnetvad.errors import ConfigError, ShapeMismatch
 from mlnetvad.frontend import FrontendConfig, Waveform, featurize
 from mlnetvad.model import (
     VARIANTS,
-    AttentionParams,
     ModelConfig,
     attention_forward,
     build_params,
@@ -146,6 +145,18 @@ class TestBuildParams:
         assert calls == param_shapes_oracle(cfg)
         assert list(params.named()) == [name for name, _, _ in calls]
 
+    @pytest.mark.parametrize("cfg", BUILD_CONFIGS)
+    def test_groups_hold_every_tensor_once_in_checkpoint_order(self, cfg):
+        # each group is the tuple its node takes; flattened, the groups are
+        # the checkpoint order, so no tensor is missing, repeated or moved
+        params = build_params(cfg, lambda name, shape, kind: Tensor(np.zeros(shape)))
+        groups = [*params.branches, params.projection, params.attention]
+        groups += [direction for layer in params.lstm for direction in layer] + [params.head]
+        flat = [t for group in groups if group is not None for t in group]
+        named = list(params.named().values())
+        assert len(flat) == len(named)
+        assert all(a is b for a, b in zip(flat, named))
+
 
 def frame_windows(padded: np.ndarray, t_len: int, r: int, radius: int) -> np.ndarray:
     """(T, (2r+1)*F) windows built frame by frame: padded[t+R-r : t+R+r+1]."""
@@ -154,29 +165,25 @@ def frame_windows(padded: np.ndarray, t_len: int, r: int, radius: int) -> np.nda
     )
 
 
-def units(bp):
-    return (bp.w_f, bp.b_f, bp.w_g, bp.b_g)
-
-
 class TestGatedAffine:
     def test_zero_params_give_zero(self):
         params = init_params(small_cfg(variant="gated_unit"), seed=0)
         bp = params.branches[0]
-        for t in units(bp):
+        for t in bp:
             t.data[:] = 0.0
         padded = np.random.default_rng(0).normal(size=(4 + 6, 8)).astype(np.float32)
-        out = ad.gated_units(padded, [units(bp)])
+        out = ad.gated_units(padded, [bp])
         assert out.shape == (4, 1, 8)
         np.testing.assert_allclose(out.data, 0.0)
 
     def test_saturated_biases_give_one(self):
         params = init_params(small_cfg(variant="gated_unit"), seed=0)
-        bp = params.branches[0]
-        bp.w_f.data[:] = 0.0
-        bp.w_g.data[:] = 0.0
-        bp.b_f.data[:] = 50.0
-        bp.b_g.data[:] = 50.0
-        out = ad.gated_units(np.zeros((4 + 6, 8), np.float32), [units(bp)])
+        w_f, b_f, w_g, b_g = bp = params.branches[0]
+        w_f.data[:] = 0.0
+        w_g.data[:] = 0.0
+        b_f.data[:] = 50.0
+        b_g.data[:] = 50.0
+        out = ad.gated_units(np.zeros((4 + 6, 8), np.float32), [bp])
         np.testing.assert_allclose(out.data, 1.0, atol=1e-6)
 
     @pytest.mark.parametrize("r", [1, 9])
@@ -184,11 +191,11 @@ class TestGatedAffine:
         cfg = ModelConfig(receptive_fields=(r,), variant="gated_unit")
         params = init_params(cfg, seed=2)
         padded = np.random.default_rng(1).normal(size=(5 + 2 * r, 40)).astype(np.float32)
-        assert ad.gated_units(padded, [units(params.branches[0])]).shape == (5, 1, 64)
+        assert ad.gated_units(padded, [params.branches[0]]).shape == (5, 1, 64)
 
     def test_wrong_window_size_rejected(self):
         params = init_params(small_cfg(), seed=0)
-        one = units(params.branches[0])  # radius 1: 3 frames of 8 bands
+        one = params.branches[0]  # radius 1: 3 frames of 8 bands
         f32 = np.float32
         for padded, weights in [
             (np.zeros((6, 7), f32), [one]),  # rows of 7 bands: no window is 24 wide
@@ -217,19 +224,17 @@ class TestGatedAffine:
         padded = replicate_pad(rng.normal(size=(t_len, f)), radius)
         widest = window_matrix(padded, radius)
         inputs = []
-        for bp in params.branches:
-            r = bp.receptive_field
+        for r in cfg.receptive_fields:
             windows = widest[:, (radius - r) * f : (radius + r + 1) * f]
             np.testing.assert_array_equal(windows, frame_windows(padded, t_len, r, radius))
             inputs.append(windows)
-        batch = ad.gated_units(padded, [units(bp) for bp in params.branches])
+        batch = ad.gated_units(padded, params.branches)
         assert batch.shape == (t_len, cfg.n_branches, cfg.gated_dim)
         for i, (bp, windows) in enumerate(zip(params.branches, inputs)):
+            w_f, b_f, w_g, b_g = (t.data for t in bp)
             for t in range(t_len):
                 v = windows[t]
-                single = np.tanh(bp.w_f.data @ v + bp.b_f.data) / (
-                    1.0 + np.exp(-(bp.w_g.data @ v + bp.b_g.data))
-                )
+                single = np.tanh(w_f @ v + b_f) / (1.0 + np.exp(-(w_g @ v + b_g)))
                 np.testing.assert_allclose(batch.data[t, i], single, rtol=0, atol=1e-12)
 
 
@@ -262,15 +267,15 @@ class TestReplicatePadding:
             )
 
 
-def symmetric_attention(cfg: ModelConfig) -> AttentionParams:
-    """Attention parameters that always yield equal branch scores."""
+def symmetric_attention(cfg: ModelConfig) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """Attention parameters (w0, b0, w1, b1) that always yield equal branch scores."""
     rng = np.random.default_rng(0)
     n, h = cfg.n_branches, cfg.attn_hidden
-    return AttentionParams(
-        w0=Tensor(rng.normal(size=(h, n)), requires_grad=True),
-        b0=Tensor(np.full(h, 0.1), requires_grad=True),
-        w1=Tensor(np.zeros((n, h)), requires_grad=True),
-        b1=Tensor(np.full(n, 0.3), requires_grad=True),
+    return (
+        Tensor(rng.normal(size=(h, n)), requires_grad=True),
+        Tensor(np.full(h, 0.1), requires_grad=True),
+        Tensor(np.zeros((n, h)), requires_grad=True),
+        Tensor(np.full(n, 0.3), requires_grad=True),
     )
 
 
@@ -314,16 +319,17 @@ class TestAttention:
         for scale in (0.1, 1.0, 10.0):
             params = init_params(cfg, seed=n, dtype=np.float64)
             at = params.attention
-            for t in (at.w0, at.b0, at.w1, at.b1):
+            for t in at:
                 t.data[:] = rng.normal(scale=scale, size=t.shape)
             q = Tensor(rng.normal(size=(50, n, 8)))
             seen.append(attention_forward(q, at)[1].data)
         # saturating inputs: raw scores of exactly 0 and 1, whose weights
         # are the second sigmoids s(0) and s(1) normalized
-        at.w1.data[:] = 0.0
+        _, _, w1, b1 = at
+        w1.data[:] = 0.0
         for one_hot in np.eye(n):
             for raw in (one_hot, 1.0 - one_hot):
-                at.b1.data[:] = np.where(raw > 0, 800.0, -800.0)
+                b1.data[:] = np.where(raw > 0, 800.0, -800.0)
                 _, weights = attention_forward(Tensor(rng.normal(size=(4, n, 8))), at)
                 num = np.where(raw > 0, s1, s0)
                 np.testing.assert_allclose(
@@ -345,9 +351,7 @@ class TestAttention:
             for _ in range(10):
                 q = rng.normal(size=(3, 8))
                 fused, weights = attention_forward(Tensor(q[None]), at, double_sigmoid=double)
-                _, p, want = scalar_attention_oracle(
-                    q, at.w0.data, at.b0.data, at.w1.data, at.b1.data, double
-                )
+                _, p, want = scalar_attention_oracle(q, *(t.data for t in at), double)
                 np.testing.assert_allclose(weights.data[0], p, atol=1e-6)
                 np.testing.assert_allclose(fused.data[0], want, atol=1e-6)
 
@@ -368,13 +372,13 @@ class TestAttention:
         cfg = small_cfg(receptive_fields=(0, 1, 2, 3, 4))
         params = init_params(cfg, seed=6, dtype=np.float64)
         at = params.attention
-        for t in (at.w0, at.b0, at.w1, at.b1):
+        for t in at:
             t.data[:] = rng.normal(size=t.shape)
         for _ in range(20):
             q = rng.normal(size=(4, 5, 8))
             _, weights = attention_forward(Tensor(q), at, double_sigmoid=False)
             raw = np.array([
-                scalar_attention_oracle(v, at.w0.data, at.b0.data, at.w1.data, at.b1.data, False)[0]
+                scalar_attention_oracle(v, *(t.data for t in at), False)[0]
                 for v in q
             ])
             np.testing.assert_allclose(weights.data, raw / raw.sum(axis=1, keepdims=True), rtol=1e-12)
@@ -424,10 +428,10 @@ class TestClassifier:
             swapped.lstm[layer] = (bwd, fwd)
         # consumers of a [fwd, bwd] concat must swap their input halves
         for layer in range(1, cfg.lstm_layers):
-            for d in swapped.lstm[layer]:
-                d.w_x.data[:] = np.vstack([d.w_x.data[h:], d.w_x.data[:h]])
-        wh = swapped.head.w_hidden.data
-        swapped.head.w_hidden.data[:] = np.hstack([wh[:, h:], wh[:, :h]])
+            for w_x, _, _ in swapped.lstm[layer]:
+                w_x.data[:] = np.vstack([w_x.data[h:], w_x.data[:h]])
+        wh = swapped.head[0].data
+        wh[:] = np.hstack([wh[:, h:], wh[:, :h]])
 
         rng = np.random.default_rng(10)
         m = rng.normal(size=(6, 8))
@@ -540,8 +544,9 @@ class TestMlnetForward:
         cfg_mean = small_cfg(variant="non_attention")
         full = init_params(cfg_full, seed=3, dtype=np.float64)
         # force equal scores for every input: zero last layer, constant bias
-        full.attention.w1.data[:] = 0.0
-        full.attention.b1.data[:] = 0.3
+        _, _, w1, b1 = full.attention
+        w1.data[:] = 0.0
+        b1.data[:] = 0.3
         named = {k: v.data for k, v in full.named().items()}
         mean = build_params(
             cfg_mean,
@@ -564,10 +569,10 @@ class TestMlnetForward:
         out = mlnet_forward(x, params)
         (out.probs * weights).sum().backward()
 
-        bp = params.branches[0]
+        w_f, b_f, w_g, b_g = params.branches[0]
         windows = frame_windows(replicate_pad(x, radius), t_len, radius, radius)
-        th = np.tanh(windows @ bp.w_f.data.T + bp.b_f.data)
-        sg = 1.0 / (1.0 + np.exp(-(windows @ bp.w_g.data.T + bp.b_g.data)))
+        th = np.tanh(windows @ w_f.data.T + b_f.data)
+        sg = 1.0 / (1.0 + np.exp(-(windows @ w_g.data.T + b_g.data)))
         m = Tensor(th * sg, requires_grad=True)
         rest = params.copy()
         probs = classifier_forward(m, rest)
@@ -580,8 +585,8 @@ class TestMlnetForward:
         d_f = m.grad * sg * (1.0 - th**2)
         d_g = m.grad * th * sg * (1.0 - sg)
         for got, want in [
-            (bp.w_f, d_f.T @ windows), (bp.b_f, d_f.sum(axis=0)),
-            (bp.w_g, d_g.T @ windows), (bp.b_g, d_g.sum(axis=0)),
+            (w_f, d_f.T @ windows), (b_f, d_f.sum(axis=0)),
+            (w_g, d_g.T @ windows), (b_g, d_g.sum(axis=0)),
         ]:
             np.testing.assert_allclose(got.grad, want, rtol=1e-10, atol=1e-14)
 
@@ -595,23 +600,20 @@ class TestMlnetForward:
         t_len, radius, f = 7, cfg.context_radius, cfg.n_mels
         padded = replicate_pad(rng.normal(size=(t_len, f)), radius)
         widest = window_matrix(padded, radius)
-        inputs = [
-            widest[:, (radius - bp.receptive_field) * f : (radius + bp.receptive_field + 1) * f]
-            for bp in params.branches
-        ]
+        inputs = [widest[:, (radius - r) * f : (radius + r + 1) * f] for r in cfg.receptive_fields]
         assert len({x.shape[1] for x in inputs}) == 3
         coeffs = rng.normal(size=(t_len, 3, cfg.gated_dim))
-        out = ad.gated_units(padded, [units(bp) for bp in params.branches])
+        out = ad.gated_units(padded, params.branches)
         (out * Tensor(coeffs)).sum().backward()
-        for i, (bp, x) in enumerate(zip(params.branches, inputs)):
-            th = np.tanh(x @ bp.w_f.data.T + bp.b_f.data)
-            sg = 1.0 / (1.0 + np.exp(-(x @ bp.w_g.data.T + bp.b_g.data)))
+        for i, ((w_f, b_f, w_g, b_g), x) in enumerate(zip(params.branches, inputs)):
+            th = np.tanh(x @ w_f.data.T + b_f.data)
+            sg = 1.0 / (1.0 + np.exp(-(x @ w_g.data.T + b_g.data)))
             np.testing.assert_array_equal(out.data[:, i], th * sg)
             d_f = coeffs[:, i] * sg * (1.0 - th**2)
             d_g = coeffs[:, i] * th * sg * (1.0 - sg)
             for got, want in [
-                (bp.w_f, d_f.T @ x), (bp.b_f, d_f.sum(axis=0)),
-                (bp.w_g, d_g.T @ x), (bp.b_g, d_g.sum(axis=0)),
+                (w_f, d_f.T @ x), (b_f, d_f.sum(axis=0)),
+                (w_g, d_g.T @ x), (b_g, d_g.sum(axis=0)),
             ]:
                 np.testing.assert_allclose(got.grad, want, rtol=0, atol=1e-12)
 

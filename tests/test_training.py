@@ -100,12 +100,7 @@ class TestAttentionLoss:
             return attention_loss(weights, k=frozen_k)
 
         loss_fn().backward()
-        tensors = [
-            params.attention.w0,
-            params.attention.b0,
-            params.attention.w1,
-            params.attention.b1,
-        ]
+        tensors = list(params.attention)
         with ad.no_grad():
             numeric = numeric_grad(lambda: loss_fn().item(), tensors)
         for t, n in zip(tensors, numeric):
@@ -139,21 +134,24 @@ class TestNonFiniteAttention:
 
     def test_single_sigmoid_with_every_score_zero(self):
         attn, q = self._setup()
-        attn.w1.data[:] = 0.0
-        attn.b1.data[:] = -800.0  # sigmoid(-1600) is 0: every row of scores sums to 0
+        _, _, w1, b1 = attn
+        w1.data[:] = 0.0
+        b1.data[:] = -800.0  # sigmoid(-1600) is 0: every row of scores sums to 0
         with pytest.raises(NonFiniteError):
             attention_forward(q, attn, double_sigmoid=False)
 
     def test_overflowing_float32_scores(self):
         attn, q = self._setup(np.float32)
-        attn.w1.data[:] = 3e38
+        _, _, w1, _ = attn
+        w1.data[:] = 3e38
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             attention_forward(q, attn)
 
     def test_frozen_k_on_a_zero_weight(self):
         attn, q = self._setup()
-        attn.w1.data[:] = 0.0
-        attn.b1.data[:] = [800.0, -800.0, 800.0]  # branch 1's raw score, and weight, is 0
+        _, _, w1, b1 = attn
+        w1.data[:] = 0.0
+        b1.data[:] = [800.0, -800.0, 800.0]  # branch 1's raw score, and weight, is 0
         _, weights = attention_forward(q, attn, double_sigmoid=False)
         np.testing.assert_array_equal(weights.data[:, 1], 0.0)
         with pytest.raises(NonFiniteError):
@@ -388,7 +386,7 @@ class TestAdam:
 
     def test_nan_gradient_aborts(self):
         params, state, cfg = self._scalar_param()
-        params.head.w_out.grad = np.array([[np.nan]], dtype=np.float32)
+        params.named()["head.w_out"].grad = np.array([[np.nan]], dtype=np.float32)
         with pytest.raises(TrainingError, match="head.w_out"):
             adam_step(params, state, cfg)
 
