@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import load_checkpoint
-from .corpus import MixSpec, load_manifest_utterances, synth_raw_corpus, write_corpus_dir
+from .corpus import MixSpec, load_manifest_utterances, read_text_lines, synth_raw_corpus, write_corpus_dir
 from .errors import ConfigError, FormatError, MlnetVadError
 from .frontend import FrontendConfig, featurize
 from .metrics import evaluate
@@ -106,7 +106,7 @@ class Command:
             path = Path(ns.config)
             if not path.exists():
                 raise UsageError(f"config file not found: {path}")
-            for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            for line_no, line in enumerate(read_text_lines(path), 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
@@ -205,21 +205,6 @@ def write_features(path, frames: np.ndarray) -> None:
         + np.ascontiguousarray(frames, dtype="<f4").tobytes()
     )
     Path(path).write_bytes(blob)
-
-
-def read_features(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    if blob[:4] != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a feature dump")
-    if len(blob) < 16:
-        raise FormatError(f"{path}: truncated header, {len(blob)} of 16 bytes")
-    version, t_len, n_mels = struct.unpack("<III", blob[4:16])
-    if version != FEATURE_VERSION:
-        raise FormatError(f"{path}: unsupported feature dump version {version}")
-    expected = 16 + 4 * t_len * n_mels
-    if len(blob) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    return np.frombuffer(blob[16:], dtype="<f4").reshape(t_len, n_mels)
 
 
 # -- subcommands ------------------------------------------------------------

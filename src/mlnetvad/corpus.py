@@ -335,7 +335,8 @@ def write_mask(path, mask: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read_text_lines(path) -> list[str]:
+def read_text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; any other bytes are a FormatError."""
     try:
         return Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -347,7 +348,7 @@ _MAX_MASK_SAMPLES = 2**31
 
 
 def read_mask(path) -> np.ndarray:
-    text = _read_text_lines(path)
+    text = read_text_lines(path)
     if not text or text[0] != MASK_HEADER:
         raise FormatError(f"{path}: missing mask header {MASK_HEADER!r}")
     values, counts = [], []
@@ -386,10 +387,10 @@ def write_manifest(path, entries: list[ManifestEntry]) -> None:
 
 
 def read_manifest(path) -> list[ManifestEntry]:
-    """The manifest's rows; a row with an empty id, wav or mask field, a
-    split outside ``SPLITS``, a non-finite snr_db or a repeated id is a
-    FormatError."""
-    lines = _read_text_lines(path)
+    """The manifest's rows; a row with an empty id, wav or mask field, one
+    with leading or trailing whitespace, a split outside ``SPLITS``, a
+    non-finite snr_db or a repeated id is a FormatError."""
+    lines = read_text_lines(path)
     if not lines or lines[0] != MANIFEST_HEADER:
         raise FormatError(f"{path}: missing manifest header {MANIFEST_HEADER!r}")
     if len(lines) < 2 or lines[1] != "id\twav\tmask\tsplit\tsnr_db":
@@ -404,9 +405,13 @@ def read_manifest(path) -> list[ManifestEntry]:
         utt_id, wav_path, mask_path, split, snr_text = parts
         if not utt_id:
             raise FormatError(f"{path}: line {line_no}: id is empty")
+        if utt_id != utt_id.strip():
+            raise FormatError(f"{path}: line {line_no}: id {utt_id!r} has leading or trailing whitespace")
         for field, value in (("wav", wav_path), ("mask", mask_path)):
             if not value:
                 raise FormatError(f"{path}: {utt_id}: {field} path is empty")
+            if value != value.strip():
+                raise FormatError(f"{path}: {utt_id}: {field} path {value!r} has leading or trailing whitespace")
         if split not in SPLITS:
             raise FormatError(f"{path}: {utt_id}: split must be one of {'/'.join(SPLITS)}, got {split!r}")
         try:
@@ -455,23 +460,29 @@ def write_corpus_dir(
 def load_manifest_utterances(
     manifest_path, cfg: FrontendConfig | None = None, split: str | None = None
 ) -> list[LabeledUtterance]:
-    """Load, featurize and frame-label the recordings listed in a manifest;
-    a recording shorter than one frame is a FormatError."""
+    """Load, featurize and frame-label the recordings listed in a manifest.
+
+    A WAV or mask that cannot be opened or read, a mask whose length is
+    not the WAV's, and a recording shorter than one frame are each one
+    FormatError that names the manifest, the utterance and the file."""
     cfg = cfg or FrontendConfig()
     base = Path(manifest_path).parent
     utts = []
     for entry in read_manifest(manifest_path):
         if split is not None and entry.split != split:
             continue
-        w = read_wav(base / entry.wav_path)
-        mask = read_mask(base / entry.mask_path)
+        where = f"{manifest_path}: {entry.utt_id}"
+        wav_path, mask_path = base / entry.wav_path, base / entry.mask_path
+        try:
+            w = read_wav(wav_path)
+            mask = read_mask(mask_path)
+        except (OSError, FormatError) as exc:
+            raise FormatError(f"{where}: {exc}") from None
         if mask.size != len(w):
-            raise FormatError(
-                f"{entry.utt_id}: mask has {mask.size} samples, wav has {len(w)}"
-            )
+            raise FormatError(f"{where}: mask {mask_path} has {mask.size} samples, wav {wav_path} has {len(w)}")
         feats = featurize(w, cfg, source_id=entry.utt_id)
         if len(feats) == 0:
-            raise FormatError(f"{entry.utt_id}: {base / entry.wav_path} is shorter than one frame")
+            raise FormatError(f"{where}: {wav_path} is shorter than one frame")
         labels = label_frames(mask, cfg, w.sample_rate)
         utts.append(LabeledUtterance(feats, labels, entry.utt_id))
     return utts

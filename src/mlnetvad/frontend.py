@@ -142,23 +142,6 @@ def preemphasize(x: np.ndarray, coeff: float) -> np.ndarray:
     return y
 
 
-def frame_signal(w: Waveform, cfg: FrontendConfig) -> np.ndarray:
-    """Hop-spaced frames of the pre-emphasized signal.
-
-    Returns a read-only (T, frame_len_samples) strided view of one
-    pre-emphasized copy of the signal, not a copy per frame; T = 0 when
-    the signal is shorter than one frame.
-    """
-    cfg.validate_for(w.sample_rate)
-    flen = cfg.frame_len_samples(w.sample_rate)
-    hop = cfg.hop_samples(w.sample_rate)
-    t = num_frames(len(w), flen, hop)
-    if t == 0:
-        return np.empty((0, flen), dtype=np.float64)
-    y = preemphasize(w.samples, cfg.preemphasis)
-    return sliding_window_view(y, flen)[::hop][:t]
-
-
 def hz_to_mel(f) -> np.ndarray:
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
@@ -215,24 +198,16 @@ def _logmel_rows(frames: np.ndarray, bank: np.ndarray, window: np.ndarray, cfg: 
     return np.log(np.maximum(energies, cfg.log_floor, out=energies), out=out)
 
 
-def logmel(frame: np.ndarray, cfg: FrontendConfig, sample_rate: int = DEFAULT_SAMPLE_RATE) -> np.ndarray:
-    """Log-mel energies of one frame: Hann window, zero-padded FFT,
-    power spectrum, triangular mel filterbank, natural log with floor."""
-    frame = np.asarray(frame, dtype=np.float64)
-    flen = cfg.frame_len_samples(sample_rate)
-    if frame.shape != (flen,):
-        raise ShapeMismatch(f"expected frame of {flen} samples, got shape {frame.shape}")
-    cfg.validate_for(sample_rate)
-    return _logmel_rows(frame[None], *_analysis_tables(sample_rate, cfg), cfg)[0]
-
-
 def featurize(w: Waveform, cfg: FrontendConfig, source_id: str = "") -> FeatureSequence:
-    """Full frontend: framing + log-mel in blocks of frames, with frame timing.
+    """Full frontend: pre-emphasis, hop-spaced frames, Hann window,
+    zero-padded FFT, power spectrum, triangular mel filterbank and natural
+    log with floor, then optional per-utterance normalization; T = 0 when
+    the signal is shorter than one frame.
 
-    Each block of ``FEATURE_BLOCK`` frames is pre-emphasized from its own
-    slice of samples, with the sample before the slice as its halo, so no
-    whole-signal copy is made; every sample gets the bits that
-    ``frame_signal``'s one pre-emphasized copy gives it."""
+    Works in blocks of ``FEATURE_BLOCK`` frames. Each block is
+    pre-emphasized from its own slice of samples, with the sample before
+    the slice as its halo, so no whole-signal copy is made, and every
+    sample gets the bits of pre-emphasizing the whole signal once."""
     cfg.validate_for(w.sample_rate)
     flen, hop = cfg.frame_len_samples(w.sample_rate), cfg.hop_samples(w.sample_rate)
     t = num_frames(len(w), flen, hop)

@@ -1,5 +1,11 @@
 """Shared oracles for the test suite.
 
+``frame_signal`` and ``logmel`` are the frontend one frame at a time:
+the references that ``featurize``'s blocks are checked against. They
+reach the frontend's tables through the module, so a test that patches
+``frontend._analysis_tables`` patches them too. ``read_features`` reads
+the feature dump that ``mlnetvad featurize`` writes.
+
 The gradient oracle is central finite differences evaluated through a
 caller-supplied loss closure; it never touches the backward pass it is
 checking. ``rel_error`` guards the denominator with a magnitude floor:
@@ -9,13 +15,64 @@ raw relative error would measure the oracle, not the implementation.
 
 from __future__ import annotations
 
+import struct
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from mlnetvad import frontend
 from mlnetvad.autodiff import Tensor
+from mlnetvad.cli import FEATURE_MAGIC, FEATURE_VERSION
 from mlnetvad.corpus import LabeledUtterance, MixSpec, label_frames, pad_silence
-from mlnetvad.frontend import FrontendConfig, Waveform, featurize
+from mlnetvad.errors import FormatError, ShapeMismatch
+from mlnetvad.frontend import DEFAULT_SAMPLE_RATE, FrontendConfig, Waveform, featurize, num_frames
+
+
+def frame_signal(w: Waveform, cfg: FrontendConfig) -> np.ndarray:
+    """Hop-spaced frames of the pre-emphasized signal.
+
+    Returns a read-only (T, frame_len_samples) strided view of one
+    pre-emphasized copy of the signal, not a copy per frame; T = 0 when
+    the signal is shorter than one frame.
+    """
+    cfg.validate_for(w.sample_rate)
+    flen = cfg.frame_len_samples(w.sample_rate)
+    hop = cfg.hop_samples(w.sample_rate)
+    t = num_frames(len(w), flen, hop)
+    if t == 0:
+        return np.empty((0, flen), dtype=np.float64)
+    y = frontend.preemphasize(w.samples, cfg.preemphasis)
+    return sliding_window_view(y, flen)[::hop][:t]
+
+
+def logmel(frame: np.ndarray, cfg: FrontendConfig, sample_rate: int = DEFAULT_SAMPLE_RATE) -> np.ndarray:
+    """Log-mel energies of one frame: Hann window, zero-padded FFT,
+    power spectrum, triangular mel filterbank, natural log with floor."""
+    frame = np.asarray(frame, dtype=np.float64)
+    flen = cfg.frame_len_samples(sample_rate)
+    if frame.shape != (flen,):
+        raise ShapeMismatch(f"expected frame of {flen} samples, got shape {frame.shape}")
+    cfg.validate_for(sample_rate)
+    return frontend._logmel_rows(frame[None], *frontend._analysis_tables(sample_rate, cfg), cfg)[0]
+
+
+def read_features(path) -> np.ndarray:
+    """The (T, n_mels) float32 frames of a ``cli.write_features`` dump."""
+    blob = Path(path).read_bytes()
+    if blob[:4] != FEATURE_MAGIC:
+        raise FormatError(f"{path}: bad magic, not a feature dump")
+    if len(blob) < 16:
+        raise FormatError(f"{path}: truncated header, {len(blob)} of 16 bytes")
+    version, t_len, n_mels = struct.unpack("<III", blob[4:16])
+    if version != FEATURE_VERSION:
+        raise FormatError(f"{path}: unsupported feature dump version {version}")
+    expected = 16 + 4 * t_len * n_mels
+    if len(blob) != expected:
+        raise FormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
+    return np.frombuffer(blob[16:], dtype="<f4").reshape(t_len, n_mels)
+
 
 # raw log-mel puts the silence floor at ln(1e-10) = -23, which saturates
 # the gated units at init scale, so the toy corpora train with

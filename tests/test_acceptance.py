@@ -15,6 +15,7 @@ import pytest
 
 import mlnetvad.autodiff as ad
 from helpers import (
+    frame_signal,
     numeric_grad,
     reference_loss,
     rel_error,
@@ -34,7 +35,7 @@ from mlnetvad.corpus import (
     synth_raw_corpus,
     utterance_from_raw,
 )
-from mlnetvad.frontend import FrontendConfig, Waveform, featurize, frame_signal, num_frames
+from mlnetvad.frontend import FrontendConfig, Waveform, featurize, num_frames
 from mlnetvad.metrics import confusion, dcf, evaluate, f1
 from mlnetvad.model import ModelConfig, attention_forward, init_params, mlnet_forward
 from mlnetvad.training import TrainConfig, attention_loss, cross_entropy_loss, train

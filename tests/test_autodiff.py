@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mlnetvad
 import mlnetvad.autodiff as ad
 from helpers import bilstm_reference, numeric_grad, rel_error
 from mlnetvad.autodiff import Tensor
@@ -623,32 +624,32 @@ def _names(nodes) -> Counter:
 
 
 def test_every_exported_op_has_a_caller():
-    # an op, a private function, a public method or a class that loses its
-    # last caller in the package or the benchmark fails here; a class naming
-    # itself inside its own body does not count
+    # an op, a top-level function, a public method or a class that loses its
+    # last caller in the package, the benchmark or the tools fails here; a
+    # function or class naming itself inside its own body does not count,
+    # and a function the package exports needs no caller
     root = Path(__file__).resolve().parents[1]
     package = sorted((root / "src" / "mlnetvad").glob("*.py"))
-    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in package + sorted((root / "vadbench").glob("*.py"))}
+    others = sorted((root / "vadbench").glob("*.py")) + sorted((root / "tools").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in package + others}
     used = set().union(*(_autodiff_names_used(t) for p, t in trees.items() if p.name != "autodiff.py"))
     assert sorted(set(ad.__all__) - used) == []
     nodes = [node for tree in trees.values() for node in ast.walk(tree)]
     attributes = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
-    referenced = attributes | {n.id for n in nodes if isinstance(n, ast.Name)}
     everywhere = _names(nodes)
-    private, public, unnamed = [], [], []
+    public, unnamed = [], []
     for path in package:
         for node in trees[path].body:
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__"):
-                private.append(f"{path.stem}.{node.name}")
-            elif isinstance(node, ast.ClassDef):
-                if everywhere[node.name] == _names(ast.walk(node))[node.name]:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                exported = isinstance(node, ast.FunctionDef) and node.name in mlnetvad.__all__
+                if not exported and everywhere[node.name] == _names(ast.walk(node))[node.name]:
                     unnamed.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
                 public += [
                     f"{path.stem}.{node.name}.{m.name}"
                     for m in node.body
                     if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
                 ]
-    assert [name for name in private if name.rsplit(".", 1)[1] not in referenced] == []
     assert [name for name in public if name.rsplit(".", 1)[1] not in attributes] == []
     assert unnamed == []
 

@@ -7,10 +7,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from helpers import read_features
 from mlnetvad import autodiff as ad
 from mlnetvad import cli
 from mlnetvad.checkpoint import load_checkpoint, save_checkpoint
-from mlnetvad.cli import PREDICT_HEADER, TSV_BLOCK_ROWS, main, read_features
+from mlnetvad.cli import PREDICT_HEADER, TSV_BLOCK_ROWS, main
 from mlnetvad.corpus import (
     ManifestEntry,
     MixSpec,
@@ -510,6 +511,16 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=3\nbogus_key=1\n")
         assert main(["mix", "--out", str(tmp_path / "c"), "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("command", ["mix", "train"])
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed=3\n\xff\n")
+        args = {"mix": ["--out", str(tmp_path / "c")],
+                "train": ["--manifest", str(tmp_path / "m.tsv"), "--out-dir", str(tmp_path / "run")]}
+        assert main([command, *args[command], "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: not UTF-8 text (") and err.count("\n") == 1
 
 
 class TestUnreadablePaths:

@@ -2,14 +2,16 @@
 else, and the CLI turns that into exit code 2."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import read_features
 from mlnetvad.checkpoint import load_checkpoint, save_checkpoint
-from mlnetvad.cli import main, read_features, write_features
+from mlnetvad.cli import main, write_features
 from mlnetvad.corpus import (
     MASK_HEADER,
     ManifestEntry,
@@ -131,6 +133,30 @@ FAULTS = {
         lambda b: b.replace(b"mask/a.mask", b""),
         "a: mask path is empty",
     ),
+    "manifest-blank-id": (
+        read_manifest,
+        valid_manifest,
+        lambda b: b.replace(b"a\twav/a.wav", b" \twav/a.wav"),
+        "line 3: id ' ' has leading or trailing whitespace",
+    ),
+    "manifest-padded-id": (
+        read_manifest,
+        valid_manifest,
+        lambda b: b.replace(b"b\twav/b.wav", b"b \twav/b.wav"),
+        "line 4: id 'b ' has leading or trailing whitespace",
+    ),
+    "manifest-blank-wav": (
+        read_manifest,
+        valid_manifest,
+        lambda b: b.replace(b"wav/a.wav", b"  "),
+        "a: wav path '  ' has leading or trailing whitespace",
+    ),
+    "manifest-padded-mask": (
+        read_manifest,
+        valid_manifest,
+        lambda b: b.replace(b"mask/b.mask", b" mask/b.mask"),
+        "b: mask path ' mask/b.mask' has leading or trailing whitespace",
+    ),
     "manifest-unknown-split": (
         read_manifest,
         valid_manifest,
@@ -233,23 +259,89 @@ def eval_with_mask(tmp_path, mask_runs: str, n_samples: int = 1600) -> int:
     return main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt)])
 
 
+def write_corpus(root) -> Path:
+    """``valid_manifest``'s corpus under ``root``: two recordings of 1600
+    zeros with their masks, ``a`` tagged train and ``b`` dev."""
+    (root / "wav").mkdir()
+    (root / "mask").mkdir()
+    for utt in "ab":
+        write_wav(root / f"wav/{utt}.wav", Waveform(np.zeros(1600), 16000))
+        write_mask(root / f"mask/{utt}.mask", np.zeros(1600, dtype=np.int8))
+    manifest = root / "manifest.tsv"
+    valid_manifest(manifest)
+    return manifest
+
+
+def edit(name: str, change):
+    """A fault that replaces the bytes of the corpus file ``name`` by ``change(bytes)``."""
+
+    def apply(root):
+        path = root / name
+        path.write_bytes(change(path.read_bytes()))
+
+    return apply
+
+
+def repoint(old: str, new: str):
+    """A fault that makes the manifest name ``new`` where it named ``old``."""
+    return edit("manifest.tsv", lambda b: b.replace(old.encode(), new.encode()))
+
+
+def recording_b(samples: int, mask_samples: int):
+    """A fault that rewrites ``b`` as ``samples`` zeros with a mask of ``mask_samples``."""
+
+    def apply(root):
+        write_wav(root / "wav/b.wav", Waveform(np.zeros(samples), 16000))
+        write_mask(root / "mask/b.mask", np.zeros(mask_samples, dtype=np.int8))
+
+    return apply
+
+
+# faults in the files of ``b``, the dev utterance that every command loads:
+# (the fault, the file the error must name, a part of its message)
+LOAD_FAULTS = {
+    "wav-missing": (repoint("wav/b.wav", "wav/missing.wav"), "wav/missing.wav", "No such file"),
+    "mask-missing": (repoint("mask/b.mask", "mask/missing.mask"), "mask/missing.mask", "No such file"),
+    "wav-is-a-directory": (repoint("wav/b.wav", "wav"), "wav", "Is a directory"),
+    "mask-is-a-wav": (repoint("mask/b.mask", "wav/b.wav"), "wav/b.wav", "not UTF-8 text"),
+    "wav-truncated": (edit("wav/b.wav", overstate_data_size), "wav/b.wav", "truncated"),
+    "mask-malformed": (edit("mask/b.mask", lambda b: mask_text("1 abc")), "mask/b.mask", "integer"),
+    "mask-length-mismatch": (recording_b(1600, 1599), "mask/b.mask", "has 1599 samples"),
+    "wav-shorter-than-one-frame": (recording_b(100, 100), "wav/b.wav", "shorter than one frame"),
+}
+
+
 @pytest.mark.parametrize("command", ["eval", "train", "ablate"])
 @pytest.mark.parametrize(
-    "fault", ["manifest-snr-nan", "manifest-repeated-id", "manifest-empty-id", "manifest-unknown-split"]
+    "fault",
+    [
+        "manifest-snr-nan",
+        "manifest-repeated-id",
+        "manifest-empty-id",
+        "manifest-blank-id",
+        "manifest-blank-wav",
+        "manifest-unknown-split",
+        *sorted(LOAD_FAULTS),
+    ],
 )
 def test_malformed_manifest_exits_2(tmp_path, capsys, command, fault):
-    # the manifest is read before any audio, so one error line is all
-    # that reaches stderr
-    _, write_valid, corrupt, pattern = FAULTS[fault]
-    manifest = tmp_path / "manifest.tsv"
-    manifest.write_bytes(corrupt(write_valid(manifest)))
+    # a fault in a manifest row or in a file it lists: one error line that
+    # names the manifest reaches stderr, and for a file the utterance and
+    # the file too
+    manifest = write_corpus(tmp_path)
+    if fault in LOAD_FAULTS:
+        apply, name, pattern = LOAD_FAULTS[fault]
+        parts = [f"{manifest}: b: ", str(tmp_path / name), pattern]
+    else:
+        apply, parts = edit("manifest.tsv", FAULTS[fault][2]), [FAULTS[fault][3]]
+    apply(tmp_path)
     ckpt = tmp_path / "m.mlnt"
     save_checkpoint(ckpt, init_params(ModelConfig(receptive_fields=(1,), lstm_layers=1), seed=0))
     extra = {"eval": ["--checkpoint", str(ckpt)], "train": ["--out-dir", str(tmp_path / "run")], "ablate": []}
     assert main([command, "--manifest", str(manifest), *extra[command]]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {manifest}: ") and err.count("\n") == 1
-    assert pattern in err
+    assert all(part in err for part in parts), (parts, err)
 
 
 def test_eval_with_malformed_mask_exits_2(tmp_path, capsys):
@@ -259,7 +351,8 @@ def test_eval_with_malformed_mask_exits_2(tmp_path, capsys):
 
 def test_eval_with_mask_and_wav_of_different_lengths_exits_2(tmp_path, capsys):
     assert eval_with_mask(tmp_path, "0 1599") == 2
-    assert "a: mask has 1599 samples, wav has 1600" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"a: mask {tmp_path / 'mask/a.mask'} has 1599 samples, wav {tmp_path / 'wav/a.wav'} has 1600" in err
 
 
 def test_eval_with_wav_shorter_than_one_frame_exits_2(tmp_path, capsys):

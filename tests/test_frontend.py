@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import frame_signal, logmel
 from mlnetvad import frontend
 from mlnetvad.errors import ConfigError, FormatError, ShapeMismatch
 from mlnetvad.frontend import (
@@ -15,9 +16,7 @@ from mlnetvad.frontend import (
     FrontendConfig,
     Waveform,
     featurize,
-    frame_signal,
     hz_to_mel,
-    logmel,
     mel_filterbank,
     mel_to_hz,
     num_frames,

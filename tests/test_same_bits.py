@@ -1,5 +1,5 @@
 """The same-bits probe in ``tools/`` still runs: its smallest layer case
-twice, and its predict and train parts once at a tiny size."""
+twice, and its predict, featurize and train parts once at a tiny size."""
 
 import importlib.util
 from pathlib import Path
@@ -48,3 +48,11 @@ def test_predict_and_train_parts_write_their_outputs(tmp_path, monkeypatch):
         run = tmp_path / "train" / f"batch-{batch}"
         assert (run / "epoch_1.mlnt").is_file() and (run / "train.log").is_file()
         assert (run / "eval-report.json").is_file() and (run / "eval-report.tsv").is_file()
+
+
+def test_featurize_part_writes_both_dumps(tmp_path, monkeypatch):
+    probe = _probe()
+    monkeypatch.setattr(probe, "RECORDING_SECONDS", (1,))
+    probe.featurize_cases(tmp_path)
+    dumps = [(tmp_path / "featurize" / name).read_bytes() for name in ("default.mlfb", "normalize.mlfb")]
+    assert all(dumps) and dumps[0] != dumps[1]

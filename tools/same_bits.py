@@ -23,6 +23,8 @@ and writes only under the directory it is given. It writes:
   for ``full_attention``), and the no-graph probabilities and branch
   weights of the 30 s recording as ``.npy``. The checkpoints use eight
   times the initial weights, so that the probabilities spread.
+- ``featurize/``: ``mlnetvad featurize`` dumps of the 30 s recording,
+  under the default frontend and under ``--normalize``.
 - ``train/``: two-epoch ``mlnetvad train`` runs at batch sizes 1 and 3,
   their checkpoints and ``train.log``, and an ``eval`` report of the last
   checkpoint.
@@ -138,6 +140,16 @@ def predict_cases(out_dir: Path) -> None:
                   "--normalize", "--theta", "0.8", *dump])
 
 
+def featurize_cases(out_dir: Path) -> None:
+    d = out_dir / "featurize"
+    d.mkdir(parents=True, exist_ok=True)
+    seconds = RECORDING_SECONDS[0]
+    wav = d / f"rec-{seconds}s.wav"
+    write_wav(wav, recording(np.random.default_rng(seconds), seconds))
+    for name, flags in (("default", []), ("normalize", ["--normalize"])):
+        _cli(["featurize", "--wav", str(wav), "--out", str(d / f"{name}.mlfb"), *flags])
+
+
 def train_cases(out_dir: Path) -> None:
     d = out_dir / "train"
     raws = corpus.synth_raw_corpus(TRAIN_UTTERANCES, corpus.MixSpec(), seed=7)
@@ -159,6 +171,7 @@ def main(argv: list[str] | None = None) -> int:
             for lengths in LENGTHS:
                 layer_case(args.out_dir, h_dim, dtype, lengths)
     predict_cases(args.out_dir)
+    featurize_cases(args.out_dir)
     train_cases(args.out_dir)
     return 0
 
