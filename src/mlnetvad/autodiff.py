@@ -41,14 +41,16 @@ of a packed batch advance in one time loop. The loop runs in blocks of
 ``SCAN_BLOCK`` steps; each block projects the input rows it gathers,
 so no whole-utterance projection is kept. Its step works gate-major, on
 (4, 2, B, H) blocks, so every elementwise operand is one (2, B, H)
-block. Scoring and training run the same loop and differ only in how
-the utterances enter it. Without a graph they are packed rows: one
-projection GEMM per block and direction over all of them, one recurrent
-matmul per step, and no per-step history. With one they are lanes: each
-lane's recurrent step is a 1-row matmul of its own, and its projections
-and gradient GEMMs run over its own rows, so every lane, and
-``classifier_head``'s too, gets exactly the bits of a call on that
-utterance alone, and parameters take the lanes' contributions in order.
+block. Scoring and training run the same loop, and in both each
+utterance's block projections, like ``classifier_head``'s GEMMs, run
+over its own rows. A graph decides only what these nodes keep and the
+shape of the recurrent operand. With one the utterances are lanes: each
+lane's recurrent step is a 1-row matmul of its own, so every lane gets
+exactly the bits of a call on that utterance alone, and parameters take
+the lanes' contributions in order. Without one the step is one matmul
+over the packed rows, whose rows round alike for any count of two or
+more (``metrics.score_utterances`` relies on this), and no per-step
+history is kept.
 A forward step is eleven numpy calls with positional outputs, each
 block's input rows are four calls into two reused index arrays, and
 the loop runs under one ``np.errstate``. The BPTT runs in blocks too,
@@ -611,9 +613,12 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     steps advances both directions of every utterance as (2, B, H)
     states. The backward direction's step s is frame ``lengths[b] - 1 -
     s`` of utterance b. The loop runs in blocks of ``SCAN_BLOCK`` steps;
-    each block gathers its input rows and projects them with ``x @ w_x``
-    GEMMs, whose bias is added in place, into a (steps, 4, 2, B, H)
-    gate-major buffer. The step works gate-major, so that every
+    in each block, every utterance with real steps left gathers
+    ``min(SCAN_BLOCK, T)`` of its own input rows, padded steps rereading
+    clipped rows, and projects them with its own ``x @ w_x`` GEMM per
+    direction, whose bias is added in place, into a (steps, 4, 2, B, H)
+    gate-major buffer; an utterance that has ended steps on stale
+    projections. The step works gate-major, so that every
     elementwise operand is one (2, B, H) block rather than a strided gate
     column of a (2, B, 4H) row: one add reads the recurrent product
     through a gate-major view and writes the (4, 2, B, H)
@@ -625,15 +630,15 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     projections are never kept. A shorter utterance keeps stepping after
     it ends, on clipped or stale inputs whose states reach no output.
 
-    Whether a graph is being built decides only how the rows enter the
-    loop. Without one (scoring), each block and direction projects all
-    utterances' rows in one GEMM, and the recurrent step is one (2, B, H)
-    @ (2, H, 4H) matmul. With one (training), each utterance is a lane
-    that gets exactly the bits of a call on it alone: it projects its own
-    rows, in blocks of ``min(SCAN_BLOCK, T)``, and its step is a 1-row
-    product inside one (2, B, 1, H) @ (2, 1, H, 4H) matmul. Rows of a
-    GEMM over many rows can round differently from the same rows of a
-    GEMM over a few.
+    Whether a graph is being built decides only what the node keeps and
+    the shape of the recurrent operand. With one (training), each
+    utterance is a lane that gets exactly the bits of a call on it alone:
+    its step is a 1-row product inside one (2, B, 1, H) @ (2, 1, H, 4H)
+    matmul. Without one (scoring), the step is one (2, B, H) @ (2, H, 4H)
+    matmul. With OpenBLAS at one thread, its rows round alike for any B
+    from 2 to 64 while H <= 384, so an utterance gets the same bits in
+    every batch of two or more; B = 1 is a 1-row product, which can round
+    differently (``tests/test_metrics.py`` pins both).
 
     With OpenBLAS a block projection gives each row the bits of one GEMM
     over the whole input whenever 4H is a multiple of 16 in float32 (8 in
@@ -695,7 +700,7 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     w_step = w_neg[:, None] if keep else w_neg  # lanes: (2, 1, H, 4H), broadcast over them
     x_weights = [(w_x.data * sign, b.data * sign) for w_x, _, b in (fwd, bwd)]
     out = np.empty((rows, 2 * h_dim), dtype)
-    x_in = np.empty((block, 1 if keep else n, in_dim), dtype)  # a block's input rows, one direction
+    x_in = np.empty((block, in_dim), dtype)  # a block's input rows, one direction of one utterance
     xs = np.zeros((block, 4, 2, n, h_dim), dtype)  # a block's projections, gate-major
     hs = np.empty((block, 2, n, h_dim), dtype)  # a block's hidden states
     hs_rows = hs.reshape(block, 2, n, *lane, h_dim)  # the same, as recurrent matmul operands
@@ -722,19 +727,18 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     with np.errstate(over="ignore", invalid="ignore"):
         for start, step_rows in zip(range(0, t_max, block), _step_rows(lengths, block, t_max)):
             stop = min(start + block, t_max)
-            # scoring projects every utterance's rows in one GEMM; a lane
-            # with real steps left projects min(SCAN_BLOCK, T) of its own,
-            # as a call on it alone does. Padded steps reread clipped rows.
-            groups = [(block, slice(None))]
             if keep:
-                groups = [(min(block, t), slice(j, j + 1)) for j, t in enumerate(lens) if start < t]
                 a_s = acts[start:stop]
                 history = (a_s, *a_s.transpose(1, 0, 2, 3, 4), cs[start:stop], cs[start + 1 :])
+            # each utterance with real steps left projects min(SCAN_BLOCK, T)
+            # of its own rows, as a call on it alone does; padded steps
+            # reread clipped rows, and an ended utterance steps on stale ones
+            sizes = [(j, min(block, t)) for j, t in enumerate(lens) if start < t]
             for d, ((w_x, b), rows_of) in enumerate(zip(x_weights, step_rows)):
-                for size, lanes in groups:
-                    x = np.take(seq.data, rows_of[:size, lanes], axis=0, mode="clip", out=x_in[:size])
-                    proj = _finite(_add_bias(x.reshape(-1, in_dim) @ w_x, b), "bilstm_layer")
-                    xs[:size, :, d, lanes] = proj.reshape(x.shape[:2] + (4, h_dim)).transpose(0, 2, 1, 3)
+                for j, size in sizes:
+                    x = np.take(seq.data, rows_of[:size, j], axis=0, mode="clip", out=x_in[:size])
+                    xs[:size, :, d, j] = _add_bias(x @ w_x, b).reshape(size, 4, h_dim)
+            _finite(xs[: stop - start], "bilstm_layer")
             for x_step, h_next, h_next_row, a, gate_i, gate_f, gate_g, gate_o, c_prev, c in zip(
                 xs[: stop - start], hs, hs_rows, *history
             ):
@@ -835,10 +839,9 @@ def classifier_head(
     positive, so was its input.
 
     ``lengths`` splits the rows into utterances, as in ``bilstm_layer``.
-    With a graph, each utterance's GEMMs run over its own rows, so it gets
-    the bits of a call on it alone, and every parameter takes the
-    utterances' contributions in order. Without one, one GEMM covers all
-    rows."""
+    Each utterance's GEMMs run over its own rows, so it gets the bits of
+    a call on it alone, with a graph or without one, and every parameter
+    takes the utterances' contributions in order."""
     fc = b_hidden.shape
     if seq.ndim != 2 or (w_hidden.shape, w_out.shape, b_out.shape) != (fc + seq.shape[1:], (1,) + fc, (1,)):
         raise ShapeMismatch(
@@ -846,9 +849,7 @@ def classifier_head(
             f"b_hidden {b_hidden.shape}, w_out {w_out.shape} and b_out {b_out.shape}"
         )
     dtype = _one_dtype("classifier_head", seq, w_hidden, b_hidden, w_out, b_out)
-    lengths = _packed_lengths(lengths, seq.shape[0])
-    keep = _track_any(seq, w_hidden, b_hidden, w_out, b_out)
-    spans = _spans(lengths) if keep else [(0, seq.shape[0])]
+    spans = _spans(_packed_lengths(lengths, seq.shape[0]))
     z = np.empty((seq.shape[0],) + fc, dtype)
     logits = np.empty((seq.shape[0], 1), dtype)
     for a, b in spans:
@@ -859,7 +860,7 @@ def classifier_head(
         np.matmul(hidden[a:b], w_out.data.T, out=logits[a:b])
     _check_finite(_add_bias(logits, b_out.data), "classifier_head")
     probs = _sigmoid_in_place(logits.reshape(seq.shape[0]))
-    if not keep:
+    if not _track_any(seq, w_hidden, b_hidden, w_out, b_out):
         return _raw(probs, (), None)
 
     def backward_fn(g):

@@ -106,6 +106,7 @@ class Command:
             path = Path(ns.config)
             if not path.exists():
                 raise UsageError(f"config file not found: {path}")
+            line_of: dict[str, int] = {}
             for line_no, line in enumerate(read_text_lines(path), 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -113,7 +114,11 @@ class Command:
                 if "=" not in line:
                     raise UsageError(f"{path}:{line_no}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
-                config[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("-", "_")
+                if key in line_of:
+                    raise UsageError(f"{path}:{line_no}: key {key!r} repeats line {line_of[key]}")
+                line_of[key] = line_no
+                config[key] = value.strip()
             unknown = sorted(set(config) - set(self.flags))
             if unknown:
                 raise UsageError(f"{path}: unknown config keys {unknown}")

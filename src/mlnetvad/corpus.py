@@ -462,25 +462,40 @@ def load_manifest_utterances(
 ) -> list[LabeledUtterance]:
     """Load, featurize and frame-label the recordings listed in a manifest.
 
-    A WAV or mask that cannot be opened or read, a mask whose length is
-    not the WAV's, and a recording shorter than one frame are each one
-    FormatError that names the manifest, the utterance and the file."""
+    Every WAV must have the sample rate of the manifest's first one, whose
+    header is read even when its row is of another split. A WAV or mask
+    that cannot be opened or read, a mask whose length is not the WAV's, a
+    rate the frontend settings cannot frame, a rate other than the first
+    WAV's and a recording shorter than one frame are each one FormatError
+    that names the manifest, the utterance and the file."""
     cfg = cfg or FrontendConfig()
     base = Path(manifest_path).parent
-    utts = []
+    utts, first = [], None  # first: the first row's id and sample rate
     for entry in read_manifest(manifest_path):
-        if split is not None and entry.split != split:
+        wanted = split is None or entry.split == split
+        if not wanted and first is not None:
             continue
         where = f"{manifest_path}: {entry.utt_id}"
         wav_path, mask_path = base / entry.wav_path, base / entry.mask_path
         try:
             w = read_wav(wav_path)
+            first = first or (entry.utt_id, w.sample_rate)
+            if not wanted:  # only its rate is needed
+                continue
             mask = read_mask(mask_path)
         except (OSError, FormatError) as exc:
             raise FormatError(f"{where}: {exc}") from None
         if mask.size != len(w):
             raise FormatError(f"{where}: mask {mask_path} has {mask.size} samples, wav {wav_path} has {len(w)}")
-        feats = featurize(w, cfg, source_id=entry.utt_id)
+        try:
+            feats = featurize(w, cfg, source_id=entry.utt_id)
+        except ConfigError as exc:
+            raise FormatError(f"{where}: {wav_path} at {w.sample_rate} Hz: {exc}") from None
+        if w.sample_rate != first[1]:
+            raise FormatError(
+                f"{where}: {wav_path} is at {w.sample_rate} Hz, "
+                f"but the first utterance, {first[0]!r}, is at {first[1]} Hz"
+            )
         if len(feats) == 0:
             raise FormatError(f"{where}: {wav_path} is shorter than one frame")
         labels = label_frames(mask, cfg, w.sample_rate)

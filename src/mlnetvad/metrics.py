@@ -19,7 +19,7 @@ from .model import MlnetParams, mlnet_forward
 
 DCF_MISS_WEIGHT = 0.75
 DCF_FALSE_ALARM_WEIGHT = 0.25
-SCORE_BATCH = 8  # utterances per packed forward in score_utterances
+SCORE_BATCH = 8  # most utterances per packed forward in score_utterances
 
 
 @dataclass(frozen=True)
@@ -148,17 +148,22 @@ def score_utterances(utts, params: MlnetParams) -> list[tuple[str, np.ndarray, n
     """Run inference (no graph) over labeled utterances; returns (id,
     probs, labels) in input order.
 
-    The utterances are sorted by length and scored in groups of
-    ``SCORE_BATCH``: each group is one packed ``mlnet_forward`` call, so
-    one Bi-LSTM scan serves the whole group, and similar lengths keep the
-    padded steps of the shorter ones few.
+    The utterances are sorted by length and split into ⌈n /
+    ``SCORE_BATCH``⌉ groups of near-equal size, each one packed
+    ``mlnet_forward`` call, so one Bi-LSTM scan serves a group and similar
+    lengths keep padded steps few. Only the recurrent product runs over
+    several utterances' rows, and its rows round alike for 2 to
+    ``SCORE_BATCH`` rows (pinned in ``tests/test_metrics.py``): each
+    utterance gets the same bits in any group of two or more, whatever
+    else the corpus holds. Only n = 1 scores an utterance alone, and a
+    1-row product can differ in the last bits.
     """
     utts = list(utts)
     order = sorted(range(len(utts)), key=lambda i: len(utts[i].features))
     probs: list[np.ndarray | None] = [None] * len(utts)
+    n_groups = -(-len(order) // SCORE_BATCH)
     with ad.no_grad():
-        for lo in range(0, len(order), SCORE_BATCH):
-            group = order[lo : lo + SCORE_BATCH]
+        for group in np.array_split(order, n_groups) if n_groups else ():
             out = mlnet_forward([utts[i].features for i in group], params)
             bounds = np.cumsum(out.lengths)[:-1]
             for i, p in zip(group, np.split(out.probs.data, bounds)):

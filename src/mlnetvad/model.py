@@ -329,11 +329,14 @@ def mlnet_forward(features, params: MlnetParams) -> ModelOutput:
     branch weights, packed the same way; ``predict --dump-attention``
     writes their ``data``.
 
-    With a graph, both stay in it for the losses, and the classifier runs
-    the utterances as lanes: each gets exactly the bits and the gradients
-    it gets alone (``autodiff.bilstm_layer``). ``autodiff.split_rows``
-    gives the per-utterance parts. Without one, the classifier runs them
-    as packed rows.
+    In the classifier too, every GEMM but the Bi-LSTM's recurrent product
+    runs over one utterance's rows. With a graph, both outputs stay in it
+    for the losses, and the utterances are lanes: each gets exactly the
+    bits and the gradients it gets alone (``autodiff.bilstm_layer``).
+    ``autodiff.split_rows`` gives the per-utterance parts. Without one,
+    the recurrent product runs over the packed rows, so each utterance
+    gets the same bits in every batch of two or more, and a call on one
+    utterance can differ from them in the last bits.
     """
     seqs = list(features) if isinstance(features, (list, tuple)) else [features]
     if not seqs:

@@ -869,27 +869,26 @@ class TestBilstmLayer:
         for t, name in zip(tensors, TestClassifierNodesExact.LAYER_NAMES, strict=True):
             np.testing.assert_array_equal(t.grad, expected[name], err_msg=name)
 
-    def test_scoring_projects_each_block_of_all_utterances_in_one_gemm(self):
-        # without a graph each scan block and direction projects the rows
-        # it gathers for every utterance, padded steps rereading clipped
-        # rows, in one GEMM over all of them. At H = 64 in float32 a GEMM
-        # over one utterance's rows rounds some rows differently, so a
-        # projection per utterance fails here
+    def test_scoring_projects_each_utterance_on_its_own_rows(self):
+        # without a graph, as with one, each scan block and direction
+        # projects min(SCAN_BLOCK, T) of each utterance's own rows in a GEMM
+        # of their own, padded steps rereading clipped rows, while the
+        # recurrent step stays one (2, B, H) @ (2, H, 4H) matmul. At H = 64
+        # in float32 a GEMM over every utterance's rows of a block rounds
+        # some rows differently, so one projection per block fails here
         lengths, in_dim, h_dim, dtype = [65, 1, 30, 64], 128, 64, np.float32
         rng = np.random.default_rng(22)
         seq = rng.normal(size=(sum(lengths), in_dim)).astype(dtype)
         dirs = [_lstm_direction(rng, in_dim, h_dim, dtype) for _ in range(2)]
-        lens = np.array(lengths)
-        offsets, last = np.cumsum(lens) - lens, lens - 1
         xs = [np.empty((sum(lengths), 4 * h_dim), dtype) for _ in range(2)]
-        for start in range(0, max(lengths), ad.SCAN_BLOCK):
-            steps = np.arange(start, start + ad.SCAN_BLOCK)[:, None]
-            real = steps < lens
-            fwd_rows = offsets + np.minimum(steps, last)
-            bwd_rows = offsets + np.maximum(last - steps, 0)
-            for x, rows_of, (w_x, _, b) in zip(xs, (fwd_rows, bwd_rows), dirs):
-                proj = seq[rows_of.ravel()] @ w_x.data + b.data
-                x[rows_of[real]] = proj.reshape(rows_of.shape + (-1,))[real]
+        for first, length in zip(np.cumsum(lengths) - lengths, lengths):
+            for start in range(0, length, ad.SCAN_BLOCK):
+                steps = np.arange(start, start + min(ad.SCAN_BLOCK, length))
+                real = steps < length
+                fwd_rows = first + np.minimum(steps, length - 1)
+                bwd_rows = first + np.maximum(length - 1 - steps, 0)
+                for x, rows_of, (w_x, _, b) in zip(xs, (fwd_rows, bwd_rows), dirs):
+                    x[rows_of[real]] = (seq[rows_of] @ w_x.data + b.data)[real]
         ws = [d[1].data for d in dirs]
         out_ref = bilstm_reference(xs, ws, lengths, np.zeros((sum(lengths), 2 * h_dim), dtype))[0]
         with ad.no_grad():

@@ -523,6 +523,17 @@ class TestConfigFile:
         assert err.startswith(f"error: {cfg}: not UTF-8 text (") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("command, key", [("mix", "n"), ("train", "epochs")])
+    def test_repeated_config_key_exit_2(self, tmp_path, capsys, command, key):
+        # a later line must not overwrite an earlier one without a word
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=1\n# a comment\n\n{key} = 2\nseed=4\n")
+        args = {"mix": ["--out", str(tmp_path / "c")],
+                "train": ["--manifest", str(tmp_path / "m.tsv"), "--out-dir", str(tmp_path / "run")]}
+        assert main([command, *args[command], "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:4: key '{key}' repeats line 1\n"
+        assert not (tmp_path / "c").exists() and not (tmp_path / "run").exists()
+
 class TestUnreadablePaths:
     """A path that cannot be read (here a directory) is a usage error:
     exit 2 with one ``error:`` line, not a traceback."""

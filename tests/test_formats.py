@@ -287,11 +287,11 @@ def repoint(old: str, new: str):
     return edit("manifest.tsv", lambda b: b.replace(old.encode(), new.encode()))
 
 
-def recording_b(samples: int, mask_samples: int):
-    """A fault that rewrites ``b`` as ``samples`` zeros with a mask of ``mask_samples``."""
+def recording_b(samples: int, mask_samples: int, rate: int = 16000):
+    """A fault that rewrites ``b`` as ``samples`` zeros at ``rate`` Hz with a mask of ``mask_samples``."""
 
     def apply(root):
-        write_wav(root / "wav/b.wav", Waveform(np.zeros(samples), 16000))
+        write_wav(root / "wav/b.wav", Waveform(np.zeros(samples), rate))
         write_mask(root / "mask/b.mask", np.zeros(mask_samples, dtype=np.int8))
 
     return apply
@@ -308,6 +308,10 @@ LOAD_FAULTS = {
     "mask-malformed": (edit("mask/b.mask", lambda b: mask_text("1 abc")), "mask/b.mask", "integer"),
     "mask-length-mismatch": (recording_b(1600, 1599), "mask/b.mask", "has 1599 samples"),
     "wav-shorter-than-one-frame": (recording_b(100, 100), "wav/b.wav", "shorter than one frame"),
+    "wav-empty": (recording_b(0, 0), "wav/b.wav", "shorter than one frame"),
+    "mask-header-only": (edit("mask/b.mask", lambda b: mask_text()), "mask/b.mask", "has 0 samples"),
+    "wav-48khz": (recording_b(4800, 4800, 48000), "wav/b.wav", "fft_size 512 smaller than frame length 1200"),
+    "wav-other-rate": (recording_b(800, 800, 8000), "wav/b.wav", "at 8000 Hz, but the first utterance, 'a', is at 16000 Hz"),
 }
 
 

@@ -191,3 +191,51 @@ class TestScoreUtterances:
                 assert probs.dtype == dtype and probs.shape == single.shape
                 np.testing.assert_allclose(probs, single, rtol=0, atol=tol)
                 np.testing.assert_array_equal(labels, utt.labels)
+
+    def test_no_utterance_is_scored_alone_among_several(self):
+        # 9 utterances split 5 and 4, not 8 and 1: each gets the bits it
+        # gets in a packed batch of two. Scored alone, the longest would take
+        # a 1-row recurrent product, which rounds differently at H = 64
+        cfg = ModelConfig(receptive_fields=(1, 2), n_mels=8, gated_dim=16, attn_hidden=8,
+                          lstm_hidden=64, fc_hidden=16)
+        params = init_params(cfg, seed=5)
+        for t in params.tensors():
+            t.data *= 4.0  # probabilities that spread over (0, 1)
+        rng = np.random.default_rng(23)
+        lengths = (40, 75, 12, 130, 66, 3, 90, 64, 150)
+        assert len(lengths) == SCORE_BATCH + 1
+        feats = [FeatureSequence(rng.normal(size=(t_len, 8)), np.arange(t_len) * 0.01) for t_len in lengths]
+        utts = [LabeledUtterance(f, np.zeros(len(f), np.int8), f"utt-{i}") for i, f in enumerate(feats)]
+        scored = score_utterances(utts, params)
+        with ad.no_grad():
+            for i, (_, probs, _) in enumerate(scored):
+                pair = mlnet_forward([feats[i], feats[i - 1]], params)
+                np.testing.assert_array_equal(probs, pair.probs.data[: lengths[i]], err_msg=f"utt-{i}")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("h_dim", [5, 16, 64])
+def test_recurrent_product_rows_do_not_depend_on_the_row_count(h_dim, dtype):
+    # the Bi-LSTM's no-graph recurrent product (2, B, H) @ (2, H, 4H), the one
+    # GEMM of packed scoring over more than one utterance's rows: each row
+    # gets the same bits at any B from 2 to SCORE_BATCH. This is a property
+    # of the BLAS, which score_utterances relies on, so a BLAS that breaks it
+    # fails here first
+    rng = np.random.default_rng(h_dim)
+    h = rng.normal(size=(2, SCORE_BATCH, h_dim)).astype(dtype)
+    w = rng.normal(size=(2, h_dim, 4 * h_dim)).astype(dtype)
+    full = h @ w
+    for rows in range(2, SCORE_BATCH):
+        for first in range(SCORE_BATCH - rows + 1):
+            part = np.ascontiguousarray(h[:, first : first + rows]) @ w
+            np.testing.assert_array_equal(part, full[:, first : first + rows], err_msg=f"{rows} rows")
+
+
+def test_a_one_row_recurrent_product_rounds_differently():
+    # why a lone utterance can still differ from the same utterance among others
+    rng = np.random.default_rng(64)
+    h = rng.normal(size=(2, SCORE_BATCH, 64)).astype(np.float32)
+    w = rng.normal(size=(2, 64, 256)).astype(np.float32)
+    full = h @ w
+    singles = [np.ascontiguousarray(h[:, i : i + 1]) @ w for i in range(SCORE_BATCH)]
+    assert any(not np.array_equal(one, full[:, i : i + 1]) for i, one in enumerate(singles))

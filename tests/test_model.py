@@ -526,6 +526,39 @@ class TestMlnetForward:
             assert t.grad.dtype == dtype
             np.testing.assert_array_equal(t.grad, expected[name], err_msg=name)
 
+    # packed batches of two and of several: pairs that put a 1-frame
+    # utterance with a short and a long one, and the ragged lengths all at once
+    BATCHINGS = ((0, 1, 2, 3, 4, 5), (0, 1), (2, 3), (4, 5), (1, 3), (5, 0), (2, 4), (3, 5, 0))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("h_dim", [5, 16, 64])
+    def test_packed_scores_do_not_depend_on_the_batch_mates(self, variant, dtype, h_dim):
+        # without a graph every GEMM but the recurrent product runs over one
+        # utterance's rows, and the rows of that product do not depend on a
+        # row count of two or more: each utterance gets the same bits in
+        # every packed batch of two or more utterances
+        rng = np.random.default_rng(h_dim)
+        params = init_params(small_cfg(variant=variant, gated_dim=16, lstm_hidden=h_dim, fc_hidden=16), 7, dtype)
+        for t in params.tensors():
+            t.data *= 4.0  # probabilities that spread over (0, 1)
+        seqs = [rng.normal(size=(t_len, 8)) for t_len in (9, 1, 70, 130, 65, 33)]
+        seen = {}
+        with ad.no_grad():
+            for batch in self.BATCHINGS:
+                out = mlnet_forward([seqs[i] for i in batch], params)
+                probs = np.split(out.probs.data, np.cumsum(out.lengths)[:-1])
+                weights = [None] * len(batch)
+                if out.branch_weights is not None:
+                    weights = np.split(out.branch_weights.data, np.cumsum(out.lengths)[:-1])
+                for i, p, w in zip(batch, probs, weights):
+                    seen.setdefault(i, []).append((batch, p, w))
+        for i, [(_, p0, w0), *others] in seen.items():
+            assert others, i
+            for batch, p, w in others:
+                np.testing.assert_array_equal(p, p0, err_msg=f"utterance {i} in {batch}")
+                np.testing.assert_array_equal(w, w0, err_msg=f"utterance {i} in {batch}")
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_branch_weights_only_for_attention_variant(self, variant):
         rng = np.random.default_rng(12)

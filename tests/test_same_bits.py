@@ -1,5 +1,6 @@
 """The same-bits probe in ``tools/`` still runs: its smallest layer case
-twice, and its predict, featurize and train parts once at a tiny size."""
+twice, and its score, predict, featurize and train parts once at a tiny
+size."""
 
 import importlib.util
 from pathlib import Path
@@ -56,3 +57,12 @@ def test_featurize_part_writes_both_dumps(tmp_path, monkeypatch):
     probe.featurize_cases(tmp_path)
     dumps = [(tmp_path / "featurize" / name).read_bytes() for name in ("default.mlfb", "normalize.mlfb")]
     assert all(dumps) and dumps[0] != dumps[1]
+
+
+def test_score_part_writes_one_array_per_utterance(tmp_path, monkeypatch):
+    probe = _probe()
+    monkeypatch.setattr(probe, "SCORE_LENGTHS", (3, 1, 5))
+    probe.score_cases(tmp_path)
+    arrays = [np.load(tmp_path / "score" / f"utt-{i}.npy") for i in range(3)]
+    assert [a.shape for a in arrays] == [(3,), (1,), (5,)]
+    assert all(a.dtype == np.float32 and ((a > 0) & (a < 1)).all() for a in arrays)

@@ -23,6 +23,10 @@ and writes only under the directory it is given. It writes:
   for ``full_attention``), and the no-graph probabilities and branch
   weights of the 30 s recording as ``.npy``. The checkpoints use eight
   times the initial weights, so that the probabilities spread.
+- ``score/``: the ``metrics.score_utterances`` probabilities of nine
+  ragged synthetic utterances, one of a single frame, under the default
+  ``full_attention`` model with eight times the initial weights, one
+  ``.npy`` file per utterance.
 - ``featurize/``: ``mlnetvad featurize`` dumps of the 30 s recording,
   under the default frontend and under ``--normalize``.
 - ``train/``: two-epoch ``mlnetvad train`` runs at batch sizes 1 and 3,
@@ -45,8 +49,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mlnetvad import autodiff as ad  # noqa: E402
-from mlnetvad import checkpoint, cli, corpus, model  # noqa: E402
-from mlnetvad.frontend import FrontendConfig, Waveform, featurize  # noqa: E402
+from mlnetvad import checkpoint, cli, corpus, metrics, model  # noqa: E402
+from mlnetvad.frontend import FeatureSequence, FrontendConfig, Waveform, featurize  # noqa: E402
 from mlnetvad.wavio import read_wav, write_wav  # noqa: E402
 
 SAMPLE_RATE = 16000
@@ -58,6 +62,7 @@ LENGTHS = ([1], [65], [577], [65, 1, 30, 64], [461 + 25 * i for i in range(10)])
 GRAD_NAMES = ("seq", "w_x_f", "w_h_f", "b_f", "w_x_b", "w_h_b", "b_b")
 WEIGHT_SCALE = 8.0
 RECORDING_SECONDS = (30, 300)  # the first also gives the .npy outputs
+SCORE_LENGTHS = (461, 40, 636, 1, 300, 575, 65, 520, 700)  # more than one scoring batch holds
 TRAIN_UTTERANCES = 8
 EPOCHS = 2
 
@@ -112,6 +117,33 @@ def _cli(argv: list[str]) -> None:
         raise SystemExit(f"mlnetvad {' '.join(argv)} exited {code}")
 
 
+def scaled_params(variant: str) -> model.MlnetParams:
+    """The variant's default model with ``WEIGHT_SCALE`` times its initial
+    weights, so that the probabilities spread."""
+    params = model.init_params(model.ModelConfig(variant=variant), 20200812)
+    for t in params.tensors():
+        if t.data.ndim == 2:
+            t.data *= WEIGHT_SCALE
+    return params
+
+
+def score_cases(out_dir: Path) -> None:
+    d = out_dir / "score"
+    d.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(len(SCORE_LENGTHS))
+    n_mels = model.ModelConfig().n_mels
+    utts = [
+        corpus.LabeledUtterance(
+            FeatureSequence(rng.normal(size=(t_len, n_mels)), np.arange(t_len) * 0.01),
+            np.zeros(t_len, np.int8),
+            f"utt-{i}",
+        )
+        for i, t_len in enumerate(SCORE_LENGTHS)
+    ]
+    for utt_id, probs, _ in metrics.score_utterances(utts, scaled_params("full_attention")):
+        np.save(d / f"{utt_id}.npy", probs)
+
+
 def predict_cases(out_dir: Path) -> None:
     d = out_dir / "predict"
     d.mkdir(parents=True, exist_ok=True)
@@ -122,10 +154,7 @@ def predict_cases(out_dir: Path) -> None:
     first = RECORDING_SECONDS[0]
     feats = featurize(read_wav(wavs[first]), FrontendConfig(normalize=True))
     for variant in model.VARIANTS:
-        params = model.init_params(model.ModelConfig(variant=variant), 20200812)
-        for t in params.tensors():
-            if t.data.ndim == 2:
-                t.data *= WEIGHT_SCALE
+        params = scaled_params(variant)
         ckpt = d / f"{variant}.mlnt"
         checkpoint.save_checkpoint(ckpt, params)
         with ad.no_grad():
@@ -170,6 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         for dtype in DTYPES:
             for lengths in LENGTHS:
                 layer_case(args.out_dir, h_dim, dtype, lengths)
+    score_cases(args.out_dir)
     predict_cases(args.out_dir)
     featurize_cases(args.out_dir)
     train_cases(args.out_dir)
