@@ -43,14 +43,15 @@ so no whole-utterance projection is kept. Its step works gate-major, on
 (4, 2, B, H) blocks, so every elementwise operand is one (2, B, H)
 block. Scoring and training run the same loop, and in both each
 utterance's block projections, like ``classifier_head``'s GEMMs, run
-over its own rows. A graph decides only what these nodes keep and the
-shape of the recurrent operand. With one the utterances are lanes: each
-lane's recurrent step is a 1-row matmul of its own, so every lane gets
-exactly the bits of a call on that utterance alone, and parameters take
-the lanes' contributions in order. Without one the step is one matmul
-over the packed rows, whose rows round alike for any count of two or
-more (``metrics.score_utterances`` relies on this), and no per-step
-history is kept.
+over its own rows. Every recurrent product, forward and in the BPTT, is
+a row of a GEMM of two or more rows, whose rows round alike for any row
+count from 2 to 8 (``tests/test_metrics.py`` pins this): B >= 2
+utterances share one matmul, and one utterance's two directions are the
+two rows of one GEMM forward and get a spare zero lane in the BPTT. So
+an utterance gets the same bits alone, in a packed scoring batch of any
+size and as a training lane, and parameters take the lanes'
+contributions in order. A graph decides only what these nodes keep: no
+value changes with it.
 A forward step is eleven numpy calls with positional outputs, each
 block's input rows are four calls into two reused index arrays, and
 the loop runs under one ``np.errstate``. The BPTT runs in blocks too,
@@ -99,7 +100,8 @@ def grad_enabled() -> bool:
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph construction; forward values are unaffected."""
+    """Disable graph construction. Forward values keep their bits: a graph
+    decides only what the nodes keep, at every batch size."""
     global _grad_enabled
     prev = _grad_enabled
     _grad_enabled = False
@@ -597,6 +599,70 @@ def _lane_rows(spans: list[tuple[int, int]], start: int, stop: int):
             yield j, done, fwd, slice(end - start - done, end - start)
 
 
+def _bptt(grad: np.ndarray, acts: np.ndarray, cs: np.ndarray, w: np.ndarray, spans, block: int) -> np.ndarray:
+    """The BPTT of ``bilstm_layer``'s scan: each lane's (T, 2, 4H) gate
+    gradients, as one (B, T, 2, 4H) array, from the output gradient
+    ``grad``, the kept (T, 4, 2, B, H) gate activations ``acts``, the kept
+    (T + 1, 2, B, H) cell states ``cs`` and the (2, H, 4H) recurrent
+    weights ``w``. Its block buffers go when it returns."""
+    t_max, _, _, n, h_dim = acts.shape
+    four_h, dtype = 4 * h_dim, acts.dtype
+    w_t = np.ascontiguousarray(w.transpose(0, 2, 1))  # (2, 4H, H)
+    # a lone utterance gets a spare zero lane, so that the recurrent matmul
+    # has two or more rows, as it has for any other lane
+    lanes = max(n, 2)
+    dz = np.empty((n, t_max, 2, four_h), dtype)  # each lane's, in the layout of a call on it alone
+    dz_block = np.zeros((block, 2, lanes, four_h), dtype)  # a block's, as the recurrent matmul reads them
+    # (block, 4, 2, B, H), written in place through strides
+    dz_gates = dz_block.reshape(block, 2, lanes, 4, h_dim)[:, :, :n].transpose(0, 3, 1, 2, 4)
+    dz_cells, dz_os = dz_gates[:, :3], dz_gates[:, 3]
+    # the recurrent matmul's output; lane-major for a lone utterance, so that
+    # its rows stay one contiguous operand of the elementwise calls
+    if n > 1:
+        dh_rows = np.zeros((2, n, h_dim), dtype)
+    else:
+        dh_rows = np.zeros((lanes, 2, h_dim), dtype).transpose(1, 0, 2)
+    dh = dh_rows[:, :n]
+    dc = np.empty((2, n, h_dim), dtype)
+    dc_next = np.zeros_like(dc)
+    last = {}  # step -> the lanes whose last real step it is
+    for j, (first, end) in enumerate(spans):
+        last.setdefault(end - first - 1, []).append(j)
+    add, matmul, multiply = np.add, np.matmul, np.multiply
+    for start in range(block * ((t_max - 1) // block), -1, -block):
+        stop = min(start + block, t_max)
+        # the block's output gradients, and the factors of dc and dh that do
+        # not depend on the recursion
+        grads = np.zeros((stop - start, 2, n, h_dim), dtype)  # steps past a lane's end get none
+        for j, done, fwd_rows, bwd_rows in _lane_rows(spans, start, stop):
+            grads[:done, 0, j] = grad[fwd_rows, :h_dim]
+            grads[:done, 1, j] = grad[bwd_rows, h_dim:][::-1]
+        i, f, g_cand, o = acts[start:stop].transpose(1, 0, 2, 3, 4)
+        tc = np.tanh(cs[start + 1 : stop + 1])  # as the forward computed it
+        dc_factors = np.stack(
+            [g_cand * i * (1.0 - i), cs[start:stop] * f * (1.0 - f), i * (1.0 - g_cand * g_cand)], axis=1
+        )
+        do_factor = tc * o * (1.0 - o)
+        dh_to_dc = o * (1.0 - tc * tc)
+        dz_steps = (a[: stop - start] for a in (dz_block, dz_cells, dz_os))
+        by_step = (grads, dh_to_dc, dc_factors, do_factor, f, *dz_steps)
+        for s, g, to_dc, dc_factor, o_factor, f_s, dz_row, dz_cell, dz_o in zip(
+            range(stop - 1, start - 1, -1), *(a[::-1] for a in by_step)
+        ):
+            for j in last.get(s, ()):  # the lane enters the BPTT at its last real step
+                dh[:, j] = 0.0
+                dc_next[:, j] = 0.0
+            add(dh, g, dh)  # dh held the recurrent part, w_h @ dz of the next step
+            multiply(dh, to_dc, dc)
+            add(dc, dc_next, dc)
+            multiply(dc, dc_factor, dz_cell)
+            multiply(dh, o_factor, dz_o)
+            multiply(dc, f_s, dc_next)
+            matmul(dz_row, w_t, dh_rows)
+        dz[:, start:stop] = dz_block[: stop - start, :, :n].transpose(2, 0, 1, 3)
+    return dz
+
+
 def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], lengths=None) -> Tensor:
     """Both directions of a Bi-LSTM layer over a packed batch of B
     utterances, each direction of each utterance from a zero state.
@@ -630,23 +696,27 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     projections are never kept. A shorter utterance keeps stepping after
     it ends, on clipped or stale inputs whose states reach no output.
 
-    Whether a graph is being built decides only what the node keeps and
-    the shape of the recurrent operand. With one (training), each
-    utterance is a lane that gets exactly the bits of a call on it alone:
-    its step is a 1-row product inside one (2, B, 1, H) @ (2, 1, H, 4H)
-    matmul. Without one (scoring), the step is one (2, B, H) @ (2, H, 4H)
-    matmul. With OpenBLAS at one thread, its rows round alike for any B
-    from 2 to 64 while H <= 384, so an utterance gets the same bits in
-    every batch of two or more; B = 1 is a 1-row product, which can round
-    differently (``tests/test_metrics.py`` pins both).
+    Every recurrent product is a row of a GEMM of two or more rows. At
+    B >= 2 the step is one (2, B, H) @ (2, H, 4H) matmul. At B = 1 the
+    two directions' states are the two rows of one (2, H) @ (H, 8H) GEMM
+    against both directions' weights side by side, and the step's add
+    reads its two diagonal blocks through one fixed gate-major view. With
+    OpenBLAS these rows round alike for any B from 2 to 8, and the
+    diagonal blocks equal them, so an utterance gets the same bits alone
+    and in any packed batch (``tests/test_metrics.py`` pins both at H of
+    5, 16 and 64); a 1-row product could round differently. Whether a
+    graph is being built decides only what the node keeps: with one
+    (training), each utterance is a lane that gets exactly the bits of a
+    call on it alone.
 
     With OpenBLAS a block projection gives each row the bits of one GEMM
     over the whole input whenever 4H is a multiple of 16 in float32 (8 in
     float64), as at the default H of 64, or the input is narrow; at other
     widths an input of 16 or more columns can differ in the last bits.
 
-    A step is eleven ufunc calls, each given its output positionally:
-    the recurrent matmul, the add of the projection, exp, the add of 1
+    A step is eleven numpy calls, each given its output positionally:
+    the recurrent product (``np.dot`` at B = 1, ``np.matmul`` otherwise),
+    the add of the projection, exp, the add of 1
     (from an array of ones, which dispatches faster than a scalar),
     reciprocal, the candidate's tanh, c * f, i * g, their sum, tanh(c)
     and o * tanh(c). Which rows each block gathers is written by four
@@ -663,11 +733,14 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     output gradients and computes its gate-derivative factors that do not
     depend on the recursion (and tanh(cell), which gives the forward's
     bits again). Each step is eight calls, the matmul included, and
-    writes its four gate gradients straight into the lane's (2, 4H) row
-    that the recurrent matmul reads, through a strided gate-major view.
-    A lane enters the BPTT at its last real step with a zero state
-    gradient. After the loop, each lane's recurrent-weight gradients are
-    one batched GEMM over its steps, and each direction's
+    writes its four gate gradients straight into the rows of one
+    (2, max(B, 2), 4H) @ (2, 4H, H) matmul, through a strided gate-major
+    view of a per-block buffer; a lone utterance's spare lane stays zero.
+    Each block's gate gradients are then copied once into every lane's
+    (T, 2, 4H) gradient. A lane enters the BPTT at its last real step
+    with a zero state gradient. Once the loop ends, the kept gates and
+    cell states are dropped; then each lane's recurrent-weight gradients
+    are one batched GEMM over its steps, and each direction's
     input-projection gradients come from its (T, 4H) gate gradient.
     Every parameter takes the lanes' contributions in lane order, and
     ``seq`` the forward direction's before the backward's. Only the
@@ -690,23 +763,30 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     spans, lens = _spans(lengths), lengths.tolist()
     n, t_max = lengths.size, max(lens)
     block = min(SCAN_BLOCK, t_max)
-    lane = (1,) if keep else ()  # a lane's step operands are 1-row matrices
     w = np.stack([fwd[1].data, bwd[1].data])  # (2, H, 4H): direction 0 forward, 1 backward
     # the sigmoid gates' columns negated, exactly, so that the step's exp
     # reads -z; the candidate's keep their sign for its tanh
     sign = np.ones(four_h, dtype)
     sign[: 2 * h_dim] = sign[3 * h_dim :] = -1.0
     w_neg = w * sign
-    w_step = w_neg[:, None] if keep else w_neg  # lanes: (2, 1, H, 4H), broadcast over them
     x_weights = [(w_x.data * sign, b.data * sign) for w_x, _, b in (fwd, bwd)]
     out = np.empty((rows, 2 * h_dim), dtype)
     x_in = np.empty((block, in_dim), dtype)  # a block's input rows, one direction of one utterance
     xs = np.zeros((block, 4, 2, n, h_dim), dtype)  # a block's projections, gate-major
     hs = np.empty((block, 2, n, h_dim), dtype)  # a block's hidden states
-    hs_rows = hs.reshape(block, 2, n, *lane, h_dim)  # the same, as recurrent matmul operands
-    h = np.zeros((2, n, *lane, h_dim), dtype)
-    z_rows = np.empty((2, n, *lane, four_h), dtype)  # the recurrent products, gates packed
-    z_rows_gates = z_rows.reshape(2, n, 4, h_dim).transpose(2, 0, 1, 3)
+    if n == 1:
+        # both directions' states are the two rows of one (2, H) @ (H, 8H)
+        # GEMM against their weights side by side; its diagonal blocks are
+        # the two recurrent products, read through a gate-major view. np.dot
+        # runs a 2-D GEMM with the same bits as np.matmul and less dispatch
+        product, w_step, hs_rows = np.dot, np.concatenate(w_neg, axis=1), hs.reshape(block, 2, h_dim)
+        z_rows = np.empty((2, 2 * four_h), dtype)
+        z_rows_gates = np.diagonal(z_rows.reshape(2, 2, 4, h_dim)).transpose(0, 2, 1)[:, :, None]
+    else:  # one (2, B, H) @ (2, H, 4H) matmul
+        product, w_step, hs_rows = np.matmul, w_neg, hs
+        z_rows = np.empty((2, n, four_h), dtype)
+        z_rows_gates = z_rows.reshape(2, n, 4, h_dim).transpose(2, 0, 1, 3)
+    h = np.zeros(hs_rows.shape[1:], dtype)
     z = np.empty((4, 2, n, h_dim), dtype)  # the pre-activations, gate-major
     z_g = z[2]
     if keep:  # kept for the backward, indexed by step
@@ -719,7 +799,7 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     ones = np.ones_like(z)  # the sigmoid's 1: an array operand dispatches faster than a scalar
     # the step's ufuncs, called with positional outputs: fewer lookups and
     # no keyword parsing in a loop of thousands of steps
-    add, exp, matmul, multiply = np.add, np.exp, np.matmul, np.multiply
+    add, exp, multiply = np.add, np.exp, np.multiply
     reciprocal, tanh = np.reciprocal, np.tanh
 
     # exp(-z) overflowing to inf gives the exact sigmoid limit 0.0, and a
@@ -742,7 +822,7 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
             for x_step, h_next, h_next_row, a, gate_i, gate_f, gate_g, gate_o, c_prev, c in zip(
                 xs[: stop - start], hs, hs_rows, *history
             ):
-                matmul(h, w_step, z_rows)
+                product(h, w_step, z_rows)
                 add(z_rows_gates, x_step, z)
                 exp(z, a)
                 add(a, ones, a)
@@ -761,49 +841,9 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
         return _raw(out, (), None)
 
     def backward_fn(grad):
-        w_t = np.ascontiguousarray(w.transpose(0, 2, 1))[:, None]  # (2, 1, 4H, H)
-        # each lane's gate gradients in the layout of a call on it alone
-        dz = np.empty((n, t_max, 2, four_h), dtype)
-        dz_rows = dz.transpose(1, 2, 0, 3)[:, :, :, None]  # (T, 2, B, 1, 4H)
-        dz_gates = dz.reshape(n, t_max, 2, 4, h_dim).transpose(1, 3, 2, 0, 4)  # (T, 4, 2, B, H)
-        dz_cells, dz_os = dz_gates[:, :3], dz_gates[:, 3]  # written in place, through strides
-        dh_rows = np.zeros((2, n, 1, h_dim), dtype)  # the recurrent matmul's output
-        dh = dh_rows[:, :, 0]
-        dc = np.empty((2, n, h_dim), dtype)
-        dc_next = np.zeros_like(dc)
-        last = {}  # step -> the lanes whose last real step it is
-        for j, length in enumerate(lens):
-            last.setdefault(length - 1, []).append(j)
-        for start in range(block * ((t_max - 1) // block), -1, -block):
-            stop = min(start + block, t_max)
-            # the block's output gradients, and the factors of dc and dh
-            # that do not depend on the recursion
-            grads = np.zeros((stop - start, 2, n, h_dim), dtype)  # steps past a lane's end get none
-            for j, done, fwd_rows, bwd_rows in _lane_rows(spans, start, stop):
-                grads[:done, 0, j] = grad[fwd_rows, :h_dim]
-                grads[:done, 1, j] = grad[bwd_rows, h_dim:][::-1]
-            i, f, g_cand, o = acts[start:stop].transpose(1, 0, 2, 3, 4)
-            tc = np.tanh(cs[start + 1 : stop + 1])  # as the forward computed it
-            dc_factors = np.stack(
-                [g_cand * i * (1.0 - i), cs[start:stop] * f * (1.0 - f), i * (1.0 - g_cand * g_cand)], axis=1
-            )
-            do_factor = tc * o * (1.0 - o)
-            dh_to_dc = o * (1.0 - tc * tc)
-            dz_block = (a[start:stop] for a in (dz_rows, dz_cells, dz_os))
-            by_step = (grads, dh_to_dc, dc_factors, do_factor, f, *dz_block)
-            for s, g, to_dc, dc_factor, o_factor, f_s, dz_row, dz_cell, dz_o in zip(
-                range(stop - 1, start - 1, -1), *(a[::-1] for a in by_step)
-            ):
-                for j in last.get(s, ()):  # the lane enters the BPTT at its last real step
-                    dh[:, j] = 0.0
-                    dc_next[:, j] = 0.0
-                add(dh, g, dh)  # dh held the recurrent part, w_h @ dz of the next step
-                multiply(dh, to_dc, dc)
-                add(dc, dc_next, dc)
-                multiply(dc, dc_factor, dz_cell)
-                multiply(dh, o_factor, dz_o)
-                multiply(dc, f_s, dc_next)
-                matmul(dz_row, w_t, dh_rows)
+        nonlocal acts, cs
+        dz = _bptt(grad, acts, cs, w, spans, block)
+        acts = cs = None  # the scan's kept buffers go before the gradient GEMMs
         w_h_f, w_h_b = fwd[1], bwd[1]
         if _tracked(w_h_f) or _tracked(w_h_b):
             for j, (first, end) in enumerate(spans):

@@ -153,10 +153,10 @@ def score_utterances(utts, params: MlnetParams) -> list[tuple[str, np.ndarray, n
     ``mlnet_forward`` call, so one Bi-LSTM scan serves a group and similar
     lengths keep padded steps few. Only the recurrent product runs over
     several utterances' rows, and its rows round alike for 2 to
-    ``SCORE_BATCH`` rows (pinned in ``tests/test_metrics.py``): each
-    utterance gets the same bits in any group of two or more, whatever
-    else the corpus holds. Only n = 1 scores an utterance alone, and a
-    1-row product can differ in the last bits.
+    ``SCORE_BATCH`` rows, as does a lone utterance's (pinned in
+    ``tests/test_metrics.py``): each utterance gets the same bits in any
+    group, whatever else the corpus holds, and those that ``predict``
+    gives it alone.
     """
     utts = list(utts)
     order = sorted(range(len(utts)), key=lambda i: len(utts[i].features))

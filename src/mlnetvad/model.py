@@ -330,13 +330,13 @@ def mlnet_forward(features, params: MlnetParams) -> ModelOutput:
     writes their ``data``.
 
     In the classifier too, every GEMM but the Bi-LSTM's recurrent product
-    runs over one utterance's rows. With a graph, both outputs stay in it
-    for the losses, and the utterances are lanes: each gets exactly the
-    bits and the gradients it gets alone (``autodiff.bilstm_layer``).
-    ``autodiff.split_rows`` gives the per-utterance parts. Without one,
-    the recurrent product runs over the packed rows, so each utterance
-    gets the same bits in every batch of two or more, and a call on one
-    utterance can differ from them in the last bits.
+    runs over one utterance's rows, and that product's rows round alike
+    for one utterance and for a packed batch (``autodiff.bilstm_layer``).
+    So each utterance gets the same bits alone and in every batch, with a
+    graph or without one. With a graph, both outputs stay in it for the
+    losses, and the utterances are lanes: each also gets exactly the
+    gradients it gets alone. ``autodiff.split_rows`` gives the
+    per-utterance parts.
     """
     seqs = list(features) if isinstance(features, (list, tuple)) else [features]
     if not seqs:

@@ -4,9 +4,11 @@ gradient clipping to [-1, 1].
 
 Batches are whole utterances. Two utterances at a time share one graph
 whose classifier runs them as lanes (``lane_losses``); a batch's odd
-utterance is a group of one. Gradients accumulate across the batch, bit
-for bit as one utterance at a time would, before a single optimizer step.
-Everything is deterministic for a fixed TrainConfig seed.
+utterance is a group of one. The lanes share each Bi-LSTM step's
+recurrent matmul, whose rows round as one utterance's alone do.
+Gradients accumulate across the batch, bit for bit as one utterance at a
+time would, before a single optimizer step. Everything is deterministic
+for a fixed TrainConfig seed.
 """
 
 from __future__ import annotations
@@ -25,11 +27,14 @@ from .metrics import evaluate
 from .model import MlnetParams, ModelConfig, init_params, mlnet_forward
 
 PROB_CLAMP = 1e-7
-# Utterances per graph in train(), run as lanes of one Bi-LSTM scan.
-# Each lane holds a whole utterance graph, about 12 KB per frame or 8 MB
-# at 700 frames, and more through backward; four lanes would cut the
-# scan's time per frame further, but a step's memory grows by a graph
-# per lane.
+# Utterances per graph in train(), run as lanes of one Bi-LSTM scan that
+# share its recurrent matmuls. Each lane holds a whole utterance graph,
+# about 12 KB per frame or 8 MB at 700 frames, and more through backward:
+# as one graph, the two longest training utterances of the benchmark's
+# train-b8 inputs (seed 5, 1347 frames) peak at 20.6 MB traced
+# (tracemalloc) in backward, and its four longest (2569 frames) at 39.8
+# MB. Four lanes would cut the scan's time per frame further, but a
+# step's memory grows by a graph per lane.
 LANES = 2
 # Adam's elementwise gradient clamp and moment decay rates
 CLIP_LO, CLIP_HI = -1.0, 1.0

@@ -273,6 +273,16 @@ def numeric_grad(
     return grads
 
 
+def gemm_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, where every row of ``a`` is a row of a GEMM of two or
+    more rows: a single row (``a.shape[-2] == 1``) gets a zero row
+    stacked under it. A 1-row product can round differently from the same
+    row among others, and ``autodiff.bilstm_layer`` runs none."""
+    if a.shape[-2] > 1:
+        return a @ b
+    return (np.concatenate([a, np.zeros_like(a)], axis=-2) @ b)[..., :1, :]
+
+
 def bilstm_reference(
     xs: Sequence[np.ndarray], ws: Sequence[np.ndarray], lengths: Sequence[int], grad: np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -288,9 +298,10 @@ def bilstm_reference(
     the (2, B, H) @ (2, H, 4H) recurrent matmul, a sigmoid over all four
     gates as 1 / (1 + exp(-z)) with the candidate's tanh in its slot, the
     BPTT factors in their operand order, the (2, B, 4H) @ (2, 4H, H)
-    recurrent gradient and one batched GEMM for both weight gradients. A
-    shorter utterance's padded steps reread its last real row and get a
-    zero gradient.
+    recurrent gradient and one batched GEMM for both weight gradients. Both
+    recurrent products are ``gemm_rows``, so B = 1 gets the bits of a row
+    among others. A shorter utterance's padded steps reread its last real
+    row and get a zero gradient.
     """
     h_dim = ws[0].shape[0]
     lengths = np.asarray(lengths)
@@ -312,7 +323,7 @@ def bilstm_reference(
     h = np.zeros((2, n_utts, h_dim), dtype)
     with np.errstate(over="ignore"):
         for s in range(t_max):
-            z = h @ w
+            z = gemm_rows(h, w)
             z += np.stack([xs[0][fwd[s]], xs[1][bwd[s]]])
             a = 1.0 / (1.0 + np.exp(-z))
             a[..., gates[2]] = np.tanh(z[..., gates[2]])
@@ -343,7 +354,7 @@ def bilstm_reference(
             dz[s][..., gates[k]] = dc * dc_factors[k][s]
         dz[s][..., gates[3]] = dh * do_factor[s]
         dc_next = dc * f[s]
-        dh = dz[s] @ w_t
+        dh = gemm_rows(dz[s], w_t)
     dx = [np.zeros((lengths.sum(), 4 * h_dim), dtype) for _ in range(2)]
     dx[0][fwd[real]] = dz[:, 0][real]
     dx[1][bwd[real]] = dz[:, 1][real]

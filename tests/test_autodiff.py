@@ -12,7 +12,7 @@ import pytest
 
 import mlnetvad
 import mlnetvad.autodiff as ad
-from helpers import bilstm_reference, numeric_grad, rel_error
+from helpers import bilstm_reference, gemm_rows, numeric_grad, rel_error
 from mlnetvad.autodiff import Tensor
 from mlnetvad.errors import GraphError, NonFiniteError, ShapeMismatch
 
@@ -656,13 +656,14 @@ def test_every_exported_op_has_a_caller():
 
 def _per_frame(xproj: np.ndarray, w_h: np.ndarray, reverse: bool) -> np.ndarray:
     """One direction of a Bi-LSTM layer, one frame at a time in numpy: its
-    (T, H) hidden states in time order, from the (T, 4H) input rows."""
+    (T, H) hidden states in time order, from the (T, 4H) input rows. The
+    recurrent product is a row of a 2-row GEMM, as in the layer."""
     t_len, h_dim = xproj.shape[0], w_h.shape[0]
     h = np.zeros((1, h_dim))
     c = np.zeros((1, h_dim))
     rows = np.empty((t_len, h_dim))
     for t in (range(t_len - 1, -1, -1) if reverse else range(t_len)):
-        z = xproj[t : t + 1] + h @ w_h
+        z = xproj[t : t + 1] + gemm_rows(h, w_h)
         i, f, _, o = np.split(1.0 / (1.0 + np.exp(-z)), 4, axis=1)
         g = np.tanh(z[:, 2 * h_dim : 3 * h_dim])
         c = f * c + i * g

@@ -194,8 +194,8 @@ class TestScoreUtterances:
 
     def test_no_utterance_is_scored_alone_among_several(self):
         # 9 utterances split 5 and 4, not 8 and 1: each gets the bits it
-        # gets in a packed batch of two. Scored alone, the longest would take
-        # a 1-row recurrent product, which rounds differently at H = 64
+        # gets in a packed batch of two, and those it gets alone, where its
+        # recurrent product is a row of a 2-row GEMM too
         cfg = ModelConfig(receptive_fields=(1, 2), n_mels=8, gated_dim=16, attn_hidden=8,
                           lstm_hidden=64, fc_hidden=16)
         params = init_params(cfg, seed=5)
@@ -211,16 +211,22 @@ class TestScoreUtterances:
             for i, (_, probs, _) in enumerate(scored):
                 pair = mlnet_forward([feats[i], feats[i - 1]], params)
                 np.testing.assert_array_equal(probs, pair.probs.data[: lengths[i]], err_msg=f"utt-{i}")
+                alone = mlnet_forward(feats[i], params)
+                np.testing.assert_array_equal(probs, alone.probs.data, err_msg=f"utt-{i} alone")
+
+
+# The Bi-LSTM's recurrent products, forward and in the BPTT, run as rows of
+# GEMMs of two or more rows, whose row bits do not depend on the row count.
+# These are properties of the BLAS that every Bi-LSTM step relies on, so
+# that a lone utterance, a packed scoring batch and a training lane give an
+# utterance the same bits; a BLAS that breaks one fails here first.
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("h_dim", [5, 16, 64])
 def test_recurrent_product_rows_do_not_depend_on_the_row_count(h_dim, dtype):
-    # the Bi-LSTM's no-graph recurrent product (2, B, H) @ (2, H, 4H), the one
-    # GEMM of packed scoring over more than one utterance's rows: each row
-    # gets the same bits at any B from 2 to SCORE_BATCH. This is a property
-    # of the BLAS, which score_utterances relies on, so a BLAS that breaks it
-    # fails here first
+    # the forward step of B >= 2 utterances, (2, B, H) @ (2, H, 4H): each
+    # row gets the same bits at any B from 2 to SCORE_BATCH
     rng = np.random.default_rng(h_dim)
     h = rng.normal(size=(2, SCORE_BATCH, h_dim)).astype(dtype)
     w = rng.normal(size=(2, h_dim, 4 * h_dim)).astype(dtype)
@@ -231,8 +237,50 @@ def test_recurrent_product_rows_do_not_depend_on_the_row_count(h_dim, dtype):
             np.testing.assert_array_equal(part, full[:, first : first + rows], err_msg=f"{rows} rows")
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("h_dim", [5, 16, 64])
+def test_a_lone_utterance_gets_its_packed_rows_from_the_diagonal_blocks(h_dim, dtype):
+    # the forward step of one utterance: its two directions' states are the
+    # two rows of one (2, H) @ (H, 8H) GEMM against both directions'
+    # weights side by side, run by np.dot and by np.matmul alike, whose
+    # diagonal blocks must be the rows those states get in
+    # (2, B, H) @ (2, H, 4H) at every B from 2 to SCORE_BATCH
+    rng = np.random.default_rng(100 + h_dim)
+    h = rng.normal(size=(2, SCORE_BATCH, h_dim)).astype(dtype)
+    w = rng.normal(size=(2, h_dim, 4 * h_dim)).astype(dtype)
+    w_both = np.concatenate(w, axis=1)
+    four_h = 4 * h_dim
+    for i in range(SCORE_BATCH):
+        lone = np.dot(np.ascontiguousarray(h[:, i]), w_both)
+        np.testing.assert_array_equal(lone, np.ascontiguousarray(h[:, i]) @ w_both)
+        diagonal = np.stack([lone[0, :four_h], lone[1, four_h:]])
+        for rows in range(2, SCORE_BATCH + 1):
+            first = min(i, SCORE_BATCH - rows)
+            part = np.ascontiguousarray(h[:, first : first + rows]) @ w
+            np.testing.assert_array_equal(diagonal, part[:, i - first], err_msg=f"row {i} of {rows}")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("h_dim", [5, 16, 64])
+def test_recurrent_gradient_rows_do_not_depend_on_the_row_count(h_dim, dtype):
+    # the BPTT step, (2, B, 4H) @ (2, 4H, H), which a lone utterance runs
+    # with a spare zero lane: each row gets the same bits at any B from 2
+    # to SCORE_BATCH
+    rng = np.random.default_rng(200 + h_dim)
+    dz = rng.normal(size=(2, SCORE_BATCH, 4 * h_dim)).astype(dtype)
+    w_t = np.ascontiguousarray(rng.normal(size=(2, h_dim, 4 * h_dim)).astype(dtype).transpose(0, 2, 1))
+    full = dz @ w_t
+    for rows in range(2, SCORE_BATCH):
+        for first in range(SCORE_BATCH - rows + 1):
+            part = np.ascontiguousarray(dz[:, first : first + rows]) @ w_t
+            np.testing.assert_array_equal(part, full[:, first : first + rows], err_msg=f"{rows} rows")
+
+
 def test_a_one_row_recurrent_product_rounds_differently():
-    # why a lone utterance can still differ from the same utterance among others
+    # why no Bi-LSTM step runs a 1-row product: a row alone can round
+    # differently from the same row among others, so a lone utterance
+    # takes the diagonal blocks of a 2-row GEMM forward and a spare zero
+    # lane in the BPTT
     rng = np.random.default_rng(64)
     h = rng.normal(size=(2, SCORE_BATCH, 64)).astype(np.float32)
     w = rng.normal(size=(2, 64, 256)).astype(np.float32)

@@ -527,8 +527,12 @@ class TestMlnetForward:
             np.testing.assert_array_equal(t.grad, expected[name], err_msg=name)
 
     # packed batches of two and of several: pairs that put a 1-frame
-    # utterance with a short and a long one, and the ragged lengths all at once
-    BATCHINGS = ((0, 1, 2, 3, 4, 5), (0, 1), (2, 3), (4, 5), (1, 3), (5, 0), (2, 4), (3, 5, 0))
+    # utterance with a short and a long one, and the ragged lengths all at
+    # once; and each utterance alone
+    BATCHINGS = (
+        (0, 1, 2, 3, 4, 5), (0, 1), (2, 3), (4, 5), (1, 3), (5, 0), (2, 4), (3, 5, 0),
+        (0,), (1,), (2,), (3,), (4,), (5,),
+    )
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -536,8 +540,9 @@ class TestMlnetForward:
     def test_packed_scores_do_not_depend_on_the_batch_mates(self, variant, dtype, h_dim):
         # without a graph every GEMM but the recurrent product runs over one
         # utterance's rows, and the rows of that product do not depend on a
-        # row count of two or more: each utterance gets the same bits in
-        # every packed batch of two or more utterances
+        # row count of two or more, which a lone utterance's states have
+        # too: each utterance gets the same bits alone and in every packed
+        # batch
         rng = np.random.default_rng(h_dim)
         params = init_params(small_cfg(variant=variant, gated_dim=16, lstm_hidden=h_dim, fc_hidden=16), 7, dtype)
         for t in params.tensors():
@@ -558,6 +563,28 @@ class TestMlnetForward:
             for batch, p, w in others:
                 np.testing.assert_array_equal(p, p0, err_msg=f"utterance {i} in {batch}")
                 np.testing.assert_array_equal(w, w0, err_msg=f"utterance {i} in {batch}")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_graph_changes_no_value(self, variant, dtype):
+        # one utterance and three, each forward with a graph and under
+        # no_grad: a graph decides only what the nodes keep, so the
+        # probabilities and branch weights are the same bits
+        rng = np.random.default_rng(31)
+        params = init_params(small_cfg(variant=variant, gated_dim=16, lstm_hidden=64, fc_hidden=16), 8, dtype)
+        for t in params.tensors():
+            t.data *= 4.0  # probabilities that spread over (0, 1)
+        seqs = [rng.normal(size=(t_len, 8)) for t_len in (130, 1, 70)]
+        for batch in (seqs[:1], seqs):
+            tracked = mlnet_forward(batch, params)
+            with ad.no_grad():
+                untracked = mlnet_forward(batch, params)
+            assert tracked.probs._backward is not None and untracked.probs._backward is None
+            np.testing.assert_array_equal(tracked.probs.data, untracked.probs.data)
+            if variant == "full_attention":
+                np.testing.assert_array_equal(tracked.branch_weights.data, untracked.branch_weights.data)
+            else:
+                assert tracked.branch_weights is untracked.branch_weights is None
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_branch_weights_only_for_attention_variant(self, variant):
