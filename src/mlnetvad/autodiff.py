@@ -38,7 +38,7 @@ the two groups guarantee all tensors stay finite.
 
 A Bi-LSTM layer is one ``bilstm_layer`` node, in which both directions
 of a packed batch advance in one time loop. The loop runs in blocks of
-``SCAN_BLOCK`` steps; each block projects the input rows it gathers,
+``SCAN_BLOCK`` steps; each block projects the input rows it needs,
 so no whole-utterance projection is kept. Its step works gate-major, on
 (4, 2, B, H) blocks, so every elementwise operand is one (2, B, H)
 block. Scoring and training run the same loop, and in both each
@@ -52,11 +52,13 @@ an utterance gets the same bits alone, in a packed scoring batch of any
 size and as a training lane, and parameters take the lanes'
 contributions in order. A graph decides only what these nodes keep: no
 value changes with it.
-A forward step is eleven numpy calls with positional outputs, each
-block's input rows are four calls into two reused index arrays, and
-the loop runs under one ``np.errstate``. The BPTT runs in blocks too,
-and each step writes its four gate gradients straight into the rows
-that the recurrent matmul reads, through a gate-major view.
+A forward step is eleven numpy calls with positional outputs, and the
+loop runs under one ``np.errstate``. One row map serves the layer: the
+slices of each utterance's packed rows that a block's steps read. The
+block projections, the output scatter and the BPTT all take them. The
+BPTT runs in blocks too, and each step writes its four gate gradients
+straight into the rows that the recurrent matmul reads, through a
+gate-major view.
 
 Only the operations the network needs are implemented; there is no
 broadcasting, no dtype promotion and no GPU path.
@@ -544,7 +546,7 @@ def branch_fusion(weights: Tensor, stack: Tensor) -> Tensor:
 
 # -- Bi-LSTM layer --------------------------------------------------------
 
-SCAN_BLOCK = 64  # time steps whose input rows bilstm_layer gathers at once
+SCAN_BLOCK = 64  # time steps whose input rows bilstm_layer projects at once
 
 
 def _packed_lengths(lengths, rows: int) -> np.ndarray:
@@ -562,23 +564,6 @@ def _packed_lengths(lengths, rows: int) -> np.ndarray:
     ):
         raise ShapeMismatch(f"lengths {lens.tolist()} do not split {rows} packed rows")
     return lens.astype(np.int64)
-
-
-def _step_rows(lengths: np.ndarray, block: int, stop: int):
-    """For each block of ``block`` steps from step 0 until ``stop``: (fwd,
-    bwd), each (block, B), the packed row that each direction's steps in
-    it read for every utterance. A padded step, past an utterance's
-    length, reads the row of that direction's last real step. Every block
-    is written into the same two arrays, four calls each."""
-    steps = np.arange(block)[:, None]
-    ends = np.cumsum(lengths)
-    firsts, lasts = ends - lengths, ends - 1
-    fwd_base, bwd_base = firsts + steps, lasts - steps  # the rows of the first block's steps
-    fwd, bwd = np.empty_like(fwd_base), np.empty_like(bwd_base)
-    for start in range(0, stop, block):  # out= by keyword: numpy deprecates a positional out in min and max
-        np.minimum(np.add(fwd_base, start, out=fwd), lasts, out=fwd)
-        np.maximum(np.subtract(bwd_base, start, out=bwd), firsts, out=bwd)
-        yield fwd, bwd
 
 
 def _spans(lengths: np.ndarray) -> list[tuple[int, int]]:
@@ -604,7 +589,15 @@ def _bptt(grad: np.ndarray, acts: np.ndarray, cs: np.ndarray, w: np.ndarray, spa
     gradients, as one (B, T, 2, 4H) array, from the output gradient
     ``grad``, the kept (T, 4, 2, B, H) gate activations ``acts``, the kept
     (T + 1, 2, B, H) cell states ``cs`` and the (2, H, 4H) recurrent
-    weights ``w``. Its block buffers go when it returns."""
+    weights ``w``. Its block buffers go when it returns.
+
+    Every lane runs from step max(T) - 1, and its padded steps, past its
+    end, get zero output gradients. A zero state gradient stays exactly
+    zero through a step whose factors are finite, and they are: every
+    projection the forward stepped on, stale or not, was zero or had
+    passed ``_finite``, so the kept gates and cell states are finite.
+    So each lane reaches its last real step with zero state gradients,
+    as a call on it alone starts."""
     t_max, _, _, n, h_dim = acts.shape
     four_h, dtype = 4 * h_dim, acts.dtype
     w_t = np.ascontiguousarray(w.transpose(0, 2, 1))  # (2, 4H, H)
@@ -625,9 +618,6 @@ def _bptt(grad: np.ndarray, acts: np.ndarray, cs: np.ndarray, w: np.ndarray, spa
     dh = dh_rows[:, :n]
     dc = np.empty((2, n, h_dim), dtype)
     dc_next = np.zeros_like(dc)
-    last = {}  # step -> the lanes whose last real step it is
-    for j, (first, end) in enumerate(spans):
-        last.setdefault(end - first - 1, []).append(j)
     add, matmul, multiply = np.add, np.matmul, np.multiply
     for start in range(block * ((t_max - 1) // block), -1, -block):
         stop = min(start + block, t_max)
@@ -646,12 +636,7 @@ def _bptt(grad: np.ndarray, acts: np.ndarray, cs: np.ndarray, w: np.ndarray, spa
         dh_to_dc = o * (1.0 - tc * tc)
         dz_steps = (a[: stop - start] for a in (dz_block, dz_cells, dz_os))
         by_step = (grads, dh_to_dc, dc_factors, do_factor, f, *dz_steps)
-        for s, g, to_dc, dc_factor, o_factor, f_s, dz_row, dz_cell, dz_o in zip(
-            range(stop - 1, start - 1, -1), *(a[::-1] for a in by_step)
-        ):
-            for j in last.get(s, ()):  # the lane enters the BPTT at its last real step
-                dh[:, j] = 0.0
-                dc_next[:, j] = 0.0
+        for g, to_dc, dc_factor, o_factor, f_s, dz_row, dz_cell, dz_o in zip(*(a[::-1] for a in by_step)):
             add(dh, g, dh)  # dh held the recurrent part, w_h @ dz of the next step
             multiply(dh, to_dc, dc)
             add(dc, dc_next, dc)
@@ -679,22 +664,26 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     steps advances both directions of every utterance as (2, B, H)
     states. The backward direction's step s is frame ``lengths[b] - 1 -
     s`` of utterance b. The loop runs in blocks of ``SCAN_BLOCK`` steps;
-    in each block, every utterance with real steps left gathers
-    ``min(SCAN_BLOCK, T)`` of its own input rows, padded steps rereading
-    clipped rows, and projects them with its own ``x @ w_x`` GEMM per
-    direction, whose bias is added in place, into a (steps, 4, 2, B, H)
-    gate-major buffer; an utterance that has ended steps on stale
-    projections. The step works gate-major, so that every
-    elementwise operand is one (2, B, H) block rather than a strided gate
-    column of a (2, B, 4H) row: one add reads the recurrent product
-    through a gate-major view and writes the (4, 2, B, H)
-    pre-activations, the sigmoid runs over all four gates, and the
-    candidate's tanh then replaces its slot. The step reads the sigmoid
-    gates' pre-activations negated, from copies of the weights whose
-    input, forget and output columns are negated once per call;
-    negation is exact, so the bits are those of ``exp(-z)``. The
-    projections are never kept. A shorter utterance keeps stepping after
-    it ends, on clipped or stale inputs whose states reach no output.
+    in each block, every utterance with real steps left projects
+    ``min(SCAN_BLOCK, T)`` consecutive rows of its own, a slice of
+    ``seq``, with one ``x @ w_x`` GEMM per direction, whose bias is
+    added in place: the rows of the block's steps, shifted back by the
+    steps that run past its end, so that the window stays inside it. Its
+    real steps' projections go into a (steps, 4, 2, B, H) gate-major
+    buffer, the backward direction's reversed into step order; so every
+    projection GEMM has the row count of a call on the utterance alone.
+    The same slices place each block's hidden states in the output. The
+    step works gate-major, so that every elementwise operand is one
+    (2, B, H) block rather than a strided gate column of a (2, B, 4H)
+    row: one add reads the recurrent product through a gate-major view and
+    writes the (4, 2, B, H) pre-activations, the sigmoid runs over all
+    four gates, and the candidate's tanh then replaces its slot. The
+    step reads the sigmoid gates' pre-activations negated, from copies
+    of the weights whose input, forget and output columns are negated
+    once per call; negation is exact, so the bits are those of
+    ``exp(-z)``. The projections are never kept. A shorter utterance
+    keeps stepping after it ends, on stale projections whose states
+    reach no output.
 
     Every recurrent product is a row of a GEMM of two or more rows. At
     B >= 2 the step is one (2, B, H) @ (2, H, 4H) matmul. At B = 1 the
@@ -719,12 +708,10 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     the add of the projection, exp, the add of 1
     (from an array of ones, which dispatches faster than a scalar),
     reciprocal, the candidate's tanh, c * f, i * g, their sum, tanh(c)
-    and o * tanh(c). Which rows each block gathers is written by four
-    calls into two (SCAN_BLOCK, B) index arrays that every block reuses,
-    and the whole loop runs under one ``np.errstate``. At H = 64
-    with one BLAS thread, a step of both directions of one utterance
-    took 10 to 18 µs on a shared 2-core machine whose speed drifts by up
-    to 2×.
+    and o * tanh(c). The whole loop runs under one ``np.errstate``. At
+    H = 64 with one BLAS thread, a step of both directions of one
+    utterance took 10 to 18 µs on a shared 2-core machine whose speed
+    drifts by up to 2×.
 
     With a graph, each step writes its gate activations and cell state
     straight into the buffers the backward keeps; without one, every step
@@ -737,11 +724,12 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     (2, max(B, 2), 4H) @ (2, 4H, H) matmul, through a strided gate-major
     view of a per-block buffer; a lone utterance's spare lane stays zero.
     Each block's gate gradients are then copied once into every lane's
-    (T, 2, 4H) gradient. A lane enters the BPTT at its last real step
-    with a zero state gradient. Once the loop ends, the kept gates and
-    cell states are dropped; then each lane's recurrent-weight gradients
-    are one batched GEMM over its steps, and each direction's
-    input-projection gradients come from its (T, 4H) gate gradient.
+    (T, 2, 4H) gradient. A lane's padded steps get zero output gradients
+    and pass zero state gradients on exactly, so it reaches its last real
+    step with none. Once the loop ends, the kept gates and cell states
+    are dropped; then each lane's recurrent-weight gradients are one
+    batched GEMM over its steps, and each direction's input-projection
+    gradients come from its (T, 4H) gate gradient.
     Every parameter takes the lanes' contributions in lane order, and
     ``seq`` the forward direction's before the backward's. Only the
     projections are checked for finite values; every other output is
@@ -760,8 +748,8 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     dtype = _one_dtype("bilstm_layer", seq, *fwd, *bwd)
     keep = _track_any(seq, *fwd, *bwd)
     (rows, in_dim), h_dim, four_h = seq.shape, h_shape[0], four_h[0]
-    spans, lens = _spans(lengths), lengths.tolist()
-    n, t_max = lengths.size, max(lens)
+    spans = _spans(lengths)
+    n, t_max = lengths.size, int(lengths.max())
     block = min(SCAN_BLOCK, t_max)
     w = np.stack([fwd[1].data, bwd[1].data])  # (2, H, 4H): direction 0 forward, 1 backward
     # the sigmoid gates' columns negated, exactly, so that the step's exp
@@ -771,7 +759,6 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     w_neg = w * sign
     x_weights = [(w_x.data * sign, b.data * sign) for w_x, _, b in (fwd, bwd)]
     out = np.empty((rows, 2 * h_dim), dtype)
-    x_in = np.empty((block, in_dim), dtype)  # a block's input rows, one direction of one utterance
     xs = np.zeros((block, 4, 2, n, h_dim), dtype)  # a block's projections, gate-major
     hs = np.empty((block, 2, n, h_dim), dtype)  # a block's hidden states
     if n == 1:
@@ -805,19 +792,24 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     # exp(-z) overflowing to inf gives the exact sigmoid limit 0.0, and a
     # projection that overflows is caught by the check, not by a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, step_rows in zip(range(0, t_max, block), _step_rows(lengths, block, t_max)):
+        for start in range(0, t_max, block):
             stop = min(start + block, t_max)
             if keep:
                 a_s = acts[start:stop]
                 history = (a_s, *a_s.transpose(1, 0, 2, 3, 4), cs[start:stop], cs[start + 1 :])
+            lanes = list(_lane_rows(spans, start, stop))
             # each utterance with real steps left projects min(SCAN_BLOCK, T)
-            # of its own rows, as a call on it alone does; padded steps
-            # reread clipped rows, and an ended utterance steps on stale ones
-            sizes = [(j, min(block, t)) for j, t in enumerate(lens) if start < t]
-            for d, ((w_x, b), rows_of) in enumerate(zip(x_weights, step_rows)):
-                for j, size in sizes:
-                    x = np.take(seq.data, rows_of[:size, j], axis=0, mode="clip", out=x_in[:size])
-                    xs[:size, :, d, j] = _add_bias(x @ w_x, b).reshape(size, 4, h_dim)
+            # consecutive rows of its own, as a call on it alone does: its
+            # block's rows, shifted back by the skip steps past its end so
+            # that they stay inside it. Its padded steps, and an ended
+            # utterance's, step on stale projections
+            for j, done, fwd_rows, bwd_rows in lanes:
+                first, end = spans[j]
+                skip = min(block, end - first) - done
+                windows = (slice(fwd_rows.start - skip, fwd_rows.stop), slice(bwd_rows.start, bwd_rows.stop + skip))
+                for d, ((w_x, b), window) in enumerate(zip(x_weights, windows)):
+                    x = _add_bias(seq.data[window] @ w_x, b).reshape(-1, 4, h_dim)
+                    xs[:done, :, d, j] = x[skip:] if d == 0 else x[done - 1 :: -1]  # the backward's in step order
             _finite(xs[: stop - start], "bilstm_layer")
             for x_step, h_next, h_next_row, a, gate_i, gate_f, gate_g, gate_o, c_prev, c in zip(
                 xs[: stop - start], hs, hs_rows, *history
@@ -834,7 +826,7 @@ def bilstm_layer(seq: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
                 tanh(c, tc)
                 multiply(gate_o, tc, h_next)
                 h = h_next_row
-            for j, done, fwd_rows, bwd_rows in _lane_rows(spans, start, stop):
+            for j, done, fwd_rows, bwd_rows in lanes:
                 out[fwd_rows, :h_dim] = hs[:done, 0, j]
                 out[bwd_rows, h_dim:] = hs[done - 1 :: -1, 1, j]
     if not keep:

@@ -236,7 +236,7 @@ def cmd_mix(a: dict) -> int:
         silence_pad_s=a["pad_s"],
         seed=a["seed"],
     )
-    raws = synth_raw_corpus(a["n"] + a["n_eval"], spec, a["seed"], a["sample_rate"])
+    raws = synth_raw_corpus(a["n"] + a["n_eval"], spec, a["sample_rate"])
     train_pool, eval_pool = raws[: a["n"]], raws[a["n"] :]
     manifest = write_corpus_dir(
         out,

@@ -270,13 +270,11 @@ def synth_utterance(
     return RawUtterance(mixed.mixed, mask, snr_db, source_id, kind)
 
 
-def synth_raw_corpus(
-    n_utts: int, spec: MixSpec, seed: int | None = None, sample_rate: int = 16000
-) -> list[RawUtterance]:
-    """Generate raw recordings with per-utterance spawned seeds."""
+def synth_raw_corpus(n_utts: int, spec: MixSpec, sample_rate: int = 16000) -> list[RawUtterance]:
+    """Generate raw recordings with per-utterance seeds spawned from ``spec.seed``."""
     if n_utts < 1:
         raise CorpusError(f"n_utts must be >= 1, got {n_utts}")
-    root = np.random.SeedSequence(spec.seed if seed is None else seed)
+    root = np.random.SeedSequence(spec.seed)
     raws = []
     for i, child in enumerate(root.spawn(n_utts)):
         rng = np.random.default_rng(child)
@@ -291,18 +289,11 @@ def utterance_from_raw(raw: RawUtterance, cfg: FrontendConfig) -> LabeledUtteran
 
 
 def synth_corpus(
-    n_utts: int,
-    spec: MixSpec,
-    seed: int | None = None,
-    cfg: FrontendConfig | None = None,
-    sample_rate: int = 16000,
+    n_utts: int, spec: MixSpec, cfg: FrontendConfig | None = None, sample_rate: int = 16000
 ) -> list[LabeledUtterance]:
-    """Featurized, frame-labeled synthetic corpus; deterministic per seed."""
+    """Featurized, frame-labeled synthetic corpus; deterministic per ``spec.seed``."""
     cfg = cfg or FrontendConfig()
-    return [
-        utterance_from_raw(raw, cfg)
-        for raw in synth_raw_corpus(n_utts, spec, seed, sample_rate)
-    ]
+    return [utterance_from_raw(raw, cfg) for raw in synth_raw_corpus(n_utts, spec, sample_rate)]
 
 
 def split_train_dev(items: list, dev_fraction: float = 0.05, seed: int = 0) -> tuple[list, list]:

@@ -219,8 +219,8 @@ def test_criterion_8_frontend_formula_and_silence():
 def test_criterion_5_desk_scale_end_to_end():
     with criterion(5, "200-utterance end-to-end training"):
         started = time.perf_counter()
-        spec = MixSpec()  # 2 s pads, SNR uniform in [-5, 20]
-        raws = synth_raw_corpus(200, spec, seed=20240817)
+        spec = MixSpec(seed=20240817)  # 2 s pads, SNR uniform in [-5, 20]
+        raws = synth_raw_corpus(200, spec)
         snrs = [r.snr_db for r in raws]
         assert abs(float(np.mean(snrs)) - 7.5) <= 1.0, f"mean SNR {np.mean(snrs):.2f}"
         frontend = FrontendConfig(normalize=True)
@@ -255,7 +255,7 @@ def test_criterion_6_ablation_direction():
         # the feature scale, the flattened-affine baseline mostly cannot;
         # identical corpus and budget for both variants on every seed
         frontend = FrontendConfig()
-        corpus = synth_corpus(30, MixSpec(), seed=777, cfg=frontend)
+        corpus = synth_corpus(30, MixSpec(seed=777), cfg=frontend)
         train_utts, dev_utts = split_train_dev(corpus, 0.25, seed=5)
 
         def best_dev_f1(variant: str, seed: int) -> float:

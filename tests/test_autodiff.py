@@ -790,7 +790,7 @@ class TestBilstmLayer:
     @pytest.mark.parametrize("lengths", [[1, 7], [7, 65], [65, 577], [577, 1], [65, 1, 30, 64]])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("h_dim", [5, 8, 64])
-    def test_lanes_equal_single_calls_bit_for_bit(self, h_dim, dtype, lengths):
+    def test_lanes_equal_single_calls_bit_for_bit(self, h_dim, dtype, lengths, scale=1.0):
         # the packed graph-mode call against one call per utterance, over
         # two backward passes into the same leaves: each call's passes in
         # turn, as the packed call takes its lanes' contributions in order
@@ -799,6 +799,8 @@ class TestBilstmLayer:
         seq = rng.normal(size=(sum(lengths), in_dim)).astype(dtype)
         dirs = [_lstm_direction(rng, in_dim, h_dim, dtype) for _ in range(2)]
         params = [t for d in dirs for t in d]
+        for t in params:
+            t.data *= scale
         coeffs = [rng.normal(size=(sum(lengths), 2 * h_dim)).astype(dtype) for _ in range(2)]
         packed = Tensor(seq, requires_grad=True)
         outs = []
@@ -819,6 +821,23 @@ class TestBilstmLayer:
         for t, grad, name in zip(params, packed_grads, TestClassifierNodesExact.LAYER_NAMES[1:]):
             assert grad.dtype == dtype
             np.testing.assert_array_equal(grad, t.grad, err_msg=name)
+
+    @pytest.mark.parametrize("scale", [50.0, 1000.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("h_dim", [5, 8, 64])
+    def test_saturated_lanes_equal_single_calls_bit_for_bit(self, h_dim, dtype, scale):
+        # weights scaled until sigmoid gates round to exactly 0 and 1 (and
+        # at 1000, exp(-z) overflows): the shorter lanes' padded steps, on
+        # stale projections, must still pass each lane zero state
+        # gradients at its last real step
+        lengths = [65, 1, 30, 64, 130]
+        self.test_lanes_equal_single_calls_bit_for_bit(h_dim, dtype, lengths, scale)
+        # the forward direction's input projection, drawn as that call drew it
+        rng = np.random.default_rng(h_dim + sum(lengths))
+        in_dim = 16 if h_dim < 64 else 128
+        seq = rng.normal(size=(sum(lengths), in_dim)).astype(dtype)
+        z = np.abs(seq @ (_lstm_direction(rng, in_dim, h_dim, dtype)[0].data * scale))
+        assert (1.0 + np.exp(-z) == 1.0).any()
 
     @pytest.mark.parametrize("graph", [False, True])
     @pytest.mark.parametrize("lengths", [[70], [9, 1, 100, 64]])
@@ -870,30 +889,40 @@ class TestBilstmLayer:
         for t, name in zip(tensors, TestClassifierNodesExact.LAYER_NAMES, strict=True):
             np.testing.assert_array_equal(t.grad, expected[name], err_msg=name)
 
-    def test_scoring_projects_each_utterance_on_its_own_rows(self):
-        # without a graph, as with one, each scan block and direction
-        # projects min(SCAN_BLOCK, T) of each utterance's own rows in a GEMM
-        # of their own, padded steps rereading clipped rows, while the
-        # recurrent step stays one (2, B, H) @ (2, H, 4H) matmul. At H = 64
-        # in float32 a GEMM over every utterance's rows of a block rounds
-        # some rows differently, so one projection per block fails here
+    @pytest.mark.parametrize("graph", [False, True])
+    def test_scoring_projects_each_utterance_on_its_own_rows(self, graph):
+        # with a graph or without one, each scan block and direction
+        # projects min(SCAN_BLOCK, T) consecutive rows of each utterance in a
+        # GEMM of their own: the block's rows, shifted back to stay inside
+        # the utterance, in frame order. The recurrent step stays one
+        # (2, B, H) @ (2, H, 4H) matmul. At H = 64 in float32 a GEMM over
+        # every utterance's rows of a block, or over only a block's real
+        # rows (1 of the 65-frame utterance's second block), rounds some
+        # rows differently, so either fails here
         lengths, in_dim, h_dim, dtype = [65, 1, 30, 64], 128, 64, np.float32
         rng = np.random.default_rng(22)
         seq = rng.normal(size=(sum(lengths), in_dim)).astype(dtype)
         dirs = [_lstm_direction(rng, in_dim, h_dim, dtype) for _ in range(2)]
         xs = [np.empty((sum(lengths), 4 * h_dim), dtype) for _ in range(2)]
         for first, length in zip(np.cumsum(lengths) - lengths, lengths):
+            size = min(ad.SCAN_BLOCK, length)
             for start in range(0, length, ad.SCAN_BLOCK):
-                steps = np.arange(start, start + min(ad.SCAN_BLOCK, length))
-                real = steps < length
-                fwd_rows = first + np.minimum(steps, length - 1)
-                bwd_rows = first + np.maximum(length - 1 - steps, 0)
-                for x, rows_of, (w_x, _, b) in zip(xs, (fwd_rows, bwd_rows), dirs):
-                    x[rows_of[real]] = (seq[rows_of] @ w_x.data + b.data)[real]
+                skip = max(0, start + size - length)
+                steps = np.arange(start - skip, start - skip + size)
+                for x, frames, (w_x, _, b) in zip(xs, (first + steps, first + length - 1 - steps), dirs):
+                    window = np.sort(frames)
+                    real = np.isin(window, frames[skip:])  # the block's own steps
+                    x[window[real]] = (seq[window] @ w_x.data + b.data)[real]
         ws = [d[1].data for d in dirs]
         out_ref = bilstm_reference(xs, ws, lengths, np.zeros((sum(lengths), 2 * h_dim), dtype))[0]
-        with ad.no_grad():
-            out = ad.bilstm_layer(Tensor(seq), *dirs, lengths=lengths)
+        if graph:  # each lane also against a call on it alone
+            out = ad.bilstm_layer(Tensor(seq, requires_grad=True), *dirs, lengths=lengths)
+            parts = np.split(seq, np.cumsum(lengths)[:-1])
+            singles = [ad.bilstm_layer(Tensor(x, requires_grad=True), *dirs).data for x in parts]
+            np.testing.assert_array_equal(out.data, np.concatenate(singles))
+        else:
+            with ad.no_grad():
+                out = ad.bilstm_layer(Tensor(seq), *dirs, lengths=lengths)
         np.testing.assert_array_equal(out.data, out_ref)
 
     @pytest.mark.parametrize("graph", [False, True])
@@ -927,27 +956,6 @@ class TestBilstmLayer:
             x[20, 0] = 0.0
             ad.bilstm_layer(Tensor(x, requires_grad=graph), *dirs)  # the other rows are finite
         assert [str(w.message) for w in caught] == []
-
-    def test_step_rows_match_a_walk_over_each_utterance(self):
-        # ragged lengths with 1-frame utterances, over two whole blocks of
-        # steps: the last block runs past every utterance's end. The blocks
-        # share their arrays, so each is copied as it comes
-        lengths = np.array([1, 70, 1, 3, 64], dtype=np.int64)
-        blocks = [(f.copy(), b.copy()) for f, b in ad._step_rows(lengths, ad.SCAN_BLOCK, 2 * ad.SCAN_BLOCK - 5)]
-        assert len(blocks) == 2
-        fwd, bwd = (np.concatenate(rows) for rows in zip(*blocks))
-        stop = 2 * ad.SCAN_BLOCK
-        first = 0
-        for j, length in enumerate(lengths.tolist()):
-            frames = list(range(first, first + length))
-            # each direction reads its frames in its time order, then
-            # rereads the frame of its last real step
-            want_fwd = frames + [frames[-1]] * (stop - length)
-            want_bwd = frames[::-1] + [frames[0]] * (stop - length)
-            assert fwd[:, j].tolist() == want_fwd
-            assert bwd[:, j].tolist() == want_bwd
-            first += length
-        assert fwd.shape == bwd.shape == (stop, lengths.size)
 
     @pytest.mark.parametrize("lengths", [[2, 2], [4, 4], [3, 2, 0], [4, 3, -1], [3, 0, 4], []])
     def test_lengths_that_do_not_split_the_rows_rejected(self, lengths):

@@ -193,29 +193,29 @@ class TestLabelFrames:
 
 class TestSynthCorpus:
     def test_deterministic(self):
-        a = synth_raw_corpus(4, MixSpec(), seed=7)
-        b = synth_raw_corpus(4, MixSpec(), seed=7)
+        a = synth_raw_corpus(4, MixSpec(seed=7))
+        b = synth_raw_corpus(4, MixSpec(seed=7))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.waveform.samples, y.waveform.samples)
             np.testing.assert_array_equal(x.speech_mask, y.speech_mask)
             assert x.snr_db == y.snr_db
 
     def test_mean_snr_near_midpoint(self):
-        raws = synth_raw_corpus(100, MixSpec(), seed=11)
+        raws = synth_raw_corpus(100, MixSpec(seed=11))
         snrs = [r.snr_db for r in raws]
         assert all(-5.0 <= s <= 20.0 for s in snrs)
         assert abs(np.mean(snrs) - 7.5) < 1.0
 
     def test_both_classes_in_every_utterance(self):
-        for utt in synth_corpus(5, MixSpec(), seed=3):
+        for utt in synth_corpus(5, MixSpec(seed=3)):
             assert utt.labels.any() and not utt.labels.all()
 
     def test_labels_match_feature_length(self):
-        for utt in synth_corpus(3, MixSpec(), seed=5):
+        for utt in synth_corpus(3, MixSpec(seed=5)):
             assert utt.labels.shape == (len(utt.features),)
 
     def test_mismatched_labels_rejected(self):
-        utt = synth_corpus(1, MixSpec(), seed=1)[0]
+        utt = synth_corpus(1, MixSpec(seed=1))[0]
         with pytest.raises(CorpusError):
             LabeledUtterance(utt.features, utt.labels[:-1], "bad")
 
@@ -334,7 +334,7 @@ class TestNoiseSurrogate:
 
         monkeypatch.setattr(np.fft, "rfft", guard(np.fft.rfft, lambda size: size))
         monkeypatch.setattr(np.fft, "irfft", guard(np.fft.irfft, lambda size: 2 * (size - 1)))
-        raws = synth_raw_corpus(20, MixSpec(), seed=4)
+        raws = synth_raw_corpus(20, MixSpec(seed=4))
         shaped = [len(r.waveform) for r in raws if r.noise_kind != "white"]
         assert not all(is_5_smooth(n) for n in shaped)
         assert len(lengths) == 2 * len(shaped)
@@ -373,7 +373,7 @@ class TestCorpusIO:
         assert read_manifest(path) == entries
 
     def test_corpus_dir_round_trip(self, tmp_path):
-        raws = synth_raw_corpus(3, MixSpec(silence_pad_s=0.2), seed=2)
+        raws = synth_raw_corpus(3, MixSpec(silence_pad_s=0.2, seed=2))
         manifest = write_corpus_dir(tmp_path, raws, dev_fraction=0.34, split_seed=1)
         utts = load_manifest_utterances(manifest)
         assert len(utts) == 3
@@ -389,7 +389,7 @@ class TestCorpusIO:
             )
 
     def test_split_tags_written(self, tmp_path):
-        raws = synth_raw_corpus(4, MixSpec(silence_pad_s=0.1), seed=2)
+        raws = synth_raw_corpus(4, MixSpec(silence_pad_s=0.1, seed=2))
         manifest = write_corpus_dir(tmp_path, raws, dev_fraction=0.25, split_seed=1)
         splits = [e.split for e in read_manifest(manifest)]
         assert splits.count("dev") == 1 and splits.count("train") == 3

@@ -1,6 +1,6 @@
 """The same-bits probe in ``tools/`` still runs: its smallest layer case
-twice, and its score, predict, featurize and train parts once at a tiny
-size."""
+twice, a saturated layer case, and its score, predict, featurize and train
+parts once at a tiny size."""
 
 import importlib.util
 from pathlib import Path
@@ -28,6 +28,14 @@ def test_smallest_layer_case_writes_every_array_the_same_twice(tmp_path):
     assert again.relative_to(tmp_path / "b") == first.relative_to(tmp_path / "a")
     for name in names:
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_saturated_layer_case_gets_its_own_directory(tmp_path):
+    probe = _probe()
+    plain = probe.layer_case(tmp_path, 5, np.float32, [2, 1])
+    saturated = probe.layer_case(tmp_path, 5, np.float32, [2, 1], probe.SATURATED_SCALE)
+    assert saturated.name == f"{plain.name}-x{probe.SATURATED_SCALE:g}"
+    assert (plain / "out.npy").read_bytes() != (saturated / "out.npy").read_bytes()
 
 
 def test_predict_and_train_parts_write_their_outputs(tmp_path, monkeypatch):

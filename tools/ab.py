@@ -95,7 +95,7 @@ def inputs(sizes: dict, pkg) -> dict:
         return rng.normal(size=(t_len, n_mels)).astype(np.float32), labels.astype(np.int8)
 
     corpus, frontend_cfg = pkg.corpus, pkg.frontend.FrontendConfig()  # raw log-mel features
-    raw = corpus.synth_corpus(sizes["c6_utterances"], corpus.MixSpec(), seed=777, cfg=frontend_cfg)
+    raw = corpus.synth_corpus(sizes["c6_utterances"], corpus.MixSpec(seed=777), cfg=frontend_cfg)
     train_c6, dev_c6 = corpus.split_train_dev(raw, 0.25, seed=5)
     return {
         "forward": rng.normal(size=(sizes["forward"], n_mels)).astype(np.float32),

@@ -15,9 +15,11 @@ and writes only under the directory it is given. It writes:
 - ``layer/``: ``autodiff.bilstm_layer`` on random inputs, for H of 5, 16
   and 64, float32 and float64, and packed lengths of one row, one step
   past a scan block, several blocks, a ragged batch and the ten lengths
-  of the benchmark's training utterances. Each case holds the output
-  without a graph, the output with one and all seven gradients after two
-  backward passes into the same leaves, as ``.npy`` files.
+  of the benchmark's training utterances; and a ragged batch with
+  ``SATURATED_SCALE`` times the weights, whose gates saturate on the
+  shorter utterances' padded steps. Each case holds the output without a
+  graph, the output with one and all seven gradients after two backward
+  passes into the same leaves, as ``.npy`` files.
 - ``predict/``: ``mlnetvad predict`` TSVs of a 30 s and a 5 min synthetic
   recording under each of the four variants (with ``--dump-attention``
   for ``full_attention``), and the no-graph probabilities and branch
@@ -59,6 +61,8 @@ DTYPES = (np.float32, np.float64)
 # one row; one step past a scan block; several blocks; a ragged batch
 # with a one-frame utterance; the benchmark's training utterance lengths
 LENGTHS = ([1], [65], [577], [65, 1, 30, 64], [461 + 25 * i for i in range(10)])
+SATURATED_LENGTHS = [65, 1, 30, 64, 130]
+SATURATED_SCALE = 50.0  # sigmoids of exactly 0 and 1; in float32 exp(-z) overflows too
 GRAD_NAMES = ("seq", "w_x_f", "w_h_f", "b_f", "w_x_b", "w_h_b", "b_b")
 WEIGHT_SCALE = 8.0
 RECORDING_SECONDS = (30, 300)  # the first also gives the .npy outputs
@@ -67,10 +71,12 @@ TRAIN_UTTERANCES = 8
 EPOCHS = 2
 
 
-def layer_case(out_dir: Path, h_dim: int, dtype, lengths: list[int]) -> Path:
-    """Write one ``bilstm_layer`` case under ``out_dir``; returns its directory."""
+def layer_case(out_dir: Path, h_dim: int, dtype, lengths: list[int], scale: float = 1.0) -> Path:
+    """Write one ``bilstm_layer`` case, with ``scale`` times the random
+    weights, under ``out_dir``; returns its directory."""
     name = np.dtype(dtype).name
-    case = out_dir / "layer" / f"h{h_dim}-{name}-{'_'.join(map(str, lengths))}"
+    suffix = "" if scale == 1.0 else f"-x{scale:g}"
+    case = out_dir / "layer" / f"h{h_dim}-{name}-{'_'.join(map(str, lengths))}{suffix}"
     case.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng([h_dim, len(lengths), sum(lengths)])
     in_dim, rows = 2 * h_dim, sum(lengths)
@@ -82,7 +88,7 @@ def layer_case(out_dir: Path, h_dim: int, dtype, lengths: list[int]) -> Path:
             rng.normal(size=(h_dim, 4 * h_dim)) / h_dim**0.5,
             rng.normal(size=4 * h_dim) * 0.1,
         )
-        dirs.append([ad.Tensor(a.astype(dtype), requires_grad=True) for a in arrays])
+        dirs.append([ad.Tensor((a * scale).astype(dtype), requires_grad=True) for a in arrays])
     with ad.no_grad():
         np.save(case / "out.npy", ad.bilstm_layer(seq, *dirs, lengths=lengths).data)
     for _ in range(2):
@@ -181,7 +187,7 @@ def featurize_cases(out_dir: Path) -> None:
 
 def train_cases(out_dir: Path) -> None:
     d = out_dir / "train"
-    raws = corpus.synth_raw_corpus(TRAIN_UTTERANCES, corpus.MixSpec(), seed=7)
+    raws = corpus.synth_raw_corpus(TRAIN_UTTERANCES, corpus.MixSpec(seed=7))
     manifest = corpus.write_corpus_dir(d / "corpus", raws, dev_fraction=0.25)
     for batch in (1, 3):
         run = d / f"batch-{batch}"
@@ -199,6 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         for dtype in DTYPES:
             for lengths in LENGTHS:
                 layer_case(args.out_dir, h_dim, dtype, lengths)
+            layer_case(args.out_dir, h_dim, dtype, SATURATED_LENGTHS, SATURATED_SCALE)
     score_cases(args.out_dir)
     predict_cases(args.out_dir)
     featurize_cases(args.out_dir)
